@@ -45,6 +45,7 @@ from .fields import (
     GaussianDraw,
     kl_eigenpairs,
 )
+from .models import EllipticModel
 from .propagation import (
     ParameterGrid,
     QoISpec,
@@ -237,13 +238,14 @@ def _region_from_config(cfg) -> DeterminacyRegion:
     return DeterminacyRegion(rc.kappa, rc.horizon, rc.speed_bound)
 
 
-def _fixed_ell(cfg) -> float:
-    """Correlation length for single runs: field.ell, or the interval midpoint."""
-    if cfg.field.ell is not None:
-        return cfg.field.ell
-    if cfg.field.ell_min is not None and cfg.field.ell_max is not None:
-        return 0.5 * (cfg.field.ell_min + cfg.field.ell_max)
-    raise ConfigError(["field.ell (or ell_min/ell_max): required for this command"])
+def _elliptic_fields(cfg) -> dict:
+    """EllipticModel keyword arguments of the [field] section."""
+    return {
+        "m_pairs": cfg.field.m_terms,
+        "sigma": cfg.field.sigma,
+        "a_min": cfg.field.a_min,
+        "mean": cfg.field.mean,
+    }
 
 
 def _build_qoi(cfg: ScenarioConfig):
@@ -265,10 +267,7 @@ def _build_qoi(cfg: ScenarioConfig):
             "shape": cfg.mesh.shape,
             "nx": cfg.mesh.nx,
             "ny": cfg.mesh.ny,
-            "m_pairs": cfg.field.m_terms,
-            "sigma": cfg.field.sigma,
-            "a_min": cfg.field.a_min,
-            "mean": cfg.field.mean,
+            **_elliptic_fields(cfg),
         }
         if kind == "elliptic_slice":
             require(cfg, "qoi.x2")
@@ -320,22 +319,14 @@ def _build_qoi(cfg: ScenarioConfig):
     raise ConfigError([f"qoi.kind: cannot propagate {kind!r}"])
 
 
-def _field_sampler(cfg, seed, n_paths=3, n_points=201):
-    """Closure drawing a few coefficient-field trajectories for field.svg."""
-    if cfg.field.m_terms is None or (cfg.field.ell is None and cfg.field.ell_min is None):
-        return None
+def _field_sampler(model, ell, seed, n_paths=3, n_points=201):
+    """Closure for field.svg: the model's first KL field of samples 0..n_paths-1
+    at correlation length ell, on the model's field domain."""
 
     def sampler():
-        ell = cfg.field.ell
-        if ell is None:
-            ell = 0.5 * (cfg.field.ell_min + cfg.field.ell_max)
-        params = ExpCovarianceParams(cfg.field.sigma, ell, Interval(-1.0, 1.0))
-        basis = kl_eigenpairs(params, cfg.field.m_terms)
-        xs = np.linspace(-1.0, 1.0, n_points)
-        paths = [
-            FieldEvaluator(basis, GaussianDraw.sample(cfg.field.m_terms, seed, k), params).value(xs)
-            for k in range(n_paths)
-        ]
+        domain = model.field_domain
+        xs = np.linspace(domain.lo, domain.hi, n_points)
+        paths = [model.fields(model.draw(seed, k), ell)[0].value(xs) for k in range(n_paths)]
         return xs, paths
 
     return sampler
@@ -403,24 +394,15 @@ def _cmd_elliptic(args, out_dir, stages, manifest):
     require(cfg, "field.ell", "field.m_terms")
     seed = _seed(args, cfg, required=False, default=0)
     mesh = build_mesh(cfg.mesh.shape, cfg.mesh.nx, cfg.mesh.ny)
-    params = ExpCovarianceParams(cfg.field.sigma, cfg.field.ell, Interval(0.0, 1.0))
-    basis = kl_eigenpairs(params, cfg.field.m_terms)
-    draw = GaussianDraw.sample(2 * cfg.field.m_terms, seed, 0)
-    m = cfg.field.m_terms
-    q1 = FieldEvaluator(basis, GaussianDraw(draw.xi[: 2 * m]), params)
-    q2 = FieldEvaluator(basis, GaussianDraw(draw.xi[2 * m:]), params)
-
-    def coefficient(x1, x2):
-        return np.maximum(cfg.field.mean + q1.value(x1) * q2.value(x2), cfg.field.a_min)
-
-    coeffs = element_coefficients(mesh, coefficient)
-    solution = solve_cg(assemble(mesh, coeffs, 1.0))
+    x2 = cfg.qoi.x2 if cfg.qoi.x2 is not None else 0.5
+    model = EllipticModel(mesh=mesh, slice_x2=x2, **_elliptic_fields(cfg))
+    coeffs = element_coefficients(mesh, model.coefficient(model.draw(seed, 0), cfg.field.ell))
+    solution = solve_cg(assemble(mesh, coeffs, model.load), rel_tol=model.rel_tol)
     stages.mark("solve")
 
     rows = [(mesh.nodes[i, 0], mesh.nodes[i, 1], solution.values[i])
             for i in range(mesh.n_nodes)]
     files = _write_table(out_dir, "nodal", ["x1", "x2", "u"], rows, _formats(args, cfg))
-    x2 = cfg.qoi.x2 if cfg.qoi.x2 is not None else 0.5
     sl = extract_slice(solution, x2)
     files += _write_table(out_dir, "slice", ["x1", "value"],
                           list(zip(sl.x1, sl.values)), _formats(args, cfg))
@@ -494,7 +476,7 @@ def _cmd_wave(args, out_dir, stages, manifest):
     return EXIT_OK
 
 
-def _propagation_outputs(args, cfg, out_dir, rs, stages, manifest):
+def _propagation_outputs(args, cfg, out_dir, model, rs, stages, manifest):
     formats = _formats(args, cfg)
     pbox_rows = list(zip(rs.pbox.thresholds, rs.pbox.f_lower, rs.pbox.f_upper))
     files = _write_table(out_dir, "pbox", ["b", "f_lower", "f_upper"], pbox_rows, formats)
@@ -510,8 +492,10 @@ def _propagation_outputs(args, cfg, out_dir, rs, stages, manifest):
         for p in range(len(mf.aumann))
     ]
     files += _write_table(out_dir, "mean_field", header, mean_rows, formats)
-    seed_for_plots = rs.seed
-    files += emit_plots(rs, mf, out_dir, field_sampler=_field_sampler(cfg, seed_for_plots))
+    sampler = None
+    if hasattr(model, "fields"):
+        sampler = _field_sampler(model, rs.grid.dims[0].mid, rs.seed)
+    files += emit_plots(rs, mf, out_dir, field_sampler=sampler)
     stages.mark("report")
     manifest.update(outputs=files, seed=rs.seed,
                     failure_count=len(rs.failures),
@@ -525,13 +509,14 @@ def _cmd_propagate(args, out_dir, stages, manifest):
     require(cfg, "propagation.samples")
     seed = _seed(args, cfg, required=True)
     qoi, grid = _build_qoi(cfg)
+    model = qoi.build()
     workers = args.workers if args.workers is not None else cfg.propagation.workers
     stages.mark("prepare")
-    rs = propagate_random_set(qoi, grid, cfg.propagation.samples, seed,
+    rs = propagate_random_set(model, grid, cfg.propagation.samples, seed,
                               workers=workers,
                               threshold_count=cfg.propagation.thresholds)
     stages.mark("solve")
-    _propagation_outputs(args, cfg, out_dir, rs, stages, manifest)
+    _propagation_outputs(args, cfg, out_dir, model, rs, stages, manifest)
     return EXIT_OK
 
 

@@ -276,9 +276,9 @@ def parse_config(path) -> ScenarioConfig:
         if None not in (mu_lo, mu_hi, s_lo, s_hi):
             if mu_lo > mu_hi:
                 r.problems.append("family.mu_min: must not exceed family.mu_max")
-            elif s_lo > s_hi:
+            if s_lo > s_hi:
                 r.problems.append("family.sigma_min: must not exceed family.sigma_max")
-            else:
+            if mu_lo <= mu_hi and s_lo <= s_hi:
                 family = FamilyConfig(mu=Interval(mu_lo, mu_hi), sigma=Interval(s_lo, s_hi))
 
     mesh = MeshConfig(

@@ -59,6 +59,21 @@ class StructuredMesh:
     def interior(self) -> np.ndarray:
         return np.nonzero(~self.boundary_mask)[0]
 
+    def contains(self, x1: float, x2: float) -> bool:
+        """Whether (x1, x2) lies in the closed domain the mesh covers."""
+        inside = 0.0 <= x1 <= 1.0 and 0.0 <= x2 <= 1.0
+        if self.shape == "l_shape":
+            inside = inside and (x1 <= 0.5 or x2 <= 0.5)
+        return inside
+
+    def row_nodes(self, x2: float):
+        """(row, node ids) of the grid row nearest to x2, restricted to domain nodes."""
+        if not 0.0 <= x2 <= 1.0:
+            raise DomainError(f"slice ordinate {x2} outside the unit square")
+        row = int(round(x2 * self.ny))
+        ids = self.grid_index[:, row]
+        return row, ids[ids >= 0]
+
     @cached_property
     def geometry(self):
         """Per-triangle areas, shape-function gradients, and COO scaffolding."""
@@ -280,11 +295,7 @@ class SliceCurve:
 def extract_slice(solution: NodalSolution, x2: float) -> SliceCurve:
     """Values along the grid row nearest to x2, restricted to domain nodes."""
     mesh = solution.mesh
-    if not 0.0 <= x2 <= 1.0:
-        raise DomainError(f"slice ordinate {x2} outside the unit square")
-    row = int(round(x2 * mesh.ny))
-    ids = mesh.grid_index[:, row]
-    ids = ids[ids >= 0]
+    row, ids = mesh.row_nodes(x2)
     return SliceCurve(
         x1=mesh.nodes[ids, 0],
         values=solution.values[ids],

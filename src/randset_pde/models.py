@@ -3,7 +3,9 @@
 Each model turns a substream draw plus one parameter-grid point into the
 requested output: a nodal value or slice of the elliptic solution, or a
 point value of the transport/wave solution.  The interval parameter is the
-correlation length of the coefficient random field in all PDE models.
+correlation length of the coefficient random field in all PDE models, and
+each model's ``coefficient(draw, ell)`` is the one place where a draw and a
+correlation length become a realized coefficient field.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .fields import (
     ExpCovarianceParams,
     FieldEvaluator,
     GaussianDraw,
+    coefficient_field_2d,
     kl_eigenpairs,
 )
 from .propagation import GaussianFamilyModel, ParameterGrid, QoISpec
@@ -50,33 +53,46 @@ __all__ = [
 ]
 
 
-class _KLBasisCache:
-    """kl_eigenpairs per correlation length, built eagerly in prepare()."""
+class _KLFieldModel:
+    """Draws and realized KL coefficient fields, shared by the PDE models.
 
-    def __init__(self, sigma: float, domain: Interval, m_pairs: int):
-        self.sigma = sigma
-        self.domain = domain
-        self.m_pairs = m_pairs
+    A draw holds ``n_fields`` blocks of 2*m_pairs standard normals, each the
+    interleaved KL coefficients of one independent 1-d field on
+    ``field_domain``.  Subclasses provide ``m_pairs`` and ``sigma`` and call
+    ``_init_fields`` from their set-up; the KL eigenpairs are then built
+    once per correlation length, normally all of them in ``prepare``.
+    """
+
+    n_fields = 1
+
+    def _init_fields(self, domain: Interval) -> None:
+        self.field_domain = domain
         self._bases = {}
 
-    def params(self, ell: float) -> ExpCovarianceParams:
-        return ExpCovarianceParams(self.sigma, ell, self.domain)
+    def _basis(self, ell: float):
+        params = ExpCovarianceParams(self.sigma, float(ell), self.field_domain)
+        if params.ell not in self._bases:
+            self._bases[params.ell] = kl_eigenpairs(params, self.m_pairs)
+        return params, self._bases[params.ell]
 
-    def prepare(self, ells) -> None:
-        for ell in ells:
-            key = float(ell)
-            if key not in self._bases:
-                self._bases[key] = kl_eigenpairs(self.params(key), self.m_pairs)
+    def prepare(self, grid: ParameterGrid) -> None:
+        if grid.ndim != 1:
+            raise ConfigError(f"{type(self).__name__} expects a 1-d correlation-length grid")
+        for ell in grid.axes[0]:
+            self._basis(ell)
 
-    def evaluator(self, ell: float, xi: np.ndarray) -> FieldEvaluator:
-        key = float(ell)
-        if key not in self._bases:
-            self._bases[key] = kl_eigenpairs(self.params(key), self.m_pairs)
-        return FieldEvaluator(self._bases[key], GaussianDraw(xi), self.params(key))
+    def draw(self, seed: int, index: int) -> np.ndarray:
+        return standard_normals(seed, index, self.n_fields * 2 * self.m_pairs)
+
+    def fields(self, draw: np.ndarray, ell: float) -> tuple:
+        """The draw's realized 1-d KL fields at correlation length ell."""
+        params, basis = self._basis(ell)
+        blocks = np.reshape(draw, (self.n_fields, 2 * self.m_pairs))
+        return tuple(FieldEvaluator(basis, GaussianDraw(xi), params) for xi in blocks)
 
 
 @dataclass
-class EllipticModel:
+class EllipticModel(_KLFieldModel):
     """Membrane displacement under a random coefficient field.
 
     The coefficient is a(x1,x2) = max(mean + q1(x1) q2(x2), a_min) with two
@@ -97,61 +113,43 @@ class EllipticModel:
     pbox_x1: Optional[float] = None
     rel_tol: float = 1e-10
 
+    n_fields = 2
+
     def __post_init__(self):
         if (self.slice_x2 is None) == (self.node is None):
             raise ConfigError("specify exactly one of slice_x2 or node")
-        self._cache = _KLBasisCache(self.sigma, Interval(0.0, 1.0), self.m_pairs)
+        self._init_fields(Interval(0.0, 1.0))
         if self.slice_x2 is not None:
-            row = int(round(self.slice_x2 * self.mesh.ny))
-            ids = self.mesh.grid_index[:, row]
-            self._slice_ids = ids[ids >= 0]
-            self.output_labels = self.mesh.nodes[self._slice_ids, 0]
-            self.output_size = self._slice_ids.size
-            x1 = self.pbox_x1 if self.pbox_x1 is not None else 0.5
-            self.pbox_component = int(np.argmin(np.abs(self.output_labels - x1)))
+            _, self._output_ids = self.mesh.row_nodes(self.slice_x2)
         else:
             x1, x2 = self.node
+            if not self.mesh.contains(x1, x2):
+                raise ConfigError(f"node {self.node} outside the {self.mesh.shape} domain")
             d2 = (self.mesh.nodes[:, 0] - x1) ** 2 + (self.mesh.nodes[:, 1] - x2) ** 2
-            self._node_id = int(np.argmin(d2))
-            self.output_labels = self.mesh.nodes[self._node_id:self._node_id + 1, 0]
-            self.output_size = 1
-            self.pbox_component = 0
+            self._output_ids = np.array([int(np.argmin(d2))])
+        self.output_labels = self.mesh.nodes[self._output_ids, 0]
+        self.output_size = self._output_ids.size
+        pbox_x1 = self.pbox_x1 if self.pbox_x1 is not None else 0.5
+        self.pbox_component = int(np.argmin(np.abs(self.output_labels - pbox_x1)))
 
-    def prepare(self, grid: ParameterGrid) -> None:
-        if grid.ndim != 1:
-            raise ConfigError("elliptic model expects a 1-d correlation-length grid")
-        self._cache.prepare(grid.axes[0])
-
-    def draw(self, seed: int, index: int) -> np.ndarray:
-        return standard_normals(seed, index, 4 * self.m_pairs)
+    def coefficient(self, draw: np.ndarray, ell: float) -> Callable:
+        """The realized coefficient a(x1, x2) of one draw at correlation length ell."""
+        q1, q2 = self.fields(draw, ell)
+        return lambda x1, x2: coefficient_field_2d(self.mean, q1, q2, self.a_min, x1, x2)
 
     def evaluate(self, draw: np.ndarray, lam) -> np.ndarray:
-        ell = float(lam[0])
-        q1 = self._cache.evaluator(ell, draw[: 2 * self.m_pairs])
-        q2 = self._cache.evaluator(ell, draw[2 * self.m_pairs:])
-
-        def coefficient(x1, x2):
-            mean = self.mean(x1, x2) if callable(self.mean) else self.mean
-            return np.maximum(mean + q1.value(x1) * q2.value(x2), self.a_min)
-
-        coeffs = element_coefficients(self.mesh, coefficient)
+        coeffs = element_coefficients(self.mesh, self.coefficient(draw, lam[0]))
         solution = solve_cg(assemble(self.mesh, coeffs, self.load), rel_tol=self.rel_tol)
-        if self.slice_x2 is not None:
-            return solution.values[self._slice_ids]
-        return solution.values[self._node_id:self._node_id + 1]
+        return solution.values[self._output_ids]
 
 
-def _expression_or_value(spec):
-    return spec if callable(spec) else float(spec)
+@dataclass(kw_only=True)
+class _PointModel(_KLFieldModel):
+    """Shared part of the hyperbolic point models.
 
-
-@dataclass
-class TransportPointModel:
-    """Transport solution at one space-time point, speed = clipped KL field.
-
-    a(x) = clip(a_mean + q(x), a_lo, a_hi) with the claimed speed bound
-    max(|a_lo|, |a_hi|); the reaction f, source g, and initial datum u0 are
-    fixed deterministic functions.
+    The coefficient is a KL field on [-kappa, kappa], shifted and clipped;
+    the output is the solution at ``point`` on the characteristic lattice
+    of ``region``.
     """
 
     region: DeterminacyRegion
@@ -159,12 +157,6 @@ class TransportPointModel:
     nt: int
     m_pairs: int
     sigma: float
-    a_mean: float
-    a_lo: float
-    a_hi: float
-    f: Union[float, Callable]
-    g: Union[float, Callable]
-    u0: Union[float, Callable]
     point: tuple
     picard_tol: float = 1e-10
     max_sweeps: int = 100
@@ -173,31 +165,47 @@ class TransportPointModel:
     output_labels = None
     pbox_component = 0
 
-    def __post_init__(self):
-        if self.a_lo > self.a_hi:
-            raise ConfigError("speed cutoff bounds out of order")
-        bound = max(abs(self.a_lo), abs(self.a_hi))
+    def _setup(self, cutoff: tuple, bound: float, bound_name: str) -> None:
+        """Checks and lattice shared by subclasses; cutoff is (shift, lo, hi)."""
         if bound > self.region.c + 1e-12:
-            raise ConfigError("region speed bound is smaller than the speed cutoff")
-        self._bound = bound
-        self._cache = _KLBasisCache(self.sigma, Interval(-self.region.kappa, self.region.kappa),
-                                    self.m_pairs)
+            raise ConfigError(f"region speed bound is smaller than {bound_name}")
+        self._cutoff = cutoff
+        self._init_fields(Interval(-self.region.kappa, self.region.kappa))
         self._xs, self._ts = build_grids(self.region, self.nx, self.nt)
         if not self.region.contains(*self.point):
             raise ConfigError(f"evaluation point {self.point} outside the cone")
 
-    def prepare(self, grid: ParameterGrid) -> None:
-        if grid.ndim != 1:
-            raise ConfigError("transport model expects a 1-d correlation-length grid")
-        self._cache.prepare(grid.axes[0])
+    def coefficient(self, draw: np.ndarray, ell: float) -> CutoffField:
+        """The realized clipped coefficient field of one draw at correlation length ell."""
+        (q,) = self.fields(draw, ell)
+        shift, lo, hi = self._cutoff
+        return CutoffField(q, shift=shift, lo=lo, hi=hi)
 
-    def draw(self, seed: int, index: int) -> np.ndarray:
-        return standard_normals(seed, index, 2 * self.m_pairs)
+
+@dataclass(kw_only=True)
+class TransportPointModel(_PointModel):
+    """Transport solution at one space-time point, speed = clipped KL field.
+
+    a(x) = clip(a_mean + q(x), a_lo, a_hi) with the claimed speed bound
+    max(|a_lo|, |a_hi|); the reaction f, source g, and initial datum u0 are
+    fixed deterministic functions.
+    """
+
+    a_mean: float
+    a_lo: float
+    a_hi: float
+    f: Union[float, Callable]
+    g: Union[float, Callable]
+    u0: Union[float, Callable]
+
+    def __post_init__(self):
+        if self.a_lo > self.a_hi:
+            raise ConfigError("speed cutoff bounds out of order")
+        self._bound = max(abs(self.a_lo), abs(self.a_hi))
+        self._setup((self.a_mean, self.a_lo, self.a_hi), self._bound, "the speed cutoff")
 
     def evaluate(self, draw: np.ndarray, lam) -> np.ndarray:
-        ell = float(lam[0])
-        speed_field = CutoffField(self._cache.evaluator(ell, draw),
-                                  shift=self.a_mean, lo=self.a_lo, hi=self.a_hi)
+        speed_field = self.coefficient(draw, lam[0])
         coeffs = TransportCoefficients(
             a=lambda x, t: speed_field.value(x),
             f=self.f, g=self.g, u0=self.u0,
@@ -209,8 +217,8 @@ class TransportPointModel:
         return sol.values[j:j + 1, i]
 
 
-@dataclass
-class WavePointModel:
+@dataclass(kw_only=True)
+class WavePointModel(_PointModel):
     """Rod displacement at one space-time point, modulus = clipped KL field.
 
     E(x) = clip(e_mean + q(x), e_min, e_max) with constant density, zero
@@ -218,52 +226,23 @@ class WavePointModel:
     initial velocity.  The speed bound is sqrt(e_max / rho).
     """
 
-    region: DeterminacyRegion
-    nx: int
-    nt: int
-    m_pairs: int
-    sigma: float
     e_mean: float
     e_min: float
     e_max: float
     w: Callable
     w_prime: Callable
-    point: tuple
     rho: float = 1.0
-    picard_tol: float = 1e-10
-    max_sweeps: int = 100
-
-    output_size = 1
-    output_labels = None
-    pbox_component = 0
 
     def __post_init__(self):
         if not 0.0 < self.e_min <= self.e_max:
             raise ConfigError("need 0 < e_min <= e_max")
         if not self.rho > 0.0:
             raise ConfigError("density must be positive")
-        bound = float(np.sqrt(self.e_max / self.rho))
-        if bound > self.region.c + 1e-12:
-            raise ConfigError("region speed bound is smaller than sqrt(e_max/rho)")
-        self._bound = bound
-        self._cache = _KLBasisCache(self.sigma, Interval(-self.region.kappa, self.region.kappa),
-                                    self.m_pairs)
-        self._xs, self._ts = build_grids(self.region, self.nx, self.nt)
-        if not self.region.contains(*self.point):
-            raise ConfigError(f"evaluation point {self.point} outside the cone")
-
-    def prepare(self, grid: ParameterGrid) -> None:
-        if grid.ndim != 1:
-            raise ConfigError("wave model expects a 1-d correlation-length grid")
-        self._cache.prepare(grid.axes[0])
-
-    def draw(self, seed: int, index: int) -> np.ndarray:
-        return standard_normals(seed, index, 2 * self.m_pairs)
+        self._setup((self.e_mean, self.e_min, self.e_max),
+                    float(np.sqrt(self.e_max / self.rho)), "sqrt(e_max/rho)")
 
     def evaluate(self, draw: np.ndarray, lam) -> np.ndarray:
-        ell = float(lam[0])
-        modulus = CutoffField(self._cache.evaluator(ell, draw),
-                              shift=self.e_mean, lo=self.e_min, hi=self.e_max)
+        modulus = self.coefficient(draw, lam[0])
         a, f, g = wave_to_system(WaveMaterial(rho=self.rho, E=modulus, q=None))
         u01 = lambda x: -a(x) * self.w_prime(x)   # zero initial velocity
         u02 = lambda x: a(x) * self.w_prime(x)

@@ -31,6 +31,7 @@ from .randomsets import (
     Interval,
     PBox,
     RandomIntervalSample,
+    empirical_cdfs,
     empirical_pbox,
 )
 from .sampling import standard_normals
@@ -333,52 +334,9 @@ def propagate_random_set(qoi, grid: ParameterGrid, n_samples: int, seed: int,
     )
 
 
-def _ecdf_matrix(columns: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    n = columns.shape[0]
-    out = np.empty((columns.shape[1], thresholds.size))
-    for i in range(columns.shape[1]):
-        out[i] = np.searchsorted(np.sort(columns[:, i]), thresholds, side="right") / n
-    return out
-
-
-def propagate_parametric(qoi, grid: ParameterGrid, n_samples: int, seed: int,
-                         thresholds=None, shared_draws: bool = True,
-                         workers: int = 1) -> ParametricResult:
-    """Parametric double loop: per-parameter empirical CDFs and envelopes.
-
-    With ``shared_draws`` every grid point sees the same (seed, k)
-    substreams, which makes :func:`compare_bounds` exact; otherwise each
-    grid point gets its own independent substream family.
-    """
-    model = _resolve_model(qoi)
-    model.prepare(grid)
-    if shared_draws:
-        values, failures = _run_samples(model, grid, n_samples, seed, workers)
-        pc = getattr(model, "pbox_component", 0)
-        scalar = values[:, :, pc]
-    else:
-        if grid.m >= _INDEPENDENT_STRIDE or n_samples >= _INDEPENDENT_STRIDE:
-            raise DomainError("independent-draw indexing supports < 2^32 points/samples")
-        columns, failures = [], []
-        for i in range(grid.m):
-            sub = ParameterGrid(
-                dims=grid.dims, counts=(1,) * grid.ndim,
-                axes=tuple(np.array([v]) for v in grid.points[i]),
-                points=grid.points[i:i + 1],
-            )
-            vals, fails = _run_samples(
-                model, sub, n_samples, seed, workers,
-                draw_index=lambda k, _i=i: (_i + 1) * _INDEPENDENT_STRIDE + k,
-            )
-            pc = getattr(model, "pbox_component", 0)
-            columns.append(vals[:, 0, pc])
-            failures.extend(fails)
-        scalar = np.stack(columns, axis=1)
-        failures = tuple(failures)
-    if thresholds is None:
-        thresholds = default_thresholds(float(scalar.min()), float(scalar.max()))
-    thresholds = np.asarray(thresholds, dtype=float)
-    ecdfs = _ecdf_matrix(scalar, thresholds)
+def _envelopes(grid, seed, n_samples, scalar, thresholds, shared_draws, failures):
+    """Per-parameter ECDFs of the (N, M) scalar outputs and their envelopes."""
+    ecdfs = empirical_cdfs(scalar, thresholds)
     return ParametricResult(
         grid=grid,
         seed=seed,
@@ -392,6 +350,45 @@ def propagate_parametric(qoi, grid: ParameterGrid, n_samples: int, seed: int,
     )
 
 
+def propagate_parametric(qoi, grid: ParameterGrid, n_samples: int, seed: int,
+                         thresholds=None, shared_draws: bool = True,
+                         workers: int = 1) -> ParametricResult:
+    """Parametric double loop: per-parameter empirical CDFs and envelopes.
+
+    With ``shared_draws`` every grid point sees the same (seed, k)
+    substreams, which makes :func:`compare_bounds` exact; the envelopes are
+    then read off the random-set run.  Otherwise each grid point gets its
+    own independent substream family.
+    """
+    if shared_draws:
+        return parametric_from_random_set(
+            propagate_random_set(qoi, grid, n_samples, seed, thresholds=thresholds,
+                                 workers=workers))
+    model = _resolve_model(qoi)
+    model.prepare(grid)
+    if grid.m >= _INDEPENDENT_STRIDE or n_samples >= _INDEPENDENT_STRIDE:
+        raise DomainError("independent-draw indexing supports < 2^32 points/samples")
+    pc = getattr(model, "pbox_component", 0)
+    columns, failures = [], []
+    for i in range(grid.m):
+        sub = ParameterGrid(
+            dims=grid.dims, counts=(1,) * grid.ndim,
+            axes=tuple(np.array([v]) for v in grid.points[i]),
+            points=grid.points[i:i + 1],
+        )
+        vals, fails = _run_samples(
+            model, sub, n_samples, seed, workers,
+            draw_index=lambda k, _i=i: (_i + 1) * _INDEPENDENT_STRIDE + k,
+        )
+        columns.append(vals[:, 0, pc])
+        failures.extend(fails)
+    scalar = np.stack(columns, axis=1)
+    if thresholds is None:
+        thresholds = default_thresholds(float(scalar.min()), float(scalar.max()))
+    return _envelopes(grid, seed, n_samples, scalar, np.asarray(thresholds, dtype=float),
+                      False, tuple(failures))
+
+
 def parametric_from_random_set(rs: RandomSetResult) -> ParametricResult:
     """Shared-draw parametric envelopes from an existing random-set matrix.
 
@@ -399,19 +396,9 @@ def parametric_from_random_set(rs: RandomSetResult) -> ParametricResult:
     so the per-parameter ecdfs can be read off the stored (N, M) values
     without re-running the model.
     """
-    scalar = rs.per_lambda_values[:, :, rs.pbox_component]
-    ecdfs = _ecdf_matrix(scalar, rs.thresholds)
-    return ParametricResult(
-        grid=rs.grid,
-        seed=rs.seed,
-        n_samples=rs.n_samples,
-        thresholds=rs.thresholds,
-        per_lambda_ecdfs=ecdfs,
-        f_low=ecdfs.min(axis=0),
-        f_upp=ecdfs.max(axis=0),
-        shared_draws=True,
-        failures=rs.failures,
-    )
+    return _envelopes(rs.grid, rs.seed, rs.n_samples,
+                      rs.per_lambda_values[:, :, rs.pbox_component], rs.thresholds,
+                      True, rs.failures)
 
 
 def compare_bounds(rs: RandomSetResult, pm: ParametricResult) -> BoundComparison:

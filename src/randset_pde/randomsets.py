@@ -28,6 +28,7 @@ __all__ = [
     "imprecise_gaussian_focal",
     "upper_probability",
     "lower_probability",
+    "empirical_cdfs",
     "empirical_pbox",
     "aumann_expectation",
     "interval_hull",
@@ -273,6 +274,17 @@ def lower_probability(rs: FiniteRandomSet, event: Interval) -> float:
     return math.fsum(w for a, w in zip(rs.focals, rs.weights) if event.contains_interval(a))
 
 
+def empirical_cdfs(columns: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Empirical CDF of each column of an (N, K) sample at sorted thresholds.
+
+    Right-continuous convention: row i of the (K, B) result holds
+    #{k: columns[k, i] <= b}/N for every threshold b.
+    """
+    n = columns.shape[0]
+    return np.stack([np.searchsorted(np.sort(col), thresholds, side="right") / n
+                     for col in columns.T])
+
+
 def empirical_pbox(sample: RandomIntervalSample, thresholds) -> PBox:
     """Empirical lower/upper CDFs of a random interval sample.
 
@@ -284,9 +296,7 @@ def empirical_pbox(sample: RandomIntervalSample, thresholds) -> PBox:
         raise DomainError("threshold grid must be nonempty")
     if np.any(np.diff(b) < 0):
         raise DomainError("thresholds must be sorted ascending")
-    n = sample.n
-    f_lower = np.searchsorted(np.sort(sample.uppers), b, side="right") / n
-    f_upper = np.searchsorted(np.sort(sample.lowers), b, side="right") / n
+    f_lower, f_upper = empirical_cdfs(np.column_stack([sample.uppers, sample.lowers]), b)
     return PBox(b, f_lower, f_upper)
 
 

@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
+from randset_pde import cli
 from randset_pde.cli import main
 from randset_pde.config import compile_expression, parse_config, require
 from randset_pde.errors import ConfigError
+from randset_pde.fem import build_mesh
+from randset_pde.fields import ExpCovarianceParams, FieldEvaluator, GaussianDraw, kl_eigenpairs
+from randset_pde.models import EllipticModel
+from randset_pde.randomsets import Interval
+from randset_pde.sampling import standard_normals
 
 PRESETS = os.path.join(os.path.dirname(__file__), "..", "src", "randset_pde", "presets")
 
@@ -38,6 +44,49 @@ sigma_points = 5
 thresholds = 41
 [qoi]
 kind = gauss_identity
+"""
+
+MEMBRANE_SMALL = """
+[meta]
+schema_version = 1
+[model]
+kind = elliptic
+[field]
+sigma = 1.0
+ell_min = 0.5
+ell_max = 1.5
+m_terms = 4
+a_min = 0.1
+[mesh]
+shape = l_shape
+nx = 6
+ny = 6
+[propagation]
+samples = 3
+seed = 5
+ell_points = 3
+thresholds = 21
+[qoi]
+kind = elliptic_slice
+x2 = 0.3333
+"""
+
+ELLIPTIC_SINGLE = """
+[meta]
+schema_version = 1
+[model]
+kind = elliptic
+[field]
+sigma = 1.0
+ell = 1.0
+m_terms = 30
+a_min = 0.1
+[mesh]
+shape = l_shape
+nx = 10
+ny = 10
+[qoi]
+x2 = 0.4
 """
 
 
@@ -106,6 +155,14 @@ m_terms = 0
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "nope.cfg"))
+
+    def test_family_ordering_violations_all_reported(self, tmp_path):
+        text = GAUSS_SMALL.replace("mu_min = -1.0", "mu_min = 2.0")
+        text = text.replace("sigma_min = 1.0", "sigma_min = 3.0")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert "family.mu_min: must not exceed family.mu_max" in err.value.problems
+        assert "family.sigma_min: must not exceed family.sigma_max" in err.value.problems
 
 
 class TestExpressions:
@@ -261,23 +318,7 @@ m_terms = 20
         assert (out / "field.svg").exists()
 
     def test_elliptic_single_run(self, tmp_path):
-        cfg = write_cfg(tmp_path, """
-[meta]
-schema_version = 1
-[model]
-kind = elliptic
-[field]
-sigma = 1.0
-ell = 1.0
-m_terms = 30
-a_min = 0.1
-[mesh]
-shape = l_shape
-nx = 10
-ny = 10
-[qoi]
-x2 = 0.4
-""")
+        cfg = write_cfg(tmp_path, ELLIPTIC_SINGLE)
         out = tmp_path / "el"
         assert main(["elliptic", "--config", cfg, "--seed", "1",
                      "--out-dir", str(out)]) == 0
@@ -303,3 +344,50 @@ x2 = 0.4
         svg = (out / "slice.svg").read_text()
         assert svg.count('stroke="#b03030"') == 2
         assert svg.count('stroke="#7090c0"') == 1
+
+    def test_elliptic_slice_is_the_model_evaluation(self, tmp_path):
+        out = tmp_path / "el"
+        assert main(["elliptic", "--config", write_cfg(tmp_path, ELLIPTIC_SINGLE),
+                     "--seed", "3", "--out-dir", str(out)]) == 0
+        rows = (out / "slice.csv").read_text().splitlines()[1:]
+        written = np.array([float(row.split(",")[1]) for row in rows])
+        model = EllipticModel(mesh=build_mesh("l_shape", 10, 10), m_pairs=30, sigma=1.0,
+                              a_min=0.1, slice_x2=0.4)
+        np.testing.assert_array_equal(written, model.evaluate(model.draw(3, 0), (1.0,)))
+
+    def test_elliptic_field_plot_shows_the_sampled_fields(self, tmp_path, monkeypatch):
+        plotted = {}
+        line_plot = cli.line_plot
+
+        def capture(series, title="", **kwargs):
+            plotted[title] = series
+            return line_plot(series, title=title, **kwargs)
+
+        monkeypatch.setattr(cli, "line_plot", capture)
+        out = tmp_path / "membrane"
+        assert main(["propagate", "--config", write_cfg(tmp_path, MEMBRANE_SMALL),
+                     "--out-dir", str(out)]) == 0
+        assert (out / "field.svg").exists()
+        series = plotted["coefficient field sample trajectories"]
+        assert len(series) == 3
+        # q1 of samples 0..2 at the midpoint of [ell_min, ell_max], on [0, 1]
+        params = ExpCovarianceParams(1.0, 1.0, Interval(0.0, 1.0))
+        basis = kl_eigenpairs(params, 4)
+        for k, s in enumerate(series):
+            xs = np.asarray(s["x"])
+            assert xs[0] == 0.0 and xs[-1] == 1.0
+            q1 = FieldEvaluator(basis, GaussianDraw(standard_normals(5, k, 16)[:8]), params)
+            np.testing.assert_array_equal(s["y"], q1.value(xs))
+
+    def test_elliptic_slice_outside_unit_square_exit_code(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, MEMBRANE_SMALL.replace("x2 = 0.3333", "x2 = 1.5"))
+        assert main(["propagate", "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "slice ordinate 1.5 outside the unit square" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x1, x2", [(0.9, 0.9), (1.5, 0.2)])
+    def test_elliptic_node_outside_domain_exit_code(self, tmp_path, capsys, x1, x2):
+        text = MEMBRANE_SMALL.replace("kind = elliptic_slice\nx2 = 0.3333",
+                                      f"kind = elliptic_node\nx1 = {x1}\nx2 = {x2}")
+        path = write_cfg(tmp_path, text)
+        assert main(["propagate", "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "outside the l_shape domain" in capsys.readouterr().err

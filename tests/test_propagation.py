@@ -188,6 +188,22 @@ class TestParametricLoop:
             assert abs(pm.f_upp[0] - p) <= tol
             assert abs(pm.f_low[0] - q) <= tol
 
+    @pytest.mark.parametrize("case", ["gauss", "membrane"])
+    def test_shared_draws_is_the_random_set_reduction(self, case):
+        if case == "gauss":
+            model, grid = GaussianFamilyModel(), ParameterGrid.regular(FIG1_DIMS, [5, 5])
+        else:
+            model = EllipticModel(mesh=build_mesh("l_shape", 6, 6), m_pairs=8,
+                                  slice_x2=0.3333, pbox_x1=0.3333)
+            grid = ParameterGrid.regular([Interval(0.5, 1.5)], [3])
+        pm = propagate_parametric(model, grid, 20, seed=11, shared_draws=True)
+        ref = parametric_from_random_set(propagate_random_set(model, grid, 20, seed=11))
+        assert pm.shared_draws
+        np.testing.assert_array_equal(pm.thresholds, ref.thresholds)
+        np.testing.assert_array_equal(pm.per_lambda_ecdfs, ref.per_lambda_ecdfs)
+        np.testing.assert_array_equal(pm.f_low, ref.f_low)
+        np.testing.assert_array_equal(pm.f_upp, ref.f_upp)
+
     def test_independent_draws_mode(self):
         grid = ParameterGrid.regular(FIG1_DIMS, [3, 3])
         thresholds = np.linspace(-6, 6, 41)
