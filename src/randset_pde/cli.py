@@ -41,8 +41,6 @@ from .errors import (
 from .fem import assemble, build_mesh, element_coefficients, extract_slice, solve_cg
 from .fields import (
     ExpCovarianceParams,
-    FieldEvaluator,
-    GaussianDraw,
     kl_eigenpairs,
 )
 from .models import EllipticModel
@@ -248,6 +246,22 @@ def _elliptic_fields(cfg) -> dict:
     }
 
 
+def _elliptic_model(cfg) -> EllipticModel:
+    """The single-solve membrane model: slice at qoi.x2, or at x2 = 0.5."""
+    mesh = build_mesh(cfg.mesh.shape, cfg.mesh.nx, cfg.mesh.ny)
+    x2 = cfg.qoi.x2 if cfg.qoi.x2 is not None else 0.5
+    return EllipticModel(mesh=mesh, slice_x2=x2, **_elliptic_fields(cfg))
+
+
+def _single_ell(cfg) -> float:
+    """field.ell, else the midpoint of [ell_min, ell_max] (a one-point grid's value)."""
+    if cfg.field.ell is not None:
+        return cfg.field.ell
+    if cfg.field.ell_min is None or cfg.field.ell_max is None:
+        raise ConfigError(["field.ell: required (or field.ell_min and field.ell_max)"])
+    return float(ParameterGrid.regular([cfg.field.ell_interval()], [1]).points[0, 0])
+
+
 def _build_qoi(cfg: ScenarioConfig):
     """(QoISpec, ParameterGrid) for the propagate/compare commands."""
     require(cfg, "qoi.kind")
@@ -362,41 +376,40 @@ def _cmd_kl_table(args, out_dir, stages, manifest):
 
 
 def _cmd_sample_field(args, out_dir, stages, manifest):
+    """Trajectories of the first KL field of the config's model, on its field domain."""
     cfg = _load_config(args)
-    require(cfg, "field.ell", "field.m_terms")
+    require(cfg, "field.m_terms")
+    ell = _single_ell(cfg)
     seed = _seed(args, cfg, required=False, default=0)
-    params = ExpCovarianceParams(cfg.field.sigma, cfg.field.ell, Interval(-1.0, 1.0))
-    basis = kl_eigenpairs(params, cfg.field.m_terms)
-    xs = np.linspace(-1.0, 1.0, args.grid_points)
-    paths = [
-        FieldEvaluator(basis, GaussianDraw.sample(cfg.field.m_terms, seed, k), params).value(xs)
-        for k in range(args.paths)
-    ]
+    model = _elliptic_model(cfg) if cfg.kind == "elliptic" else _build_qoi(cfg)[0].build()
+    if not hasattr(model, "fields"):
+        raise ConfigError(["sample-field: needs an elliptic, transport_point or wave_point model"])
+    xs, paths = _field_sampler(model, ell, seed, args.paths, args.grid_points)()
     stages.mark("solve")
     header = ["x"] + [f"q_{k}" for k in range(args.paths)]
     rows = [(x, *[p[i] for p in paths]) for i, x in enumerate(xs)]
     files = _write_table(out_dir, "field", header, rows, _formats(args, cfg))
     try:
         svg = line_plot([{"x": xs, "y": p, "width": 1.2} for p in paths],
-                        title=f"field trajectories (ell={cfg.field.ell:g})",
+                        title=f"field trajectories (ell={ell:g})",
                         xlabel="x", ylabel="q(x)")
         write_svg(os.path.join(out_dir, "field.svg"), svg)
         files.append("field.svg")
     except Exception as exc:
         _warn(f"field plot failed: {exc}")
     stages.mark("report")
-    manifest.update(outputs=files, seed=seed)
+    manifest.update(outputs=files, seed=seed, ell=ell)
     return EXIT_OK
 
 
 def _cmd_elliptic(args, out_dir, stages, manifest):
     cfg = _load_config(args)
-    require(cfg, "field.ell", "field.m_terms")
+    require(cfg, "field.m_terms")
+    ell = _single_ell(cfg)
     seed = _seed(args, cfg, required=False, default=0)
-    mesh = build_mesh(cfg.mesh.shape, cfg.mesh.nx, cfg.mesh.ny)
-    x2 = cfg.qoi.x2 if cfg.qoi.x2 is not None else 0.5
-    model = EllipticModel(mesh=mesh, slice_x2=x2, **_elliptic_fields(cfg))
-    coeffs = element_coefficients(mesh, model.coefficient(model.draw(seed, 0), cfg.field.ell))
+    model = _elliptic_model(cfg)
+    mesh, x2 = model.mesh, model.slice_x2
+    coeffs = element_coefficients(mesh, model.coefficient(model.draw(seed, 0), ell))
     solution = solve_cg(assemble(mesh, coeffs, model.load), rel_tol=model.rel_tol)
     stages.mark("solve")
 
@@ -415,7 +428,7 @@ def _cmd_elliptic(args, out_dir, stages, manifest):
     except Exception as exc:
         _warn(f"slice plot failed: {exc}")
     stages.mark("report")
-    manifest.update(outputs=files, seed=seed,
+    manifest.update(outputs=files, seed=seed, ell=ell,
                     cg_iterations=solution.iterations)
     return EXIT_OK
 
@@ -480,8 +493,7 @@ def _propagation_outputs(args, cfg, out_dir, model, rs, stages, manifest):
     formats = _formats(args, cfg)
     pbox_rows = list(zip(rs.pbox.thresholds, rs.pbox.f_lower, rs.pbox.f_upper))
     files = _write_table(out_dir, "pbox", ["b", "f_lower", "f_upper"], pbox_rows, formats)
-    interval_rows = [(k, lo, hi) for k, (lo, hi)
-                     in enumerate(zip(rs.intervals.lowers, rs.intervals.uppers))]
+    interval_rows = zip(rs.sample_indices, rs.intervals.lowers, rs.intervals.uppers)
     files += _write_table(out_dir, "intervals", ["sample_index", "lower", "upper"],
                           interval_rows, formats)
     mf = interval_mean_field(rs)
@@ -510,10 +522,8 @@ def _cmd_propagate(args, out_dir, stages, manifest):
     seed = _seed(args, cfg, required=True)
     qoi, grid = _build_qoi(cfg)
     model = qoi.build()
-    workers = args.workers if args.workers is not None else cfg.propagation.workers
     stages.mark("prepare")
     rs = propagate_random_set(model, grid, cfg.propagation.samples, seed,
-                              workers=workers,
                               threshold_count=cfg.propagation.thresholds)
     stages.mark("solve")
     _propagation_outputs(args, cfg, out_dir, model, rs, stages, manifest)
@@ -525,10 +535,8 @@ def _cmd_compare(args, out_dir, stages, manifest):
     require(cfg, "propagation.samples")
     seed = _seed(args, cfg, required=True)
     qoi, grid = _build_qoi(cfg)
-    workers = args.workers if args.workers is not None else cfg.propagation.workers
     stages.mark("prepare")
     rs = propagate_random_set(qoi, grid, cfg.propagation.samples, seed,
-                              workers=workers,
                               threshold_count=cfg.propagation.thresholds)
     pm = parametric_from_random_set(rs)
     cb = compare_bounds(rs, pm)
@@ -580,7 +588,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="scenario file or preset name")
         p.add_argument("--seed", type=int, help="seed override (uint64)")
         p.add_argument("--out-dir", default="out", help="output directory")
-        p.add_argument("--workers", type=int, help="sample-level parallel workers")
+        p.add_argument("--workers", type=int,
+                       help="accepted for compatibility; samples run in blocks in one thread")
         p.add_argument("--format", choices=("csv", "json"), help="output format override")
         if name == "kl-table":
             p.add_argument("--ell", type=float, help="correlation length")

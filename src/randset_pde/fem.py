@@ -32,7 +32,11 @@ __all__ = [
     "build_mesh",
     "element_coefficients",
     "assemble",
+    "assemble_block",
+    "load_vector",
     "solve_cg",
+    "BlockSolution",
+    "solve_cg_block",
     "extract_slice",
 ]
 
@@ -101,6 +105,49 @@ class StructuredMesh:
             "cols": cols,
             "centroids": centroids,
         }
+
+    @cached_property
+    def reduced_pattern(self) -> "ReducedPattern":
+        """CSR pattern of the free x free stiffness matrix and its element scatter."""
+        geo = self.geometry
+        free = self.interior
+        position = np.full(self.n_nodes, -1)
+        position[free] = np.arange(free.size)
+        rows, cols = position[geo["rows"]], position[geo["cols"]]
+        kept = np.nonzero((rows >= 0) & (cols >= 0))[0]
+        keys = rows[kept] * free.size + cols[kept]
+        order = np.argsort(keys, kind="stable")
+        entries, keys = kept[order], keys[order]
+        first = np.concatenate(([True], np.diff(keys) > 0))
+        key_rows, indices = np.divmod(keys[first], free.size)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(key_rows, minlength=free.size))))
+        scatter = sp.csr_matrix(
+            (geo["k_unit"].reshape(-1)[entries], self.tri_quad[entries // 9],
+             np.append(np.nonzero(first)[0], entries.size)),
+            shape=(indices.size, self.quads.shape[0]))
+        return ReducedPattern(indptr=indptr, indices=indices, scatter=scatter,
+                              position=position)
+
+
+@dataclass(frozen=True)
+class ReducedPattern:
+    """Sparsity of the Dirichlet-reduced stiffness matrix, shared by all coefficients.
+
+    ``scatter`` is the element-entry to CSR-slot map as an (nnz, n_cells)
+    matrix: row k holds, in element order, the unit-coefficient element
+    entries that add into slot k, each in the column of its cell, so
+    ``scatter @ cell_values`` is the CSR data.  ``position`` maps node ids
+    to free-dof positions (-1 on the boundary).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    scatter: sp.csr_matrix
+    position: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.size)
 
 
 def build_mesh(shape: str, nx: int, ny: int) -> StructuredMesh:
@@ -217,17 +264,45 @@ def assemble(mesh: StructuredMesh, coeffs: CoefficientSpec, load) -> AssembledSy
     data = (geo["k_unit"] * a_tri[:, None, None]).ravel()
     n = mesh.n_nodes
     full = sp.coo_matrix((data, (geo["rows"], geo["cols"])), shape=(n, n)).tocsr()
-
-    cx, cy = geo["centroids"][:, 0], geo["centroids"][:, 1]
-    f_vals = load(cx, cy) if callable(load) else load
-    f_elem = np.broadcast_to(np.asarray(f_vals, dtype=float), cx.shape) * geo["area"] / 3.0
-    b = np.zeros(n)
-    for v in range(3):
-        np.add.at(b, mesh.triangles[:, v], f_elem)
-
+    b = load_vector(mesh, load)
     free = mesh.interior
     matrix = full[free][:, free].tocsr()
     return AssembledSystem(matrix=matrix, rhs=b[free], free=free, mesh=mesh, full_matrix=full)
+
+
+def load_vector(mesh: StructuredMesh, load) -> np.ndarray:
+    """Centroid-rule load vector over all nodes."""
+    geo = mesh.geometry
+    cx, cy = geo["centroids"][:, 0], geo["centroids"][:, 1]
+    f_vals = load(cx, cy) if callable(load) else load
+    f_elem = np.broadcast_to(np.asarray(f_vals, dtype=float), cx.shape) * geo["area"] / 3.0
+    b = np.zeros(mesh.n_nodes)
+    for v in range(3):
+        np.add.at(b, mesh.triangles[:, v], f_elem)
+    return b
+
+
+def assemble_block(mesh: StructuredMesh, cell_values: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal CSR of the reduced stiffness matrices of S coefficients.
+
+    ``cell_values`` is (S, n_cells); block s is the free x free matrix that
+    :func:`assemble` builds for row s, with the same sparsity and the same
+    entries up to the order in which each slot's element terms are summed.
+    All S matrices are filled by one product with the precomputed
+    element-entry to CSR-slot map.
+    """
+    cell_values = np.asarray(cell_values, dtype=float)
+    if cell_values.ndim != 2 or cell_values.shape[1] != mesh.quads.shape[0]:
+        raise DomainError("coefficient count must match cell count")
+    pattern = mesh.reduced_pattern
+    s_count, nnz, n = cell_values.shape[0], pattern.nnz, pattern.indptr.size - 1
+    data = (pattern.scatter @ cell_values.T).T.ravel()
+    # int32, the index type scipy would convert to anyway
+    blocks = np.arange(s_count, dtype=np.int32)[:, None]
+    indices = (pattern.indices.astype(np.int32) + n * blocks).ravel()
+    indptr = np.append((pattern.indptr[:-1].astype(np.int32) + nnz * blocks).ravel(),
+                       np.int32(s_count * nnz))
+    return sp.csr_matrix((data, indices, indptr), shape=(s_count * n, s_count * n))
 
 
 @dataclass(frozen=True)
@@ -280,6 +355,85 @@ def solve_cg(system: AssembledSystem, rel_tol: float = 1e-10, max_iter: int | No
 
     values[system.free] = x
     return NodalSolution(values, system.mesh, iterations, res)
+
+
+@dataclass(frozen=True)
+class BlockSolution:
+    """Free-dof solutions of S systems solved together, with per-system statistics."""
+
+    values: np.ndarray       # (S, n)
+    iterations: np.ndarray   # (S,)
+    residuals: np.ndarray    # (S,)
+    converged: np.ndarray    # (S,) False where a system hit its iteration cap
+    max_iter: int            # the cap
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row dot products, each bitwise equal to the 1-d ``a[s] @ b[s]``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray, rel_tol: float = 1e-10,
+                   max_iter: int | None = None) -> BlockSolution:
+    """Jacobi-preconditioned CG on S independent systems at once.
+
+    ``matrix`` is block diagonal with S blocks of size n and ``rhs`` is
+    (S, n).  Every system follows :func:`solve_cg` step for step and stops
+    at the iteration at which :func:`solve_cg` would: once its relative
+    residual is at most ``rel_tol``, or, unconverged, after ``max_iter``
+    (default 10 n) iterations.  A stopped system leaves the batch: the
+    matrix product still covers all S blocks, but only the running systems'
+    vectors are updated.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    s_count, n = rhs.shape
+    if matrix.shape != (s_count * n, s_count * n):
+        raise DomainError("matrix and right-hand sides disagree in size")
+    if max_iter is None:
+        max_iter = 10 * n
+    values = np.zeros((s_count, n))
+    iterations = np.zeros(s_count, dtype=int)
+    residuals = np.zeros(s_count)
+    converged = np.ones(s_count, dtype=bool)
+
+    b_norm = np.sqrt(_row_dots(rhs, rhs))
+    live = np.nonzero(b_norm != 0.0)[0]      # a zero load has the zero solution
+    inv_diag = 1.0 / matrix.diagonal().reshape(s_count, n)[live]
+    b_norm = b_norm[live]
+    x = np.zeros((live.size, n))
+    r = rhs[live]
+    z = inv_diag * r
+    p = z.copy()
+    p_all = np.zeros((s_count, n))
+    rz = _row_dots(r, z)
+    res = np.sqrt(_row_dots(r, r)) / b_norm
+    iteration = 0
+    while live.size:
+        running = res > rel_tol
+        stop = ~running | (iteration >= max_iter)
+        if stop.any():
+            done = live[stop]
+            values[done] = x[stop]
+            iterations[done] = iteration
+            residuals[done] = res[stop]
+            converged[done] = ~running[stop]
+            keep = ~stop
+            live, b_norm, inv_diag = live[keep], b_norm[keep], inv_diag[keep]
+            x, r, p, rz = x[keep], r[keep], p[keep], rz[keep]
+            if not live.size:
+                break
+        p_all[live] = p
+        Ap = (matrix @ p_all.ravel()).reshape(s_count, n)[live]
+        alpha = rz / _row_dots(p, Ap)
+        x += alpha[:, None] * p
+        r -= alpha[:, None] * Ap
+        z = inv_diag * r
+        rz_new = _row_dots(r, z)
+        p = z + (rz_new / rz)[:, None] * p
+        rz = rz_new
+        iteration += 1
+        res = np.sqrt(_row_dots(r, r)) / b_norm
+    return BlockSolution(values, iterations, residuals, converged, max_iter)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ __all__ = [
     "solve_characteristic_roots",
     "kl_eigenpairs",
     "evaluate_kl_field",
+    "field_table",
     "sample_ou_path",
     "sample_ou_paths",
     "coefficient_field_2d",
@@ -37,6 +38,7 @@ __all__ = [
 
 ROOT_RTOL = 1e-13
 ROOT_MAX_ITER = 200
+ROOT_BISECTIONS = 4
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,33 @@ class ExpCovarianceParams:
             raise DomainError("spatial domain must have positive length")
 
 
+def _bracketed_newton(g, dg, lo, hi, increasing):
+    """Roots of g, one per bracket (lo, hi) with a single sign change, vectorised.
+
+    A few bisection steps shrink the brackets; then Newton steps run, each
+    one replaced by a bisection step when it would leave the bracket.  An
+    entry is done once its last step moved it by at most
+    ROOT_RTOL * max(1, x).  ``increasing`` gives the sign change's direction.
+    """
+    direction = 1.0 if increasing else -1.0
+    for _ in range(ROOT_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        right = direction * g(mid) < 0.0      # the root lies right of mid
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    x = 0.5 * (lo + hi)
+    for _ in range(ROOT_MAX_ITER):
+        gx = g(x)
+        right = direction * gx < 0.0
+        lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+        newton = x - gx / dg(x)
+        x_new = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        done = np.abs(x_new - x) <= ROOT_RTOL * np.maximum(1.0, x_new)
+        x = x_new
+        if np.all(done):
+            break
+    return x
+
+
 def solve_characteristic_roots(ell_effective: float, m_pairs: int):
     """Roots of the two transcendental equations defining the KL spectrum.
 
@@ -64,8 +93,9 @@ def solve_characteristic_roots(ell_effective: float, m_pairs: int):
     1/ell - alpha*tan(alpha) = 0 inside ((k-1)pi, (k-1)pi + pi/2), and the
     sine-family root alpha*_k solves alpha + tan(alpha)/ell = 0 inside
     ((k-1/2)pi, kpi).  Both functions are strictly monotone on their
-    branches, so bisection with analytically known endpoint signs is safe
-    arbitrarily close to the tangent poles.  Returns (alphas, alphas_star).
+    branches with analytically known endpoint signs, so a Newton iteration
+    safeguarded by the bracket converges even for roots next to a tangent
+    pole.  Returns (alphas, alphas_star).
     """
     if not ell_effective > 0.0:
         raise DomainError("ell_effective must be positive")
@@ -73,28 +103,21 @@ def solve_characteristic_roots(ell_effective: float, m_pairs: int):
         raise DomainError("need at least one eigenpair")
     k = np.arange(m_pairs, dtype=float)
     inv_ell = 1.0 / ell_effective
+    # Newton runs on g*|cos(a)|, which has the roots and signs of g but no
+    # poles; cos(a) has the sign (-1)**k on branch k of the cosine family
+    # and (-1)**(k+1) on that of the sine family.
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
 
     # cosine family: g1 = 1/ell - a*tan(a), decreasing from +1/ell to -inf
-    lo1, hi1 = k * np.pi, k * np.pi + 0.5 * np.pi
+    alphas = _bracketed_newton(
+        lambda a: sign * (np.cos(a) * inv_ell - a * np.sin(a)),
+        lambda a: -sign * ((1.0 + inv_ell) * np.sin(a) + a * np.cos(a)),
+        k * np.pi, k * np.pi + 0.5 * np.pi, increasing=False)
     # sine family: g2 = a + tan(a)/ell, increasing from -inf to k*pi
-    lo2, hi2 = (k + 0.5) * np.pi, (k + 1.0) * np.pi
-    for _ in range(ROOT_MAX_ITER):
-        mid1 = 0.5 * (lo1 + hi1)
-        above1 = (inv_ell - mid1 * np.tan(mid1)) > 0.0
-        lo1 = np.where(above1, mid1, lo1)
-        hi1 = np.where(above1, hi1, mid1)
-
-        mid2 = 0.5 * (lo2 + hi2)
-        above2 = (mid2 + np.tan(mid2) * inv_ell) < 0.0
-        lo2 = np.where(above2, mid2, lo2)
-        hi2 = np.where(above2, hi2, mid2)
-
-        done1 = np.all(hi1 - lo1 <= ROOT_RTOL * np.maximum(1.0, lo1))
-        done2 = np.all(hi2 - lo2 <= ROOT_RTOL * np.maximum(1.0, lo2))
-        if done1 and done2:
-            break
-    alphas = 0.5 * (lo1 + hi1)
-    alphas_star = 0.5 * (lo2 + hi2)
+    alphas_star = _bracketed_newton(
+        lambda a: -sign * (a * np.cos(a) + np.sin(a) * inv_ell),
+        lambda a: -sign * ((1.0 + inv_ell) * np.cos(a) - a * np.sin(a)),
+        (k + 0.5) * np.pi, (k + 1.0) * np.pi, increasing=True)
 
     bad = np.nonzero(
         (alphas <= k * np.pi) | (alphas >= k * np.pi + 0.5 * np.pi)
@@ -242,23 +265,15 @@ class FieldEvaluator:
         object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_w_star", w_star)
 
-    def _reference_coords(self, x):
-        arr = np.asarray(x, dtype=float)
-        a, b = self.params.domain.lo, self.params.domain.hi
-        tol = 1e-12 * max(1.0, abs(a), abs(b))
-        if np.any(arr < a - tol) or np.any(arr > b + tol):
-            raise DomainError(f"evaluation point outside field domain [{a}, {b}]")
-        return (2.0 * arr - (a + b)) / (b - a)
-
     def value(self, x):
-        xhat = self._reference_coords(x)
+        xhat = _reference_coords(self.params.domain, x)
         flat = np.atleast_1d(xhat).ravel()
         out = (np.cos(np.outer(flat, self.basis.alphas)) @ self._w
                + np.sin(np.outer(flat, self.basis.alphas_star)) @ self._w_star)
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(xhat.shape)
 
     def derivative(self, x):
-        xhat = self._reference_coords(x)
+        xhat = _reference_coords(self.params.domain, x)
         flat = np.atleast_1d(xhat).ravel()
         scale = 2.0 / self.params.domain.width  # chain rule of the affine map
         out = scale * (
@@ -269,6 +284,30 @@ class FieldEvaluator:
 
     def __call__(self, x):
         return self.derivative(x) if self.mode == "derivative" else self.value(x)
+
+
+def _reference_coords(domain: Interval, x):
+    """Affine map of points of ``domain`` onto [-1, 1]; DomainError outside."""
+    arr = np.asarray(x, dtype=float)
+    a, b = domain.lo, domain.hi
+    tol = 1e-12 * max(1.0, abs(a), abs(b))
+    if np.any(arr < a - tol) or np.any(arr > b + tol):
+        raise DomainError(f"evaluation point outside field domain [{a}, {b}]")
+    return (2.0 * arr - (a + b)) / (b - a)
+
+
+def field_table(basis: KLBasis, params: ExpCovarianceParams, x) -> np.ndarray:
+    """(len(x), 2*m_pairs) table T of the scaled eigenfunctions at points x.
+
+    Columns are interleaved like a draw, so for every draw ``T @ xi`` is the
+    realized field ``FieldEvaluator(basis, GaussianDraw(xi), params).value(x)``
+    up to rounding: the table only regroups the products of each term.
+    """
+    phi, phi_star = basis.eigenfunctions(np.ravel(_reference_coords(params.domain, x)))
+    table = np.empty((phi.shape[0], 2 * basis.m_pairs))
+    table[:, 0::2] = phi * (params.sigma * np.sqrt(basis.eigvals))
+    table[:, 1::2] = phi_star * (params.sigma * np.sqrt(basis.eigvals_star))
+    return table
 
 
 def evaluate_kl_field(f: FieldEvaluator, x):

@@ -6,6 +6,11 @@ point value of the transport/wave solution.  The interval parameter is the
 correlation length of the coefficient random field in all PDE models, and
 each model's ``coefficient(draw, ell)`` is the one place where a draw and a
 correlation length become a realized coefficient field.
+
+The elliptic model evaluates a whole block of draws at every grid point at
+once (``evaluate_block``); its per-point ``evaluate`` is the reference path.
+The hyperbolic point models evaluate one draw at one point and run through
+:class:`~randset_pde.propagation.PointwiseBlocks`.
 """
 
 from __future__ import annotations
@@ -25,13 +30,17 @@ from .characteristics import (
     solve_transport,
     wave_to_system,
 )
-from .errors import ConfigError
+from .errors import BoundViolationError, ConfigError, NonConvergenceError
 from .fem import (
+    CoefficientSpec,
     StructuredMesh,
     assemble,
+    assemble_block,
     build_mesh,
     element_coefficients,
+    load_vector,
     solve_cg,
+    solve_cg_block,
 )
 from .fields import (
     CutoffField,
@@ -39,9 +48,10 @@ from .fields import (
     FieldEvaluator,
     GaussianDraw,
     coefficient_field_2d,
+    field_table,
     kl_eigenpairs,
 )
-from .propagation import GaussianFamilyModel, ParameterGrid, QoISpec
+from .propagation import GaussianFamilyModel, ParameterGrid, QoISpec, failure_message
 from .randomsets import Interval
 from .sampling import standard_normals
 
@@ -84,6 +94,10 @@ class _KLFieldModel:
     def draw(self, seed: int, index: int) -> np.ndarray:
         return standard_normals(seed, index, self.n_fields * 2 * self.m_pairs)
 
+    def draws(self, seed: int, indices) -> np.ndarray:
+        """Draws of a block of samples, one row each, row b = draw(seed, indices[b])."""
+        return standard_normals(seed, indices, self.n_fields * 2 * self.m_pairs)
+
     def fields(self, draw: np.ndarray, ell: float) -> tuple:
         """The draw's realized 1-d KL fields at correlation length ell."""
         params, basis = self._basis(ell)
@@ -118,7 +132,12 @@ class EllipticModel(_KLFieldModel):
     def __post_init__(self):
         if (self.slice_x2 is None) == (self.node is None):
             raise ConfigError("specify exactly one of slice_x2 or node")
+        if not self.a_min > 0.0:
+            raise ConfigError("a_min must be positive")
         self._init_fields(Interval(0.0, 1.0))
+        self._tables = {}
+        self._abscissae = [np.unique(self.mesh.nodes[:, d], return_inverse=True)
+                           for d in (0, 1)]
         if self.slice_x2 is not None:
             _, self._output_ids = self.mesh.row_nodes(self.slice_x2)
         else:
@@ -138,9 +157,78 @@ class EllipticModel(_KLFieldModel):
         return lambda x1, x2: coefficient_field_2d(self.mean, q1, q2, self.a_min, x1, x2)
 
     def evaluate(self, draw: np.ndarray, lam) -> np.ndarray:
+        """One draw at one correlation length: the per-point reference path."""
         coeffs = element_coefficients(self.mesh, self.coefficient(draw, lam[0]))
         solution = solve_cg(assemble(self.mesh, coeffs, self.load), rel_tol=self.rel_tol)
         return solution.values[self._output_ids]
+
+    def prepare(self, grid: ParameterGrid) -> None:
+        super().prepare(grid)
+        self._field_tables(grid.points[:, 0])
+
+    def _field_tables(self, ells) -> tuple:
+        """(M, n_x, 2m) KL tables of q1 and of q2 at the correlation lengths ells.
+
+        The mesh has only nx+1 (ny+1) distinct abscissae per axis, so a field
+        at every node is a table product followed by a gather.
+        """
+        key = tuple(float(ell) for ell in ells)
+        if key not in self._tables:
+            bases = [self._basis(ell) for ell in key]
+            self._tables[key] = tuple(
+                np.stack([field_table(basis, params, xs) for params, basis in bases])
+                for xs, _ in self._abscissae)
+        return self._tables[key]
+
+    def evaluate_block(self, draws: np.ndarray, points: np.ndarray):
+        """Values (B, M, P) of B draws at M correlation lengths, and failures.
+
+        Each (draw, ell) system follows :meth:`evaluate` (same fields up to
+        rounding, same cell averages and coefficient check, same CG steps
+        and stopping rule), but the fields of the block come from two table
+        products, all matrices from one product with the mesh's
+        element-to-slot map and all solves from one batched CG.  Failed
+        systems hold NaN.
+        """
+        draws = np.asarray(draws, dtype=float)
+        n_b, n_m, width = draws.shape[0], points.shape[0], 2 * self.m_pairs
+        xi = draws.reshape(n_b, 2, width)
+        nodal = 1.0
+        tables = self._field_tables(points[:, 0])
+        for axis, ((_, inverse), table) in enumerate(zip(self._abscissae, tables)):
+            q = (table.reshape(-1, width) @ xi[:, axis].T).reshape(n_m, -1, n_b)
+            nodal = nodal * q.transpose(2, 0, 1)[:, :, inverse]     # (B, M, nodes)
+        mesh = self.mesh
+        mean = self.mean(mesh.nodes[:, 0], mesh.nodes[:, 1]) if callable(self.mean) else self.mean
+        nodal = np.maximum(mean + nodal, self.a_min)
+        cells = nodal[:, :, mesh.quads].mean(axis=3).reshape(n_b * n_m, -1)
+
+        messages = {}
+        for s, values in enumerate(cells):
+            try:
+                CoefficientSpec(values)
+            except BoundViolationError as exc:
+                messages[s] = failure_message(exc)
+        live = np.array([s not in messages for s in range(cells.shape[0])])
+        rhs = load_vector(mesh, self.load)[mesh.interior]
+        solution = solve_cg_block(assemble_block(mesh, cells[live]),
+                                  np.broadcast_to(rhs, (int(live.sum()), rhs.size)),
+                                  rel_tol=self.rel_tol)
+        for s, ok in zip(np.nonzero(live)[0], solution.converged):
+            if not ok:
+                messages[s] = failure_message(NonConvergenceError(
+                    f"CG did not reach {self.rel_tol:g} in {solution.max_iter} iterations"))
+
+        position = mesh.reduced_pattern.position[self._output_ids]
+        free_values = np.full((cells.shape[0], rhs.size), np.nan)
+        free_values[live] = solution.values
+        values = np.where(position >= 0, free_values[:, position], 0.0)
+        values[list(messages)] = np.nan
+        failures = {}
+        for s in sorted(messages):
+            b, i = divmod(s, n_m)
+            failures.setdefault(b, (i, messages[s]))
+        return values.reshape(n_b, n_m, -1), failures
 
 
 @dataclass(kw_only=True)

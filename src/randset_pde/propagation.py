@@ -9,12 +9,19 @@ lower/upper distribution functions and the Aumann expectation.
 Parametric algorithm: per grid point, estimate the ordinary empirical CDF
 and envelope the family pointwise.  With shared draws the two results obey
 the exact ordering chain  f_lower <= f_low <= f_upp <= f_upper.
+
+Models are evaluated a block of samples at a time through one protocol:
+``draws(seed, indices)`` returns the block's draws, one row per sample, and
+``evaluate_block(draws, points)`` returns the (B, M, P) values of every
+sample at every grid point together with a dict ``{row: (grid index,
+message)}`` of the samples that failed.  A model with only a per-sample
+``draw(seed, index)`` and a per-point ``evaluate(draw, lam)`` runs through
+the :class:`PointwiseBlocks` adapter.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -44,6 +51,7 @@ __all__ = [
     "IntervalMeanField",
     "BoundComparison",
     "GaussianFamilyModel",
+    "PointwiseBlocks",
     "SampleFailure",
     "propagate_random_set",
     "propagate_parametric",
@@ -55,6 +63,9 @@ __all__ = [
 
 DEFAULT_THRESHOLDS = 201
 FAILURE_BUDGET = 0.01
+# Samples per model call.  Outputs do not depend on it: each sample keeps its
+# own substream and its own solves.
+BLOCK_SIZE = 16
 _INDEPENDENT_STRIDE = 1 << 32
 
 
@@ -127,6 +138,7 @@ class RandomSetResult:
     grid: ParameterGrid
     seed: int
     n_samples: int
+    sample_indices: np.ndarray      # (N_eff,) sample index of each surviving row
     per_lambda_values: np.ndarray   # (N_eff, M, P)
     lowers: np.ndarray              # (N_eff, P) per-sample hull minima
     uppers: np.ndarray              # (N_eff, P)
@@ -204,73 +216,107 @@ class GaussianFamilyModel:
     def draw(self, seed: int, index: int) -> float:
         return float(standard_normals(seed, index, 1)[0])
 
+    def draws(self, seed: int, indices) -> np.ndarray:
+        return standard_normals(seed, indices, 1)
+
     def evaluate(self, draw: float, lam) -> np.ndarray:
         mu, sigma = lam
         return np.array([mu + sigma * draw])
 
-    def evaluate_grid(self, draw: float, points: np.ndarray) -> np.ndarray:
-        return (points[:, 0] + points[:, 1] * draw)[:, None]
+    def evaluate_grid(self, draw, points: np.ndarray) -> np.ndarray:
+        """(M, 1) values of one draw at every grid point; (B, M, 1) for a (B, 1) block."""
+        return (points[:, 0] + points[:, 1] * np.asarray(draw))[..., None]
+
+    def evaluate_block(self, draws: np.ndarray, points: np.ndarray):
+        return self.evaluate_grid(draws, points), {}
+
+
+def failure_message(exc: Exception) -> str:
+    """The message a failure record keeps of a model error."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+class PointwiseBlocks:
+    """The block protocol for a model that evaluates one draw at one grid point.
+
+    ``model`` has ``draw(seed, index)`` and ``evaluate(draw, lam)``; its own
+    block ``draws`` is used when it has one.  A sample stops at the first
+    grid point whose evaluation raises a numerical or bound error.
+    """
+
+    def __init__(self, model):
+        self.model = model
+
+    def draws(self, seed: int, indices):
+        block = getattr(self.model, "draws", None)
+        if block is not None:
+            return block(seed, indices)
+        return [self.model.draw(seed, int(k)) for k in indices]
+
+    def evaluate_block(self, draws, points: np.ndarray):
+        values, failures = None, {}
+        for b, draw in enumerate(draws):
+            for i, lam in enumerate(points):
+                try:
+                    value = np.atleast_1d(np.asarray(self.model.evaluate(draw, tuple(lam)),
+                                                     dtype=float))
+                except (NumericalError, BoundViolationError) as exc:
+                    failures[b] = (i, failure_message(exc))
+                    break
+                if values is None:
+                    values = np.full((len(draws), points.shape[0], value.size), np.nan)
+                values[b, i] = value
+        if values is None:
+            values = np.full((len(draws), points.shape[0], 0), np.nan)
+        return values, failures
 
 
 def _resolve_model(qoi):
     if isinstance(qoi, QoISpec):
         return qoi.build()
-    if hasattr(qoi, "evaluate") and hasattr(qoi, "draw"):
+    if hasattr(qoi, "evaluate_block") or (hasattr(qoi, "evaluate") and hasattr(qoi, "draw")):
         return qoi
-    raise DomainError("expected a QoISpec or a model object with draw/evaluate")
+    raise DomainError("expected a QoISpec or a model object with draws/evaluate_block "
+                      "or draw/evaluate")
 
 
-def _evaluate_sample(model, points, draw):
-    grid_eval = getattr(model, "evaluate_grid", None)
-    if grid_eval is not None:
-        try:
-            values = np.asarray(grid_eval(draw, points), dtype=float)
-        except (NumericalError, BoundViolationError) as exc:
-            return -1, f"{type(exc).__name__}: {exc}"
-        if values.ndim == 1:
-            values = values[:, None]
-        if not np.all(np.isfinite(values)):
-            i = int(np.nonzero(~np.all(np.isfinite(values), axis=1))[0][0])
-            return i, "model returned non-finite values"
-        return values, None
-    values = None
-    for i, lam in enumerate(points):
-        try:
-            row = np.atleast_1d(np.asarray(model.evaluate(draw, tuple(lam)), dtype=float))
-        except (NumericalError, BoundViolationError) as exc:
-            return i, f"{type(exc).__name__}: {exc}"
-        if values is None:
-            values = np.empty((points.shape[0], row.size))
-        values[i] = row
-        if not np.all(np.isfinite(row)):
-            return i, "model returned non-finite values"
-    return values, None
+def _first_failures(values, failures):
+    """Per failed row of one block: (grid index, message) of its first failure.
+
+    A model's own failure record stands unless a non-finite value comes at
+    an earlier grid point; values after a recorded failure are not looked at.
+    """
+    bad = ~np.all(np.isfinite(values), axis=2)          # (B, M)
+    first = {}
+    for b in np.nonzero(bad.any(axis=1))[0]:
+        i = int(np.argmax(bad[b]))
+        if b not in failures or i < failures[b][0]:
+            first[int(b)] = (i, "model returned non-finite values")
+    return {**failures, **first}
 
 
-def _run_samples(model, grid, n_samples, seed, workers, draw_index=None):
-    """Evaluate all (sample, lambda) pairs; deterministic by sample index."""
+def _run_samples(model, grid, n_samples, seed, draw_index=None):
+    """Evaluate all (sample, lambda) pairs a block at a time.
+
+    Returns (values of the surviving samples, their sample indices,
+    failures); everything is determined by the sample indices alone.
+    """
     if n_samples < 1:
         raise DomainError("need at least one sample")
-    if draw_index is None:
-        def draw_index(k):
-            return k
-
-    def one(k):
-        draw = model.draw(seed, draw_index(k))
-        return _evaluate_sample(model, grid.points, draw)
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(n_samples)))
-    else:
-        outcomes = [one(k) for k in range(n_samples)]
-
-    values, failures = [], []
-    for k, (res, err) in enumerate(outcomes):
-        if err is None:
-            values.append(res)
-        else:
-            failures.append(SampleFailure(k, int(res), err))
+    blocks = model if hasattr(model, "evaluate_block") else PointwiseBlocks(model)
+    values, kept, failures = [], [], []
+    for start in range(0, n_samples, BLOCK_SIZE):
+        samples = np.arange(start, min(start + BLOCK_SIZE, n_samples))
+        keys = samples if draw_index is None else [draw_index(int(k)) for k in samples]
+        block, failed = blocks.evaluate_block(blocks.draws(seed, keys), grid.points)
+        block = np.asarray(block, dtype=float)
+        ok = np.ones(samples.size, dtype=bool)
+        for b, (i, message) in sorted(_first_failures(block, failed).items()):
+            failures.append(SampleFailure(int(samples[b]), int(i), message))
+            ok[b] = False
+        if ok.any():
+            values.append(block[ok])
+            kept.append(samples[ok])
     if len(failures) > FAILURE_BUDGET * n_samples:
         raise PropagationRunError(
             f"{len(failures)} of {n_samples} samples failed "
@@ -281,7 +327,7 @@ def _run_samples(model, grid, n_samples, seed, workers, draw_index=None):
         )
     if not values:
         raise PropagationRunError("all samples failed", failures=failures)
-    return np.stack(values), tuple(failures)
+    return np.concatenate(values), np.concatenate(kept), tuple(failures)
 
 
 def default_thresholds(lo: float, hi: float, count: int = DEFAULT_THRESHOLDS) -> np.ndarray:
@@ -294,10 +340,14 @@ def default_thresholds(lo: float, hi: float, count: int = DEFAULT_THRESHOLDS) ->
 def propagate_random_set(qoi, grid: ParameterGrid, n_samples: int, seed: int,
                          thresholds=None, workers: int = 1,
                          threshold_count: int = DEFAULT_THRESHOLDS) -> RandomSetResult:
-    """Random-set double loop: one shared draw per sample, hull over the grid."""
+    """Random-set double loop: one shared draw per sample, hull over the grid.
+
+    ``workers`` is accepted for compatibility and starts nothing: samples
+    are evaluated in blocks of :data:`BLOCK_SIZE` in the calling thread.
+    """
     model = _resolve_model(qoi)
     model.prepare(grid)
-    values, failures = _run_samples(model, grid, n_samples, seed, workers)
+    values, samples, failures = _run_samples(model, grid, n_samples, seed)
 
     lowers = values.min(axis=1)
     uppers = values.max(axis=1)
@@ -321,6 +371,7 @@ def propagate_random_set(qoi, grid: ParameterGrid, n_samples: int, seed: int,
         grid=grid,
         seed=seed,
         n_samples=n_samples,
+        sample_indices=samples,
         per_lambda_values=values,
         lowers=lowers,
         uppers=uppers,
@@ -358,7 +409,8 @@ def propagate_parametric(qoi, grid: ParameterGrid, n_samples: int, seed: int,
     With ``shared_draws`` every grid point sees the same (seed, k)
     substreams, which makes :func:`compare_bounds` exact; the envelopes are
     then read off the random-set run.  Otherwise each grid point gets its
-    own independent substream family.
+    own independent substream family.  ``workers`` is accepted and ignored,
+    as in :func:`propagate_random_set`.
     """
     if shared_draws:
         return parametric_from_random_set(
@@ -376,8 +428,8 @@ def propagate_parametric(qoi, grid: ParameterGrid, n_samples: int, seed: int,
             axes=tuple(np.array([v]) for v in grid.points[i]),
             points=grid.points[i:i + 1],
         )
-        vals, fails = _run_samples(
-            model, sub, n_samples, seed, workers,
+        vals, _, fails = _run_samples(
+            model, sub, n_samples, seed,
             draw_index=lambda k, _i=i: (_i + 1) * _INDEPENDENT_STRIDE + k,
         )
         columns.append(vals[:, 0, pc])

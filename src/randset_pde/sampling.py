@@ -2,7 +2,7 @@
 
 Every Monte Carlo sample draws from its own counter-based substream keyed by
 (seed, sample index), so results are independent of execution order and
-worker count.  Standard normal variates are produced by inverse-CDF
+block size.  Standard normal variates are produced by inverse-CDF
 transform of open-interval uniforms.
 """
 
@@ -31,6 +31,17 @@ def open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
     return (k.astype(np.float64) + 0.5) * 2.0**-53
 
 
-def standard_normals(seed: int, index: int, n: int) -> np.ndarray:
-    """n standard normals from substream (seed, index), via the quantile map."""
-    return np.asarray(inverse_normal_cdf(open_uniforms(substream(seed, index), n)))
+def standard_normals(seed: int, index, n: int) -> np.ndarray:
+    """n standard normals from substream (seed, index), via the quantile map.
+
+    ``index`` may also be a sequence of B sample indices: the result is then
+    a (B, n) array whose row b is exactly ``standard_normals(seed,
+    index[b], n)``.  Each row keeps its own substream; the quantile map,
+    which is elementwise, runs once over the whole block.
+    """
+    if np.ndim(index) == 0:
+        return np.asarray(inverse_normal_cdf(open_uniforms(substream(seed, index), n)))
+    uniforms = np.empty((len(index), n))
+    for row, k in zip(uniforms, index):
+        row[:] = open_uniforms(substream(seed, int(k)), n)
+    return np.asarray(inverse_normal_cdf(uniforms))

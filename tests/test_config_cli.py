@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -18,6 +20,20 @@ from randset_pde.randomsets import Interval
 from randset_pde.sampling import standard_normals
 
 PRESETS = os.path.join(os.path.dirname(__file__), "..", "src", "randset_pde", "presets")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+def readme_commands():
+    """The randset-pde commands of the README's "Command line" block, as argv lists."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = re.search(r"## Command line\s+```sh\n(.*?)```", text, re.S).group(1)
+    commands = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv and argv[0] == "randset-pde":
+            commands.append(argv[1:])
+    return commands
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -316,6 +332,38 @@ m_terms = 20
         header = (out / "field.csv").read_text().splitlines()[0]
         assert header == "x,q_0,q_1,q_2,q_3"
         assert (out / "field.svg").exists()
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_readme_command_runs(self, tmp_path, argv):
+        argv = list(argv)
+        argv[argv.index("--out-dir") + 1] = str(tmp_path / "out")
+        assert main(argv) == 0
+
+    def test_readme_lists_every_command(self):
+        assert sorted(argv[0] for argv in readme_commands()) == sorted(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", ["elliptic", "sample-field"])
+    def test_membrane_without_ell_uses_the_midpoint(self, tmp_path, command):
+        out = tmp_path / command
+        assert main([command, "--config", "membrane", "--seed", "1",
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["ell"] == 1.0    # midpoint of [0.5, 1.5]
+
+    def test_sample_field_samples_the_model_field(self, tmp_path):
+        out = tmp_path / "sf"
+        assert main(["sample-field", "--config", "membrane", "--seed", "4", "--paths", "2",
+                     "--grid-points", "11", "--out-dir", str(out)]) == 0
+        table = np.loadtxt((out / "field.csv").read_text().splitlines()[1:], delimiter=",")
+        xs = table[:, 0]
+        assert xs[0] == 0.0 and xs[-1] == 1.0
+        # q1 of the membrane model at ell = 1 on [0, 1]: 130 pairs of each sample
+        params = ExpCovarianceParams(1.0, 1.0, Interval(0.0, 1.0))
+        basis = kl_eigenpairs(params, 130)
+        for k in range(2):
+            q1 = FieldEvaluator(basis, GaussianDraw(standard_normals(4, k, 520)[:260]), params)
+            np.testing.assert_array_equal(table[:, 1 + k], q1.value(xs))
 
     def test_elliptic_single_run(self, tmp_path):
         cfg = write_cfg(tmp_path, ELLIPTIC_SINGLE)

@@ -1,7 +1,10 @@
 """Finite elements: meshes, assembly, CG solves, slices, maximum principle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import _oracles as oracle
 from randset_pde.errors import (
@@ -11,11 +14,14 @@ from randset_pde.errors import (
     NonConvergenceError,
 )
 from randset_pde.fem import (
+    CoefficientSpec,
     assemble,
+    assemble_block,
     build_mesh,
     element_coefficients,
     extract_slice,
     solve_cg,
+    solve_cg_block,
 )
 
 ONES = staticmethod(lambda x, y: np.ones_like(x))
@@ -185,6 +191,56 @@ class TestSolveCG:
                 m, lambda x, y, d=delta: 1.0 + d * np.sin(3 * x) * np.cos(2 * y))
             diffs.append(np.max(np.abs(solve_cg(assemble(m, pert, 1.0)).values - ref)) / sup)
         assert diffs[0] > diffs[1] > diffs[2]
+
+
+def random_systems(mesh, count, seed):
+    """(cell values, assembled systems) for log-normal cell coefficients."""
+    rng = np.random.default_rng(seed)
+    cells = np.exp(rng.standard_normal((count, mesh.quads.shape[0])))
+    return cells, [assemble(mesh, CoefficientSpec(c), 1.0) for c in cells]
+
+
+class TestBlockSolve:
+    def test_block_assembly_matches_assemble(self):
+        mesh = build_mesh("l_shape", 10, 10)
+        cells, systems = random_systems(mesh, 4, seed=3)
+        block = assemble_block(mesh, cells)
+        reference = sp.block_diag([s.matrix for s in systems], format="csr")
+        assert block.shape == reference.shape
+        np.testing.assert_array_equal(block.indptr, reference.indptr)
+        np.testing.assert_array_equal(block.indices, reference.indices)
+        np.testing.assert_allclose(block.data, reference.data, rtol=1e-14, atol=0.0)
+
+    def test_batched_pcg_matches_solve_cg(self):
+        mesh = build_mesh("l_shape", 18, 18)
+        _, systems = random_systems(mesh, 12, seed=5)
+        rhs = np.stack([s.rhs for s in systems])
+        rhs[4] = 0.0                                  # zero load: zero solution
+        rhs[7] *= np.linspace(0.5, 2.0, rhs.shape[1])  # a different load
+        block = solve_cg_block(sp.block_diag([s.matrix for s in systems], format="csr"), rhs)
+        for s, (system, b) in enumerate(zip(systems, rhs)):
+            ref = solve_cg(replace(system, rhs=b))
+            assert block.iterations[s] == ref.iterations
+            assert block.converged[s]
+            np.testing.assert_allclose(block.values[s], ref.values[system.free],
+                                       rtol=0.0, atol=1e-12)
+        assert block.iterations[4] == 0 and np.all(block.values[4] == 0.0)
+
+    def test_capped_system_is_reported_and_others_finish(self):
+        mesh = build_mesh("l_shape", 10, 10)
+        _, systems = random_systems(mesh, 6, seed=8)
+        counts = [solve_cg(s).iterations for s in systems]
+        cap = sorted(counts)[-2]   # only the slowest system(s) exceed it
+        block = solve_cg_block(sp.block_diag([s.matrix for s in systems], format="csr"),
+                               np.stack([s.rhs for s in systems]), max_iter=cap)
+        for s, system in enumerate(systems):
+            if counts[s] > cap:
+                with pytest.raises(NonConvergenceError):
+                    solve_cg(system, max_iter=cap)
+                assert not block.converged[s] and block.iterations[s] == cap
+            else:
+                assert block.converged[s] and block.iterations[s] == counts[s]
+        assert not block.converged.all() and block.converged.any()
 
 
 class TestExtractSlice:

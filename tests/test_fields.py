@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 import _oracles as oracle
 from randset_pde.errors import DomainError, StepSizeError
 from randset_pde.fields import (
+    ROOT_RTOL,
     CutoffField,
     ExpCovarianceParams,
     FieldEvaluator,
     GaussianDraw,
     coefficient_field_2d,
     evaluate_kl_field,
+    field_table,
     kl_eigenpairs,
     sample_ou_path,
     sample_ou_paths,
@@ -27,6 +29,20 @@ REF = Interval(-1.0, 1.0)
 
 def unit_params(ell=1.0, sigma=1.0, domain=REF):
     return ExpCovarianceParams(sigma, ell, domain)
+
+
+def bisection_roots(ell, m, steps=200):
+    """Both root families by plain bisection on their monotone branches."""
+    k = np.arange(m, dtype=float)
+    lo1, hi1 = k * np.pi, k * np.pi + 0.5 * np.pi
+    lo2, hi2 = (k + 0.5) * np.pi, (k + 1.0) * np.pi
+    for _ in range(steps):
+        mid1, mid2 = 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
+        right1 = 1.0 / ell - mid1 * np.tan(mid1) > 0.0
+        right2 = mid2 + np.tan(mid2) / ell < 0.0
+        lo1, hi1 = np.where(right1, mid1, lo1), np.where(right1, hi1, mid1)
+        lo2, hi2 = np.where(right2, mid2, lo2), np.where(right2, hi2, mid2)
+    return 0.5 * (lo1 + hi1), 0.5 * (lo2 + hi2)
 
 
 class TestCharacteristicRoots:
@@ -51,6 +67,16 @@ class TestCharacteristicRoots:
         k = np.arange(m)
         assert np.all(alphas > k * np.pi) and np.all(alphas < k * np.pi + np.pi / 2)
         assert np.all(alphas_star > (k + 0.5) * np.pi) and np.all(alphas_star < (k + 1) * np.pi)
+
+    @pytest.mark.parametrize("ell", [1e-3, 0.05, 0.5, 1.0, 3.0, 40.0, 1e4])
+    def test_newton_matches_bisection(self, ell):
+        # roots next to the tangent poles (small ell) and next to the
+        # branch starts (large ell) alike
+        m = 200
+        alphas, alphas_star = solve_characteristic_roots(ell, m)
+        ref, ref_star = bisection_roots(ell, m)
+        assert np.all(np.abs(alphas - ref) <= ROOT_RTOL * np.maximum(1.0, ref))
+        assert np.all(np.abs(alphas_star - ref_star) <= ROOT_RTOL * np.maximum(1.0, ref_star))
 
     def test_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -144,6 +170,20 @@ class TestFieldEvaluator:
         grid = np.linspace(-1, 1, 12).reshape(3, 4)
         assert f.value(grid).shape == (3, 4)
         assert isinstance(f.value(0.3), float)
+
+    def test_table_product_is_the_field(self):
+        params = unit_params(ell=0.7, sigma=1.3, domain=Interval(0.0, 1.0))
+        basis = kl_eigenpairs(params, 40)
+        xs = np.linspace(0.0, 1.0, 19)
+        table = field_table(basis, params, xs)
+        assert table.shape == (19, 80)
+        for index in range(4):
+            draw = GaussianDraw.sample(40, 3, index)
+            np.testing.assert_allclose(table @ draw.xi,
+                                       FieldEvaluator(basis, draw, params).value(xs),
+                                       rtol=0.0, atol=1e-13)
+        with pytest.raises(DomainError):
+            field_table(basis, params, [1.5])
 
     def test_outside_domain_raises(self):
         basis = kl_eigenpairs(unit_params(), 4)

@@ -1,9 +1,14 @@
 """Double-loop propagation: hulls, envelopes, ordering chain, determinism."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracle
+from randset_pde import cli, fem, models, propagation
 from randset_pde.characteristics import domain_of_determinacy
 from randset_pde.errors import (
     ComparisonError,
@@ -21,6 +26,7 @@ from randset_pde.models import (
 from randset_pde.propagation import (
     GaussianFamilyModel,
     ParameterGrid,
+    PointwiseBlocks,
     QoISpec,
     compare_bounds,
     interval_mean_field,
@@ -147,8 +153,98 @@ class TestRandomSetLoop:
         assert rs.per_lambda_values.shape[0] == 199
         assert len(rs.failures) == 1
         assert rs.failures[0].sample_index == 7
+        np.testing.assert_array_equal(rs.sample_indices, np.delete(np.arange(200), 7))
         with pytest.raises(PropagationRunError):
             propagate_random_set(FailingModel(set(range(5))), grid, 200, seed=0)
+
+
+class TestBlocks:
+    N = 200
+
+    @staticmethod
+    def _run(model, grid, seed):
+        rs = propagate_random_set(model, grid, TestBlocks.N, seed=seed)
+        return rs.per_lambda_values, rs.sample_indices, rs.failures, rs.pbox
+
+    @settings(max_examples=25, deadline=None)
+    @given(block_size=st.integers(1, N))
+    def test_outputs_do_not_depend_on_block_size(self, block_size):
+        cases = [
+            (GaussianFamilyModel(), ParameterGrid.regular(FIG1_DIMS, [4, 3]), 42),
+            (ConstantModel(3.0), ParameterGrid.regular([Interval(0, 1)], [3]), 7),
+            (FailingModel({13, 150}), ParameterGrid.regular([Interval(0, 1)], [3]), 7),
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagation, "BLOCK_SIZE", self.N)
+            reference = [self._run(*case) for case in cases]
+            mp.setattr(propagation, "BLOCK_SIZE", block_size)
+            for case, (values, samples, failures, pbox) in zip(cases, reference):
+                got_values, got_samples, got_failures, got_pbox = self._run(*case)
+                np.testing.assert_array_equal(got_values, values)
+                np.testing.assert_array_equal(got_samples, samples)
+                assert got_failures == failures
+                np.testing.assert_array_equal(got_pbox.thresholds, pbox.thresholds)
+                np.testing.assert_array_equal(got_pbox.f_lower, pbox.f_lower)
+                np.testing.assert_array_equal(got_pbox.f_upper, pbox.f_upper)
+
+    def test_gauss_block_is_the_per_point_path(self):
+        model, grid = GaussianFamilyModel(), ParameterGrid.regular(FIG1_DIMS, [5, 4])
+        values, failures = model.evaluate_block(model.draws(168, range(30)), grid.points)
+        per_point = [[model.evaluate(model.draw(168, k), tuple(lam)) for lam in grid.points]
+                     for k in range(30)]
+        assert failures == {}
+        np.testing.assert_array_equal(values, np.array(per_point))
+
+    def test_membrane_block_matches_per_point_solves(self):
+        mesh = build_mesh("l_shape", 18, 18)
+        model = EllipticModel(mesh=mesh, m_pairs=130, sigma=1.0, a_min=0.1,
+                              slice_x2=0.4444, pbox_x1=0.3333)
+        grid = ParameterGrid.regular([Interval(0.5, 1.5)], [11])
+        model.prepare(grid)
+        draws = model.draws(42, range(5))
+        values, failures = model.evaluate_block(draws, grid.points)
+        ref_values, ref_failures = PointwiseBlocks(model).evaluate_block(draws, grid.points)
+        assert failures == ref_failures == {}
+        np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=1e-12)
+
+    def test_capped_solve_fails_its_sample_like_the_per_point_path(self, monkeypatch):
+        # CG takes 29-32 iterations on these 18 systems; a cap of 31 stops
+        # samples 0 and 3 at grid index 1 and no other system
+        monkeypatch.setattr(models, "solve_cg", functools.partial(fem.solve_cg, max_iter=31))
+        monkeypatch.setattr(models, "solve_cg_block",
+                            functools.partial(fem.solve_cg_block, max_iter=31))
+        model = EllipticModel(mesh=build_mesh("l_shape", 10, 10), m_pairs=30, sigma=1.0,
+                              a_min=0.1, slice_x2=0.4)
+        grid = ParameterGrid.regular([Interval(0.5, 1.5)], [3])
+        draws = model.draws(1, range(6))
+        values, failures = model.evaluate_block(draws, grid.points)
+        ref_values, ref_failures = PointwiseBlocks(model).evaluate_block(draws, grid.points)
+        assert failures == ref_failures
+        assert sorted(failures) == [0, 3]
+        assert all(i == 1 and message.startswith("NonConvergenceError: CG did not reach")
+                   and message.endswith(" in 31 iterations")
+                   for i, message in failures.values())
+        mates = [b for b in range(6) if b not in failures]
+        assert np.all(np.isfinite(values[mates]))
+        np.testing.assert_allclose(values[mates], ref_values[mates], rtol=0.0, atol=1e-12)
+
+    def test_intervals_csv_rows_carry_sample_indices(self, tmp_path, monkeypatch):
+        grid = ParameterGrid.regular([Interval(0, 1)], [3])
+
+        class FailingQoI:
+            def build(self):
+                return FailingModel({2})
+
+        monkeypatch.setattr(cli, "_build_qoi", lambda cfg: (FailingQoI(), grid))
+        cfg = tmp_path / "failing.cfg"
+        cfg.write_text("[meta]\nschema_version = 1\n[model]\nkind = gauss\n"
+                       "[propagation]\nsamples = 200\nseed = 0\n")
+        out = tmp_path / "out"
+        assert cli.main(["propagate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        rows = (out / "intervals.csv").read_text().splitlines()
+        assert rows[0] == "sample_index,lower,upper"
+        keys = [int(row.split(",")[0]) for row in rows[1:]]
+        assert keys == [k for k in range(200) if k != 2]
 
 
 class TestParametricLoop:
