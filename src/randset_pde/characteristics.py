@@ -161,9 +161,6 @@ class GridSolution2D:
     last_change: float
     change_history: tuple = ()
 
-    def component(self, idx: int) -> np.ndarray:
-        return self.values if self.values.ndim == 2 else self.values[idx]
-
     def nearest_node(self, x: float, t: float):
         i = int(np.argmin(np.abs(self.xs - x)))
         j = int(np.argmin(np.abs(self.ts - t)))
@@ -281,19 +278,14 @@ class _CharacteristicLattice:
             if prev is not None and active_pos.size:
                 active_pos = _rk4_march(speed, active_pos, ts[prev], ts[s], substep)
             ids = np.nonzero(self.inside[s])[0]
-            if ids.size:
+            # the t = 0 group belongs to the + side
+            if ids.size and (direction > 0 or s != i0):
                 L = abs(s - i0) + 1
                 taus = ts[i0 + direction * np.arange(L)]
                 group = _FeetGroup(s, ids, taus)
                 active.append((group, active_pos.size))
                 active_pos = np.concatenate([active_pos, xs[ids]])
-                if direction > 0:
-                    self.groups.append(group)
-                elif s != i0:   # the t=0 group was already added by the + side
-                    self.groups.append(group)
-                else:
-                    active.pop()
-                    active_pos = active_pos[: -ids.size]
+                self.groups.append(group)
             m = abs(s - i0)
             for group, off in active:
                 group.pos[:, m] = active_pos[off:off + group.node_ids.size]
@@ -327,12 +319,8 @@ class _CharacteristicLattice:
                 if not np.all(np.isfinite(arr)):
                     raise NumericalError(f"coefficient {name} is not finite along a characteristic")
 
-    def seed_grid(self, shape_extra=()):
-        grid = np.full(shape_extra + (self.ts.size, self.xs.size), np.nan)
-        return grid
-
     def initial_iterate(self):
-        grid = self.seed_grid()
+        grid = np.full((self.ts.size, self.xs.size), np.nan)
         for group in self.groups:
             grid[group.level, group.node_ids] = group.U0
         return grid
@@ -348,10 +336,6 @@ class _CharacteristicLattice:
             for gi, m, sl in slices:
                 out[gi][:, m] = vq[sl]
         return out
-
-
-def _inside_mask(region, xs, ts):
-    return region.contains(xs[None, :], ts[:, None])
 
 
 def _zero_level(ts):
@@ -405,51 +389,67 @@ def _verify_speed_bound(a, bound, region, xs, ts, time_dependent=True, oversampl
         )
 
 
-def _grid_change(u_new, u_old, inside):
-    diff = np.abs(u_new - u_old)[..., inside]
-    return float(diff.max()) if diff.size else 0.0
+def _setup(a, bound, region, xs, ts, time_dependent, substep):
+    """Check the grids and the speed bound; return a lattice builder on the cone."""
+    xs = np.asarray(xs, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    if np.any(np.diff(xs) <= 0):
+        raise DomainError("space grid must be strictly increasing")
+    i0 = _zero_level(ts)
+    if bound > region.c + BOUND_SLACK:
+        raise DomainError("coefficient speed bound exceeds the region's bound")
+    _verify_speed_bound(a, bound, region, xs, ts, time_dependent=time_dependent)
+    if substep is None:
+        substep = 0.5 * min(float(np.min(np.diff(xs))), float(np.min(np.diff(ts))))
+    inside = region.contains(xs[None, :], ts[:, None])
+
+    def lattice(speed):
+        return _CharacteristicLattice(speed, xs, ts, inside, i0, substep)
+
+    return lattice
+
+
+def _picard(lattices, coupling, picard_tol, max_sweeps, what) -> GridSolution2D:
+    """Picard sweeps over one lattice per component, all from the previous iterate.
+
+    Component k is updated along its own lattice as
+    ``U0 + (F * coupling(feet) + G) @ weights``, where ``feet`` are the
+    values of every component at that lattice's characteristic feet.
+    """
+    xs, ts, inside = lattices[0].xs, lattices[0].ts, lattices[0].inside
+    u = np.stack([lat.initial_iterate() for lat in lattices])
+    change = np.inf
+    history = []
+    for sweep in range(1, max_sweeps + 1):
+        tables = [_row_tables(uk, inside, xs) for uk in u]
+        u_next = u.copy()
+        for uk_next, lat in zip(u_next, lattices):
+            feet = [lat.interpolate(table) for table in tables]
+            for group, *at_feet in zip(lat.groups, *feet):
+                integrals = (group.F * coupling(*at_feet) + group.G) @ group.weights
+                uk_next[group.level, group.node_ids] = group.U0 + integrals
+        diff = np.abs(u_next - u)[:, inside]
+        change = float(diff.max()) if diff.size else 0.0
+        history.append(change)
+        u = u_next
+        if change <= picard_tol:
+            return GridSolution2D(xs, ts, u if len(lattices) > 1 else u[0], inside,
+                                  sweep, change, tuple(history))
+    raise NonConvergenceError(
+        f"{what} did not reach {picard_tol:g} within {max_sweeps} sweeps",
+        residual=change,
+        iterations=max_sweeps,
+    )
 
 
 def solve_transport(coeffs: TransportCoefficients, region: DeterminacyRegion,
                     xs, ts, picard_tol: float = 1e-10, max_sweeps: int = 100,
                     substep: Optional[float] = None) -> GridSolution2D:
     """Picard iteration for the scalar transport equation on K_T."""
-    xs = np.asarray(xs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    if np.any(np.diff(xs) <= 0):
-        raise DomainError("space grid must be strictly increasing")
-    i0 = _zero_level(ts)
-    if coeffs.c > region.c + BOUND_SLACK:
-        raise DomainError("coefficient speed bound exceeds the region's bound")
-    _verify_speed_bound(coeffs.a, coeffs.c, region, xs, ts,
-                        time_dependent=coeffs.a_time_dependent)
-    if substep is None:
-        substep = 0.5 * min(float(np.min(np.diff(xs))), float(np.min(np.diff(ts))))
-
-    inside = _inside_mask(region, xs, ts)
-    lattice = _CharacteristicLattice(coeffs.a, xs, ts, inside, i0, substep)
+    lattice = _setup(coeffs.a, coeffs.c, region, xs, ts, coeffs.a_time_dependent,
+                     substep)(coeffs.a)
     lattice.precompute(coeffs.f, coeffs.g, coeffs.u0)
-
-    u = lattice.initial_iterate()
-    change = np.inf
-    history = []
-    for sweep in range(1, max_sweeps + 1):
-        tables = _row_tables(u, inside, xs)
-        foot_vals = lattice.interpolate(tables)
-        u_next = u.copy()
-        for group, uq in zip(lattice.groups, foot_vals):
-            integrals = (group.F * uq + group.G) @ group.weights
-            u_next[group.level, group.node_ids] = group.U0 + integrals
-        change = _grid_change(u_next, u, inside)
-        history.append(change)
-        u = u_next
-        if change <= picard_tol:
-            return GridSolution2D(xs, ts, u, inside, sweep, change, tuple(history))
-    raise NonConvergenceError(
-        f"Picard iteration did not reach {picard_tol:g} within {max_sweeps} sweeps",
-        residual=change,
-        iterations=max_sweeps,
-    )
+    return _picard([lattice], lambda u: u, picard_tol, max_sweeps, "Picard iteration")
 
 
 # --- 2x2 hyperbolic system ----------------------------------------------------
@@ -533,57 +533,16 @@ def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
     Component 1 travels along the +a characteristics, component 2 along -a;
     each sweep updates both from the previous iterate.
     """
-    xs = np.asarray(xs, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    if np.any(np.diff(xs) <= 0):
-        raise DomainError("space grid must be strictly increasing")
-    i0 = _zero_level(ts)
-    _verify_speed_bound(a, region.c, region, xs, ts, time_dependent=a_time_dependent)
-    if substep is None:
-        substep = 0.5 * min(float(np.min(np.diff(xs))), float(np.min(np.diff(ts))))
-
-    inside = _inside_mask(region, xs, ts)
+    lattice = _setup(a, region.c, region, xs, ts, a_time_dependent, substep)
 
     def neg_a(x, t):
         return -_eval_xt(a, x, t)
 
-    lat1 = _CharacteristicLattice(a, xs, ts, inside, i0, substep)
-    lat2 = _CharacteristicLattice(neg_a, xs, ts, inside, i0, substep)
-    lat1.precompute(f, g, u01)
-    lat2.precompute(f, g, u02)
-
-    u1 = lat1.initial_iterate()
-    u2 = lat2.initial_iterate()
-    change = np.inf
-    history = []
-    for sweep in range(1, max_sweeps + 1):
-        tables1 = _row_tables(u1, inside, xs)
-        tables2 = _row_tables(u2, inside, xs)
-        u1_at1 = lat1.interpolate(tables1)
-        u2_at1 = lat1.interpolate(tables2)
-        u1_at2 = lat2.interpolate(tables1)
-        u2_at2 = lat2.interpolate(tables2)
-
-        u1_next = u1.copy()
-        for group, q1, q2 in zip(lat1.groups, u1_at1, u2_at1):
-            integrals = (group.F * (q2 - q1) + group.G) @ group.weights
-            u1_next[group.level, group.node_ids] = group.U0 + integrals
-        u2_next = u2.copy()
-        for group, q1, q2 in zip(lat2.groups, u1_at2, u2_at2):
-            integrals = (group.F * (q2 - q1) + group.G) @ group.weights
-            u2_next[group.level, group.node_ids] = group.U0 + integrals
-
-        change = max(_grid_change(u1_next, u1, inside), _grid_change(u2_next, u2, inside))
-        history.append(change)
-        u1, u2 = u1_next, u2_next
-        if change <= picard_tol:
-            return GridSolution2D(xs, ts, np.stack([u1, u2]), inside, sweep, change,
-                                  tuple(history))
-    raise NonConvergenceError(
-        f"coupled Picard iteration did not reach {picard_tol:g} within {max_sweeps} sweeps",
-        residual=change,
-        iterations=max_sweeps,
-    )
+    lattices = [lattice(a), lattice(neg_a)]
+    for lat, u0 in zip(lattices, (u01, u02)):
+        lat.precompute(f, g, u0)
+    return _picard(lattices, lambda q1, q2: q2 - q1, picard_tol, max_sweeps,
+                   "coupled Picard iteration")
 
 
 def reconstruct_displacement(solution: GridSolution2D, w) -> np.ndarray:

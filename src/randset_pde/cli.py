@@ -489,6 +489,11 @@ def _cmd_wave(args, out_dir, stages, manifest):
     return EXIT_OK
 
 
+def _run_counts(rs):
+    """Manifest entries of a random-set run: failed samples, samples, grid points."""
+    return dict(failure_count=len(rs.failures), n_samples=rs.n_samples, grid_points=rs.grid.m)
+
+
 def _propagation_outputs(args, cfg, out_dir, model, rs, stages, manifest):
     formats = _formats(args, cfg)
     pbox_rows = list(zip(rs.pbox.thresholds, rs.pbox.f_lower, rs.pbox.f_upper))
@@ -509,10 +514,7 @@ def _propagation_outputs(args, cfg, out_dir, model, rs, stages, manifest):
         sampler = _field_sampler(model, rs.grid.dims[0].mid, rs.seed)
     files += emit_plots(rs, mf, out_dir, field_sampler=sampler)
     stages.mark("report")
-    manifest.update(outputs=files, seed=rs.seed,
-                    failure_count=len(rs.failures),
-                    n_samples=rs.n_samples,
-                    grid_points=rs.grid.m)
+    manifest.update(outputs=files, seed=rs.seed, **_run_counts(rs))
     return files
 
 
@@ -550,7 +552,7 @@ def _cmd_compare(args, out_dir, stages, manifest):
                          ["b", "f_lower", "f_low", "f_upp", "f_upper", "chain_ok"],
                          rows, _formats(args, cfg))
     stages.mark("report")
-    manifest.update(outputs=files, seed=seed, violations=cb.violations)
+    manifest.update(outputs=files, seed=seed, violations=cb.violations, **_run_counts(rs))
     if not cb.chain_holds:
         print(f"ordering chain violated at {cb.violations} thresholds", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -133,7 +133,6 @@ class PropagationConfig:
     mu_points: int = 11
     sigma_points: int = 11
     thresholds: int = 201
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -328,7 +327,6 @@ def parse_config(path) -> ScenarioConfig:
         mu_points=r.integer("propagation", "mu_points", default=11, minimum=1),
         sigma_points=r.integer("propagation", "sigma_points", default=11, minimum=1),
         thresholds=r.integer("propagation", "thresholds", default=201, minimum=2),
-        workers=r.integer("propagation", "workers", default=1, minimum=1),
     )
     qoi = QoIConfig(
         kind=r.choice("qoi", "kind", QOI_KINDS),

@@ -22,7 +22,7 @@ the :class:`PointwiseBlocks` adapter.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -338,12 +338,11 @@ def default_thresholds(lo: float, hi: float, count: int = DEFAULT_THRESHOLDS) ->
 
 
 def propagate_random_set(qoi, grid: ParameterGrid, n_samples: int, seed: int,
-                         thresholds=None, workers: int = 1,
+                         thresholds=None,
                          threshold_count: int = DEFAULT_THRESHOLDS) -> RandomSetResult:
     """Random-set double loop: one shared draw per sample, hull over the grid.
 
-    ``workers`` is accepted for compatibility and starts nothing: samples
-    are evaluated in blocks of :data:`BLOCK_SIZE` in the calling thread.
+    Samples are evaluated in blocks of :data:`BLOCK_SIZE` in the calling thread.
     """
     model = _resolve_model(qoi)
     model.prepare(grid)
@@ -351,8 +350,6 @@ def propagate_random_set(qoi, grid: ParameterGrid, n_samples: int, seed: int,
 
     lowers = values.min(axis=1)
     uppers = values.max(axis=1)
-    # per-sample membership is structural; keep it as a cheap assertion
-    assert np.all(values >= lowers[:, None, :]) and np.all(values <= uppers[:, None, :])
 
     pc = getattr(model, "pbox_component", 0)
     intervals = RandomIntervalSample(lowers[:, pc], uppers[:, pc])
@@ -385,9 +382,8 @@ def propagate_random_set(qoi, grid: ParameterGrid, n_samples: int, seed: int,
     )
 
 
-def _envelopes(grid, seed, n_samples, scalar, thresholds, shared_draws, failures):
-    """Per-parameter ECDFs of the (N, M) scalar outputs and their envelopes."""
-    ecdfs = empirical_cdfs(scalar, thresholds)
+def _envelopes(grid, seed, n_samples, ecdfs, thresholds, shared_draws, failures):
+    """The (M, B) per-parameter ECDFs and their pointwise envelopes."""
     return ParametricResult(
         grid=grid,
         seed=seed,
@@ -402,20 +398,18 @@ def _envelopes(grid, seed, n_samples, scalar, thresholds, shared_draws, failures
 
 
 def propagate_parametric(qoi, grid: ParameterGrid, n_samples: int, seed: int,
-                         thresholds=None, shared_draws: bool = True,
-                         workers: int = 1) -> ParametricResult:
+                         thresholds=None, shared_draws: bool = True) -> ParametricResult:
     """Parametric double loop: per-parameter empirical CDFs and envelopes.
 
     With ``shared_draws`` every grid point sees the same (seed, k)
     substreams, which makes :func:`compare_bounds` exact; the envelopes are
     then read off the random-set run.  Otherwise each grid point gets its
-    own independent substream family.  ``workers`` is accepted and ignored,
-    as in :func:`propagate_random_set`.
+    own independent substream family, and its ECDF is taken over the
+    samples that survived at that point.
     """
     if shared_draws:
         return parametric_from_random_set(
-            propagate_random_set(qoi, grid, n_samples, seed, thresholds=thresholds,
-                                 workers=workers))
+            propagate_random_set(qoi, grid, n_samples, seed, thresholds=thresholds))
     model = _resolve_model(qoi)
     model.prepare(grid)
     if grid.m >= _INDEPENDENT_STRIDE or n_samples >= _INDEPENDENT_STRIDE:
@@ -433,12 +427,14 @@ def propagate_parametric(qoi, grid: ParameterGrid, n_samples: int, seed: int,
             draw_index=lambda k, _i=i: (_i + 1) * _INDEPENDENT_STRIDE + k,
         )
         columns.append(vals[:, 0, pc])
-        failures.extend(fails)
-    scalar = np.stack(columns, axis=1)
+        failures.extend(replace(f, grid_index=i) for f in fails)
     if thresholds is None:
-        thresholds = default_thresholds(float(scalar.min()), float(scalar.max()))
-    return _envelopes(grid, seed, n_samples, scalar, np.asarray(thresholds, dtype=float),
-                      False, tuple(failures))
+        thresholds = default_thresholds(min(float(col.min()) for col in columns),
+                                        max(float(col.max()) for col in columns))
+    thresholds = np.asarray(thresholds, dtype=float)
+    # columns hold independent samples, possibly of different sizes
+    ecdfs = np.concatenate([empirical_cdfs(col[:, None], thresholds) for col in columns])
+    return _envelopes(grid, seed, n_samples, ecdfs, thresholds, False, tuple(failures))
 
 
 def parametric_from_random_set(rs: RandomSetResult) -> ParametricResult:
@@ -448,9 +444,9 @@ def parametric_from_random_set(rs: RandomSetResult) -> ParametricResult:
     so the per-parameter ecdfs can be read off the stored (N, M) values
     without re-running the model.
     """
-    return _envelopes(rs.grid, rs.seed, rs.n_samples,
-                      rs.per_lambda_values[:, :, rs.pbox_component], rs.thresholds,
-                      True, rs.failures)
+    scalar = rs.per_lambda_values[:, :, rs.pbox_component]
+    return _envelopes(rs.grid, rs.seed, rs.n_samples, empirical_cdfs(scalar, rs.thresholds),
+                      rs.thresholds, True, rs.failures)
 
 
 def compare_bounds(rs: RandomSetResult, pm: ParametricResult) -> BoundComparison:

@@ -183,14 +183,23 @@ class TestSolveTransport:
         with pytest.raises(SpeedBoundError):
             solve_transport(coeffs, region, xs, ts)
 
-    def test_non_convergence_reported(self):
-        region = domain_of_determinacy(1.0, 0.4, 0.0)
+    @pytest.mark.parametrize("solver", ["transport", "system"])
+    def test_non_convergence_reported(self, solver):
+        # strong coupling over the whole cone: 5 sweeps are far too few
+        region = domain_of_determinacy(1.0, 0.4, 0.0 if solver == "transport" else 1.0)
         xs, ts = build_grids(region, 41, 41)
-        coeffs = TransportCoefficients(a=0.0, f=30.0, g=0.0,
-                                       u0=lambda x: np.ones_like(np.asarray(x, float)),
-                                       c=0.0, a_time_dependent=False)
-        with pytest.raises(NonConvergenceError):
-            solve_transport(coeffs, region, xs, ts, max_sweeps=5)
+        with pytest.raises(NonConvergenceError) as err:
+            if solver == "transport":
+                coeffs = TransportCoefficients(a=0.0, f=30.0, g=0.0,
+                                               u0=lambda x: np.ones_like(np.asarray(x, float)),
+                                               c=0.0, a_time_dependent=False)
+                solve_transport(coeffs, region, xs, ts, max_sweeps=5)
+            else:
+                solve_2x2_system(const(1.0), 30.0, 0.0, lambda x: -bump_prime(x), bump_prime,
+                                 region, xs, ts, max_sweeps=5, a_time_dependent=False)
+        prefix = {"transport": "Picard", "system": "coupled Picard"}[solver]
+        assert str(err.value).startswith(f"{prefix} iteration did not reach 1e-10 within 5 sweeps")
+        assert err.value.iterations == 5
 
     def test_time_grid_must_contain_zero(self):
         region = domain_of_determinacy(1.0, 0.4, 0.0)

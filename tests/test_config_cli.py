@@ -16,8 +16,10 @@ from randset_pde.errors import ConfigError
 from randset_pde.fem import build_mesh
 from randset_pde.fields import ExpCovarianceParams, FieldEvaluator, GaussianDraw, kl_eigenpairs
 from randset_pde.models import EllipticModel
+from randset_pde.propagation import ParameterGrid, QoISpec
 from randset_pde.randomsets import Interval
 from randset_pde.sampling import standard_normals
+from test_propagation import FailingModel
 
 PRESETS = os.path.join(os.path.dirname(__file__), "..", "src", "randset_pde", "presets")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -314,6 +316,24 @@ u0 = cos(x)
         table = np.loadtxt(lines[1:], delimiter=",")
         assert np.all(table[:, 5] == 1.0)
         assert "chain holds" in capsys.readouterr().out
+
+    def test_compare_manifest_counts_failed_samples(self, tmp_path, monkeypatch):
+        class FailingQoI(QoISpec):
+            def build(self):
+                return FailingModel({2})
+
+        grid = ParameterGrid.regular([Interval(0, 1)], [3])
+        monkeypatch.setattr(cli, "_build_qoi",
+                            lambda cfg: (FailingQoI("failing", (), {}), grid))
+        cfg = tmp_path / "failing.cfg"
+        cfg.write_text("[meta]\nschema_version = 1\n[model]\nkind = gauss\n"
+                       "[propagation]\nsamples = 200\nseed = 0\n")
+        for command in ("propagate", "compare"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out-dir", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert (manifest["failure_count"], manifest["n_samples"],
+                    manifest["grid_points"]) == (1, 200, 3), command
 
     def test_sample_field_and_preset_resolution(self, tmp_path):
         out = tmp_path / "sf"

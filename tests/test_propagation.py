@@ -132,10 +132,22 @@ class TestRandomSetLoop:
         assert np.all(rs.per_lambda_values >= rs.lowers[:, None, :])
         assert np.all(rs.per_lambda_values <= rs.uppers[:, None, :])
 
-    def test_seed_determinism_across_workers(self):
+        # a NaN is the one value that could break membership; it fails its sample
+        class NaNModel(ConstantModel):
+            def evaluate(self, draw, lam):
+                return np.array([np.nan if (draw, lam) == (3, (0.5,)) else draw + lam[0]])
+
+        grid = ParameterGrid.regular([Interval(0, 1)], [3])
+        rs = propagate_random_set(NaNModel(), grid, 200, seed=0)
+        assert [(f.sample_index, f.grid_index) for f in rs.failures] == [(3, 1)]
+        assert 3 not in rs.sample_indices and np.all(np.isfinite(rs.per_lambda_values))
+        assert np.all(rs.per_lambda_values >= rs.lowers[:, None, :])
+        assert np.all(rs.per_lambda_values <= rs.uppers[:, None, :])
+
+    def test_seed_determinism(self):
         grid = ParameterGrid.regular(FIG1_DIMS, [5, 5])
-        a = propagate_random_set(GaussianFamilyModel(), grid, 64, seed=3, workers=1)
-        b = propagate_random_set(GaussianFamilyModel(), grid, 64, seed=3, workers=8)
+        a = propagate_random_set(GaussianFamilyModel(), grid, 64, seed=3)
+        b = propagate_random_set(GaussianFamilyModel(), grid, 64, seed=3)
         assert np.array_equal(a.per_lambda_values, b.per_lambda_values)
         assert np.array_equal(a.pbox.f_lower, b.pbox.f_lower)
 
@@ -311,6 +323,30 @@ class TestParametricLoop:
         # different sampling, same law: envelopes agree loosely but not exactly
         assert np.max(np.abs(pm_shared.f_upp - pm_indep.f_upp)) < 0.15
         assert not np.array_equal(pm_shared.per_lambda_ecdfs, pm_indep.per_lambda_ecdfs)
+
+    def test_independent_draws_survive_a_failure_at_one_point(self):
+        stride = propagation._INDEPENDENT_STRIDE
+
+        class IndexModel(FailingModel):
+            """u = sample index; fails for the chosen draw keys."""
+
+            def evaluate(self, draw, lam):
+                super().evaluate(draw, lam)
+                return np.array([float(draw % stride)])
+
+        grid = ParameterGrid.regular([Interval(0, 1)], [3])
+        thresholds = np.arange(-0.5, 200.0)
+        # grid point 1 draws its sample k from key 2 * stride + k
+        pm = propagate_parametric(IndexModel({2 * stride + 5}), grid, 200, seed=0,
+                                  thresholds=thresholds, shared_draws=False)
+        assert [(f.sample_index, f.grid_index) for f in pm.failures] == [(5, 1)]
+        everyone = np.arange(200)
+        survivors = np.delete(everyone, 5)
+        expected = [np.array([np.count_nonzero(s <= b) for b in thresholds]) / s.size
+                    for s in (everyone, survivors, everyone)]
+        np.testing.assert_array_equal(pm.per_lambda_ecdfs, np.stack(expected))
+        np.testing.assert_array_equal(pm.f_low, np.min(expected, axis=0))
+        np.testing.assert_array_equal(pm.f_upp, np.max(expected, axis=0))
 
 
 class TestCompareBounds:
