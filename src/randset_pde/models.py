@@ -147,7 +147,6 @@ class EllipticModel(_KLFieldModel):
             d2 = (self.mesh.nodes[:, 0] - x1) ** 2 + (self.mesh.nodes[:, 1] - x2) ** 2
             self._output_ids = np.array([int(np.argmin(d2))])
         self.output_labels = self.mesh.nodes[self._output_ids, 0]
-        self.output_size = self._output_ids.size
         pbox_x1 = self.pbox_x1 if self.pbox_x1 is not None else 0.5
         self.pbox_component = int(np.argmin(np.abs(self.output_labels - pbox_x1)))
 
@@ -249,7 +248,6 @@ class _PointModel(_KLFieldModel):
     picard_tol: float = 1e-10
     max_sweeps: int = 100
 
-    output_size = 1
     output_labels = None
     pbox_component = 0
 

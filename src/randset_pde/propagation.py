@@ -203,7 +203,6 @@ class GaussianFamilyModel:
     uniform sample.
     """
 
-    output_size = 1
     output_labels = None
     pbox_component = 0
 
@@ -295,6 +294,18 @@ def _first_failures(values, failures):
     return {**failures, **first}
 
 
+def _check_budget(failures, n_samples) -> None:
+    """Raise PropagationRunError when more than FAILURE_BUDGET of the samples failed."""
+    if len(failures) > FAILURE_BUDGET * n_samples:
+        first = failures[0]
+        raise PropagationRunError(
+            f"{len(failures)} of {n_samples} samples failed "
+            f"(budget {FAILURE_BUDGET:.0%}); first: "
+            f"sample {first.sample_index}, grid point {first.grid_index}: {first.message}",
+            failures=failures,
+        )
+
+
 def _run_samples(model, grid, n_samples, seed, draw_index=None):
     """Evaluate all (sample, lambda) pairs a block at a time.
 
@@ -317,14 +328,7 @@ def _run_samples(model, grid, n_samples, seed, draw_index=None):
         if ok.any():
             values.append(block[ok])
             kept.append(samples[ok])
-    if len(failures) > FAILURE_BUDGET * n_samples:
-        raise PropagationRunError(
-            f"{len(failures)} of {n_samples} samples failed "
-            f"(budget {FAILURE_BUDGET:.0%}); first: "
-            f"sample {failures[0].sample_index}, grid point {failures[0].grid_index}: "
-            f"{failures[0].message}",
-            failures=failures,
-        )
+    _check_budget(failures, n_samples)
     if not values:
         raise PropagationRunError("all samples failed", failures=failures)
     return np.concatenate(values), np.concatenate(kept), tuple(failures)
@@ -405,7 +409,9 @@ def propagate_parametric(qoi, grid: ParameterGrid, n_samples: int, seed: int,
     substreams, which makes :func:`compare_bounds` exact; the envelopes are
     then read off the random-set run.  Otherwise each grid point gets its
     own independent substream family, and its ECDF is taken over the
-    samples that survived at that point.
+    samples that survived at that point.  The failure budget then holds per
+    grid point, not per run: each point's ECDF uses only its own N samples,
+    so a run-wide count would let one point lose most of them.
     """
     if shared_draws:
         return parametric_from_random_set(
@@ -422,10 +428,15 @@ def propagate_parametric(qoi, grid: ParameterGrid, n_samples: int, seed: int,
             axes=tuple(np.array([v]) for v in grid.points[i]),
             points=grid.points[i:i + 1],
         )
-        vals, _, fails = _run_samples(
-            model, sub, n_samples, seed,
-            draw_index=lambda k, _i=i: (_i + 1) * _INDEPENDENT_STRIDE + k,
-        )
+        try:
+            vals, _, fails = _run_samples(
+                model, sub, n_samples, seed,
+                draw_index=lambda k, _i=i: (_i + 1) * _INDEPENDENT_STRIDE + k,
+            )
+        except PropagationRunError as exc:
+            # the sub-grid numbers its one point 0: report the true grid point
+            _check_budget([replace(f, grid_index=i) for f in exc.failures], n_samples)
+            raise
         columns.append(vals[:, 0, pc])
         failures.extend(replace(f, grid_index=i) for f in fails)
     if thresholds is None:

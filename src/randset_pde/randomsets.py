@@ -178,74 +178,23 @@ class ImpreciseGaussianSpec:
 
 # --- inverse normal CDF -----------------------------------------------------
 
-# Rational approximation of the standard normal quantile (P. Acklam, 2003),
-# refined below by Halley steps on the erfc-based CDF residual.
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-_ACKLAM_SPLIT = 0.02425
-
-
-def _polyval(coeffs, x):
-    out = np.full_like(x, coeffs[0])
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
-
-
-def _acklam(p: np.ndarray) -> np.ndarray:
-    z = np.empty_like(p)
-    lower = p < _ACKLAM_SPLIT
-    upper = p > 1.0 - _ACKLAM_SPLIT
-    central = ~(lower | upper)
-    if np.any(central):
-        q = p[central] - 0.5
-        r = q * q
-        z[central] = q * _polyval(_ACKLAM_A, r) / (_polyval(_ACKLAM_B, r) * r + 1.0)
-    if np.any(lower):
-        q = np.sqrt(-2.0 * np.log(p[lower]))
-        z[lower] = _polyval(_ACKLAM_C, q) / (_polyval(_ACKLAM_D, q) * q + 1.0)
-    if np.any(upper):
-        q = np.sqrt(-2.0 * np.log1p(-p[upper]))
-        z[upper] = -_polyval(_ACKLAM_C, q) / (_polyval(_ACKLAM_D, q) * q + 1.0)
-    return z
-
 
 def inverse_normal_cdf(p):
-    """Standard normal quantile z with Phi(z) = p, for p strictly in (0,1).
+    """Standard normal quantile z with Phi(z) = p, for p strictly in (0, 1).
 
-    Accepts scalars or arrays.  The rational starting guess is polished by
-    two Halley iterations on Phi(z) - p evaluated through erfc, which keeps
-    the absolute error in z well below 1e-12 across p in [1e-300, 1-1e-16].
+    Accepts scalars (returns a float) or arrays (returns an array of the
+    same shape).  This is ``scipy.special.ndtri`` behind a domain check: a
+    non-finite p, or p outside (0, 1), raises DomainError rather than
+    returning an infinity or NaN.  Against a 30-digit mpmath quantile the
+    error in z stays below 1e-12 * max(1, |z|) for p in [1e-300, 1 - 1e-16].
     """
     arr = np.asarray(p, dtype=np.float64)
     if arr.size == 0:
         return arr.copy()
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("probability must lie strictly inside (0, 1)")
-    z = _acklam(np.atleast_1d(arr))
-    sqrt2 = math.sqrt(2.0)
-    sqrt2pi = math.sqrt(2.0 * math.pi)
-    for _ in range(2):
-        err = 0.5 * special.erfc(-z / sqrt2) - np.atleast_1d(arr)
-        u = err * sqrt2pi * np.exp(0.5 * z * z)
-        z = z - u / (1.0 + 0.5 * z * u)
-    if arr.ndim == 0:
-        return float(z[0])
-    return z.reshape(arr.shape)
+    z = special.ndtri(arr)
+    return float(z) if arr.ndim == 0 else z
 
 
 def imprecise_gaussian_focal(omega: float, spec: ImpreciseGaussianSpec) -> Interval:

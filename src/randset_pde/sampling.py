@@ -26,9 +26,14 @@ def substream(seed: int, index: int) -> np.random.Generator:
 
 
 def open_uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform variates strictly inside (0, 1): (k + 1/2) / 2**53."""
+    """Uniform variates strictly inside (0, 1), one per 53-bit integer k.
+
+    Each is (k + 1/2) / 2**53 rounded to double.  The top k = 2**53 - 1
+    rounds to 1.0 and is clamped to 1 - 2**-53, the largest double below 1;
+    every other k maps below that, so the clamp changes no other value.
+    """
     k = rng.integers(0, 1 << 53, size=n, dtype=np.uint64)
-    return (k.astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum((k.astype(np.float64) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
 
 
 def standard_normals(seed: int, index, n: int) -> np.ndarray:
@@ -39,9 +44,10 @@ def standard_normals(seed: int, index, n: int) -> np.ndarray:
     index[b], n)``.  Each row keeps its own substream; the quantile map,
     which is elementwise, runs once over the whole block.
     """
-    if np.ndim(index) == 0:
-        return np.asarray(inverse_normal_cdf(open_uniforms(substream(seed, index), n)))
-    uniforms = np.empty((len(index), n))
-    for row, k in zip(uniforms, index):
+    scalar = np.ndim(index) == 0
+    indices = [index] if scalar else index
+    uniforms = np.empty((len(indices), n))
+    for row, k in zip(uniforms, indices):
         row[:] = open_uniforms(substream(seed, int(k)), n)
-    return np.asarray(inverse_normal_cdf(uniforms))
+    normals = inverse_normal_cdf(uniforms)
+    return normals[0] if scalar else normals

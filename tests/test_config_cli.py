@@ -3,7 +3,9 @@
 import json
 import os
 import re
+import runpy
 import shlex
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from test_propagation import FailingModel
 
 PRESETS = os.path.join(os.path.dirname(__file__), "..", "src", "randset_pde", "presets")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
 
 
 def readme_commands():
@@ -362,6 +365,19 @@ m_terms = 20
 
     def test_readme_lists_every_command(self):
         assert sorted(argv[0] for argv in readme_commands()) == sorted(cli._COMMANDS)
+
+    def test_script_gives_each_command_its_own_manifest(self, tmp_path, monkeypatch):
+        script = os.path.join(SCRIPTS, "run_gauss_family.py")
+        monkeypatch.setattr(sys, "argv", [script, str(tmp_path)])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(script, run_name="__main__")
+        assert done.value.code == 0
+        for command in ("propagate", "compare"):
+            out = tmp_path / command
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["command"] == command
+            data_files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+            assert sorted(manifest["outputs"]) == data_files
 
     @pytest.mark.parametrize("command", ["elliptic", "sample-field"])
     def test_membrane_without_ell_uses_the_midpoint(self, tmp_path, command):

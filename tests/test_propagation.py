@@ -42,7 +42,6 @@ FIG1_DIMS = [Interval(-1.0, 1.0), Interval(1.0, 2.0)]
 class ConstantModel:
     """u == value for every draw and parameter."""
 
-    output_size = 1
     output_labels = None
     pbox_component = 0
 
@@ -347,6 +346,16 @@ class TestParametricLoop:
         np.testing.assert_array_equal(pm.per_lambda_ecdfs, np.stack(expected))
         np.testing.assert_array_equal(pm.f_low, np.min(expected, axis=0))
         np.testing.assert_array_equal(pm.f_upp, np.max(expected, axis=0))
+
+    def test_independent_draws_errors_name_the_true_grid_point(self):
+        stride = propagation._INDEPENDENT_STRIDE
+        grid = ParameterGrid.regular([Interval(0, 1)], [3])
+        # samples 0-4 of grid point 1 (draw keys 2 * stride + k): 5 > 1% of 200
+        model = FailingModel({2 * stride + k for k in range(5)})
+        with pytest.raises(PropagationRunError, match="first: sample 0, grid point 1:") as info:
+            propagate_parametric(model, grid, 200, seed=0, shared_draws=False)
+        assert [(f.sample_index, f.grid_index) for f in info.value.failures] == \
+            [(k, 1) for k in range(5)]
 
 
 class TestCompareBounds:

@@ -62,6 +62,18 @@ class TestInverseNormalCdf:
             assert abs(z - oracle.mp_inverse_normal(p)) <= 1e-8
             assert abs(oracle.mp_normal_cdf(z) - p) <= 1e-10
 
+    def test_accuracy_over_documented_range(self):
+        # the documented range, p = 1e-300 to 1 - 1e-16, with both tails
+        ps = np.concatenate([
+            10.0 ** -np.array([300, 250, 200, 150, 100, 50, 30, 20, 16, 12, 8, 4, 2]),
+            np.linspace(0.05, 0.95, 7),
+            1.0 - 10.0 ** -np.arange(1.0, 17.0),
+            [1.0 - 3e-14],
+        ])
+        for p in ps:
+            ref = oracle.mp_inverse_normal(p)
+            assert abs(inverse_normal_cdf(float(p)) - ref) <= 1e-12 * max(1.0, abs(ref)), p
+
     def test_vectorized_matches_scalar(self):
         ps = np.array([0.01, 0.3, 0.5, 0.77, 0.999])
         zs = inverse_normal_cdf(ps)

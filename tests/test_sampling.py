@@ -1,7 +1,9 @@
 """Counter-based substreams: reproducibility and basic distribution sanity."""
 
 import numpy as np
+import pytest
 
+from randset_pde.randomsets import inverse_normal_cdf
 from randset_pde.sampling import open_uniforms, standard_normals, substream
 
 
@@ -27,6 +29,40 @@ def test_order_independence():
 def test_uniforms_strictly_inside_unit_interval():
     u = open_uniforms(substream(1, 2), 100_000)
     assert u.min() > 0.0 and u.max() < 1.0
+
+
+class _FixedIntegers:
+    """Stands in for a Generator whose integers() returns chosen values."""
+
+    def __init__(self, values):
+        self.values = np.array(values, dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype):
+        return self.values[:size].astype(dtype)
+
+
+def test_top_integer_stays_below_one():
+    top = (1 << 53) - 1
+    others = [0, 1, 1 << 52, (1 << 53) - 2]
+    u = open_uniforms(_FixedIntegers(others + [top]), 5)
+    assert u[-1] < 1.0
+    assert u[-1] == 1.0 - 2.0**-53
+    # every other value is the unclamped (k + 1/2) / 2**53, bit for bit
+    expected = (np.array(others, dtype=np.uint64).astype(np.float64) + 0.5) * 2.0**-53
+    assert np.array_equal(u[:-1], expected)
+    assert np.all(np.isfinite(inverse_normal_cdf(u)))
+
+
+@pytest.mark.parametrize("n", [1, 520])
+def test_block_rows_are_the_single_index_draws(n):
+    indices = [0, 7, 3, (1 << 33) + 5]
+    block = standard_normals(11, indices, n)
+    assert block.shape == (len(indices), n)
+    for row, k in zip(block, indices):
+        single = standard_normals(11, k, n)
+        assert single.shape == (n,)
+        assert np.array_equal(row, single)
+    assert standard_normals(11, [], n).shape == (0, n)
 
 
 def test_normals_moments():
