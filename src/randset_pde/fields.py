@@ -25,6 +25,7 @@ __all__ = [
     "KLBasis",
     "GaussianDraw",
     "FieldEvaluator",
+    "FieldTable",
     "CutoffField",
     "OUPath",
     "solve_characteristic_roots",
@@ -39,6 +40,7 @@ __all__ = [
 ROOT_RTOL = 1e-13
 ROOT_MAX_ITER = 200
 ROOT_BISECTIONS = 4
+TABLE_TOL = 1e-12      # FieldTable's interpolation error bound
 
 
 @dataclass(frozen=True)
@@ -286,6 +288,80 @@ class FieldEvaluator:
         return self.derivative(x) if self.mode == "derivative" else self.value(x)
 
 
+class FieldTable:
+    """A realized field tabulated once: FieldEvaluator's interface, no trig sums.
+
+    The nodes lie on a uniform grid of spacing h over the reference interval
+    [-1, 1], and the exact q, q' and q'' (in reference coordinates) are
+    computed at each.  ``value`` is the cubic Hermite interpolant on
+    (q, q'), ``derivative`` the one on (q', q'') times the chain-rule scale;
+    each piece is kept as its four power-form coefficients, so a lookup is
+    one gather and a Horner step.  For a field with term weights w and
+    frequencies alpha, the cubic Hermite error bound h**4/384 * max|f^(4)|,
+    with max|q^(4)| <= sum alpha**4 |w| and max|q^(5)| <= sum alpha**5 |w|
+    (times the chain-rule scale for the derivative in x), sets the spacing
+    that keeps both within TABLE_TOL of ``FieldEvaluator``, up to the
+    rounding of either.  Points outside the domain raise DomainError.
+    """
+
+    def __init__(self, field: FieldEvaluator):
+        basis = field.basis
+        self.domain = field.params.domain
+        scale = 2.0 / self.domain.width
+        # q(x) = Re sum_j c_j exp(i f_j x); each derivative multiplies c_j by i f_j
+        freqs = np.concatenate([basis.alphas, basis.alphas_star])
+        c = np.concatenate([field._w, -1j * field._w_star])
+        bound = max(np.sum(freqs**4 * np.abs(c)), scale * np.sum(freqs**5 * np.abs(c)))
+        n = 1 if bound == 0.0 else int(np.ceil(2.0 * (bound / (384.0 * TABLE_TOL)) ** 0.25))
+        h = 2.0 / n
+        q, dq, d2q = _node_sums(freqs, c, h, n + 1)
+        self._per_h = 0.5 * n
+        self._value = _hermite_pieces(q, h * dq)
+        self._derivative = scale * _hermite_pieces(dq, h * d2q)
+
+    def _lookup(self, x, pieces):
+        xhat = _reference_coords(self.domain, x)
+        s = (np.ravel(xhat) + 1.0) * self._per_h
+        # truncation is the floor for s >= 0, and gives piece 0 for the
+        # rounding-sized negative s that _reference_coords lets through
+        i = np.minimum(s.astype(np.intp), pieces.shape[1] - 1)
+        t = s - i
+        c = pieces[:, i]
+        out = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(xhat))
+
+    def value(self, x):
+        return self._lookup(x, self._value)
+
+    def derivative(self, x):
+        return self._lookup(x, self._derivative)
+
+
+def _node_sums(freqs, c, h, count):
+    """Re sum_j c_j (i f_j)**r exp(i f_j x) for r = 0, 1, 2 at x = -1 + k*h, k < count.
+
+    With x = s + t*h for block starts s, exp(i f x) = exp(i f s) exp(i f t h):
+    trig runs only at the ~sqrt(count) starts and offsets, and one matrix
+    product per derivative order sums the terms at every node.
+    """
+    width = int(np.ceil(np.sqrt(count)))
+    starts = -1.0 + h * width * np.arange(-(-count // width))
+    coefs = np.stack([c, 1j * freqs * c, -freqs**2 * c])[:, :, None]
+    sums = np.exp(1j * np.outer(h * np.arange(width), freqs)) @ (
+        coefs * np.exp(1j * np.outer(freqs, starts)))
+    return sums.real.transpose(0, 2, 1).reshape(3, -1)[:, :count]
+
+
+def _hermite_pieces(y, hdy):
+    """(4, n) power-form coefficients in t of the cubic Hermite pieces on (y, h*y')."""
+    pieces = np.empty((4, y.size - 1))
+    pieces[0] = y[:-1]
+    pieces[1] = hdy[:-1]
+    pieces[3] = hdy[:-1] + hdy[1:] - 2.0 * (y[1:] - y[:-1])
+    pieces[2] = y[1:] - y[:-1] - pieces[1] - pieces[3]   # the piece ends at y[1:]
+    return pieces
+
+
 def _reference_coords(domain: Interval, x):
     """Affine map of points of ``domain`` onto [-1, 1]; DomainError outside."""
     arr = np.asarray(x, dtype=float)
@@ -319,12 +395,12 @@ def evaluate_kl_field(f: FieldEvaluator, x):
 class CutoffField:
     """Shifted field clipped to [lo, hi]; derivative is zero where clipped.
 
-    Wraps an evaluator as shift + base(x), then applies the cutoff.  This is
-    the 1-d building block used to keep PDE coefficients inside the bounds
-    their well-posedness theory requires.
+    Wraps an evaluator (exact, or its table) as shift + base(x), then
+    applies the cutoff.  This is the 1-d building block used to keep PDE
+    coefficients inside the bounds their well-posedness theory requires.
     """
 
-    base: FieldEvaluator
+    base: Union[FieldEvaluator, FieldTable]
     shift: Union[float, Callable] = 0.0
     lo: Optional[float] = None
     hi: Optional[float] = None

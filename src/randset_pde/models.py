@@ -46,6 +46,7 @@ from .fields import (
     CutoffField,
     ExpCovarianceParams,
     FieldEvaluator,
+    FieldTable,
     GaussianDraw,
     coefficient_field_2d,
     field_table,
@@ -262,10 +263,17 @@ class _PointModel(_KLFieldModel):
             raise ConfigError(f"evaluation point {self.point} outside the cone")
 
     def coefficient(self, draw: np.ndarray, ell: float) -> CutoffField:
-        """The realized clipped coefficient field of one draw at correlation length ell."""
+        """The realized clipped coefficient field of one draw at correlation length ell.
+
+        The smooth field is tabulated once (:class:`~randset_pde.fields.FieldTable`,
+        within ``fields.TABLE_TOL`` of the exact sums), because tracing the
+        characteristic lattice evaluates it at every RK4 stage point; the
+        shift and the clip act on the interpolated values, so no
+        interpolant ever spans a kink of the clip.
+        """
         (q,) = self.fields(draw, ell)
         shift, lo, hi = self._cutoff
-        return CutoffField(q, shift=shift, lo=lo, hi=hi)
+        return CutoffField(FieldTable(q), shift=shift, lo=lo, hi=hi)
 
 
 @dataclass(kw_only=True)

@@ -328,9 +328,7 @@ def _run_samples(model, grid, n_samples, seed, draw_index=None):
         if ok.any():
             values.append(block[ok])
             kept.append(samples[ok])
-    _check_budget(failures, n_samples)
-    if not values:
-        raise PropagationRunError("all samples failed", failures=failures)
+    _check_budget(failures, n_samples)   # raises whenever every sample failed
     return np.concatenate(values), np.concatenate(kept), tuple(failures)
 
 

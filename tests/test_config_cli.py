@@ -125,9 +125,20 @@ class TestParseConfig:
 
     def test_all_presets_parse(self):
         for name in ("membrane.cfg", "gauss_family.cfg", "transport_demo.cfg",
-                     "wave_dalembert.cfg"):
+                     "wave_dalembert.cfg", "transport_point.cfg", "wave_point.cfg"):
             cfg = parse_config(os.path.join(PRESETS, name))
             assert cfg.schema_version == 1
+
+    @pytest.mark.parametrize("name", ["transport_point", "wave_point"])
+    def test_hyperbolic_propagate_presets_build_and_prepare(self, name):
+        cfg = parse_config(os.path.join(PRESETS, f"{name}.cfg"))
+        spec, grid = cli._build_qoi(cfg)
+        assert spec.model == name and spec.location == (0.0, 0.3)
+        assert (cfg.region.nx, cfg.region.nt, cfg.field.m_terms) == (201, 201, 40)
+        assert (cfg.propagation.samples, grid.m) == (200, 11)
+        model = spec.build()
+        model.prepare(grid)
+        assert sorted(model._bases) == sorted(grid.points[:, 0])
 
     def test_missing_seed_named(self, tmp_path):
         path = write_cfg(tmp_path, GAUSS_SMALL.replace("seed = 7\n", ""))

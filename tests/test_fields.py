@@ -9,9 +9,11 @@ import _oracles as oracle
 from randset_pde.errors import DomainError, StepSizeError
 from randset_pde.fields import (
     ROOT_RTOL,
+    TABLE_TOL,
     CutoffField,
     ExpCovarianceParams,
     FieldEvaluator,
+    FieldTable,
     GaussianDraw,
     coefficient_field_2d,
     evaluate_kl_field,
@@ -350,3 +352,58 @@ class TestCutoffField:
         der = cut.derivative(xs)
         assert np.all(der[clipped] == 0.0)
         np.testing.assert_allclose(der[~clipped], base.derivative(xs)[~clipped])
+
+
+def table_case(ell, m, sigma, kappa, seed):
+    """An exact realized field on [-kappa, kappa] and its FieldTable."""
+    params = ExpCovarianceParams(sigma, ell, Interval(-kappa, kappa))
+    exact = FieldEvaluator(kl_eigenpairs(params, m), GaussianDraw.sample(m, seed, 0), params)
+    return exact, FieldTable(exact)
+
+
+class TestFieldTable:
+    @settings(max_examples=30, deadline=None)
+    @given(ell=st.floats(0.05, 5.0), m=st.integers(1, 40), sigma=st.floats(0.0, 2.0),
+           kappa=st.floats(0.1, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_within_table_tol_of_the_exact_field(self, ell, m, sigma, kappa, seed):
+        exact, table = table_case(ell, m, sigma, kappa, seed)
+        xs = np.concatenate([[-kappa, kappa],
+                             np.random.default_rng(seed).uniform(-kappa, kappa, 2000)])
+        # Beyond the interpolation bound TABLE_TOL, both sides round: the
+        # reference coordinate of x is exact only to eps, which moves q by up
+        # to eps * sum alpha |w| and q' by eps * scale * sum alpha**2 |w|.
+        eps = np.finfo(float).eps
+        freqs = np.concatenate([exact.basis.alphas, exact.basis.alphas_star])
+        terms = np.abs(np.concatenate([exact._w, exact._w_star]))
+        scale = 1.0 / kappa
+        value_tol = TABLE_TOL + 8 * eps * np.sum((1.0 + freqs) * terms)
+        derivative_tol = TABLE_TOL + 8 * eps * scale * np.sum((freqs + freqs**2) * terms)
+        assert np.max(np.abs(table.value(xs) - exact.value(xs))) <= value_tol
+        assert np.max(np.abs(table.derivative(xs) - exact.derivative(xs))) <= derivative_tol
+
+    def test_scalars_and_shapes_follow_the_evaluator(self):
+        exact, table = table_case(0.7, 10, 0.3, 1.0, 3)
+        assert isinstance(table.value(0.25), float)
+        assert isinstance(table.derivative(-1.0), float)
+        grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        assert table.value(grid).shape == table.derivative(grid).shape == (3, 4)
+        np.testing.assert_allclose(table.value(grid), exact.value(grid), rtol=0, atol=TABLE_TOL)
+
+    @pytest.mark.parametrize("x", [1.01, -1.01, [0.0, 1.5], [-2.0, 0.0]])
+    def test_outside_domain_rejected(self, x):
+        _, table = table_case(0.7, 10, 0.3, 1.0, 3)
+        with pytest.raises(DomainError):
+            table.value(x)
+        with pytest.raises(DomainError):
+            table.derivative(x)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_cutoff_over_a_table_is_flat_where_the_exact_field_is_clipped(self, seed):
+        exact, table = table_case(0.3, 20, 1.0, 1.0, seed)
+        cut = CutoffField(table, shift=1.0, lo=0.9, hi=1.1)
+        xs = np.linspace(-1.0, 1.0, 4001)
+        raw = 1.0 + exact.value(xs)
+        clipped = (raw < 0.9 - TABLE_TOL) | (raw > 1.1 + TABLE_TOL)
+        assert clipped.any() and not clipped.all()
+        assert np.all(cut.derivative(xs)[clipped] == 0.0)
+        np.testing.assert_allclose(cut.value(xs), np.clip(raw, 0.9, 1.1), rtol=0, atol=TABLE_TOL)

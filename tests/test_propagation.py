@@ -17,6 +17,7 @@ from randset_pde.errors import (
     PropagationRunError,
 )
 from randset_pde.fem import build_mesh
+from randset_pde.fields import FieldEvaluator, FieldTable
 from randset_pde.models import (
     EllipticModel,
     TransportPointModel,
@@ -167,6 +168,10 @@ class TestRandomSetLoop:
         np.testing.assert_array_equal(rs.sample_indices, np.delete(np.arange(200), 7))
         with pytest.raises(PropagationRunError):
             propagate_random_set(FailingModel(set(range(5))), grid, 200, seed=0)
+        # a run in which every sample fails gets the same budget error
+        with pytest.raises(PropagationRunError, match="200 of 200 samples failed") as err:
+            propagate_random_set(FailingModel(set(range(200))), grid, 200, seed=0)
+        assert len(err.value.failures) == 200
 
 
 class TestBlocks:
@@ -469,6 +474,33 @@ class TestPDEPointModels:
         np.testing.assert_allclose(rs.per_lambda_values, expected, atol=2e-4)
         # degenerate modulus: intervals collapse
         np.testing.assert_allclose(rs.lowers, rs.uppers, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["transport", "wave"])
+    def test_tabulated_field_matches_the_exact_sums(self, kind, monkeypatch):
+        # the wave_point benchmark geometry: K_T with kappa = 1, T = 0.4,
+        # c = 1, a 41x41 lattice and coefficient clip(0.5 + q, 0.1, 1.0), q a
+        # KL field with sigma = 0.3 and 10 pairs, at ell = 0.5 and 1.5
+        common = dict(region=domain_of_determinacy(1.0, 0.4, 1.0), nx=41, nt=41,
+                      m_pairs=10, sigma=0.3, point=(0.0, 0.3))
+        if kind == "transport":
+            model = TransportPointModel(a_mean=0.5, a_lo=0.1, a_hi=1.0, f=0.0, g=0.0,
+                                        u0=lambda x: np.sin(np.pi * x), **common)
+        else:
+            model = WavePointModel(e_mean=0.5, e_min=0.1, e_max=1.0,
+                                   w=lambda x: np.exp(-16 * x**2),
+                                   w_prime=lambda x: -32 * x * np.exp(-16 * x**2), **common)
+        grid = ParameterGrid.regular([Interval(0.5, 1.5)], [2])
+        model.prepare(grid)
+        draws = [model.draw(seed, 0) for seed in range(4)]
+
+        def run():
+            return np.array([[model.evaluate(d, lam) for lam in grid.points] for d in draws])
+
+        assert isinstance(model.coefficient(draws[0], 0.5).base, FieldTable)
+        tabulated = run()
+        monkeypatch.setattr(models, "FieldTable", lambda field: field)
+        assert isinstance(model.coefficient(draws[0], 0.5).base, FieldEvaluator)
+        np.testing.assert_allclose(tabulated, run(), rtol=0, atol=1e-12)
 
     def test_propagate_accepts_qoi_spec(self):
         qoi = QoISpec("elliptic_slice", (0.3333,), {
