@@ -1,15 +1,20 @@
 """Method-of-characteristics solvers on a domain of determinacy.
 
-The scalar transport equation u_t + a u_x = f u + g is reduced to its
-integral form along characteristics and solved by Picard iteration on a
-fixed space-time grid: each sweep re-evaluates
+The scalar transport equation u_t + a u_x = f u + g is solved in its
+integral form along characteristics,
 
-    u(x,t) <- u0(gamma(x,t,0)) + integral_0^t (f u + g)(gamma(x,t,tau), tau) dtau
+    u(x,t) = u0(gamma(x,t,0)) + integral_0^t (f u + g)(gamma(x,t,tau), tau) dtau,
 
 with composite-trapezoid quadrature along each characteristic and linear
-interpolation of the current iterate at the characteristic foot points.
-Characteristic curves are traced once with a classic fourth-order
-Runge-Kutta method and cached; only the interpolation changes per sweep.
+interpolation at the characteristic foot points on the time levels of a
+fixed space-time grid.  Characteristic curves are traced once with a classic
+fourth-order Runge-Kutta method and cached.
+
+The discrete problem is lower-triangular in |t|: a node's last foot is the
+node itself, and every other foot lies on a level nearer t = 0.  So one
+causal pass over the levels, nearest t = 0 first, solves it exactly; only
+the node's own trapezoid term couples it to itself, which is one scalar
+division per node.
 
 The 2x2 system covering longitudinal waves in non-homogeneous rods uses the
 same machinery with one characteristic family per sign of the wave speed
@@ -17,8 +22,8 @@ and the coupling term f*(u2 - u1) + g.
 
 Everything is restricted to grid nodes inside the cone K_T, so initial data
 outside K_0 = [-kappa, kappa] can never influence the solution; near the
-slanted cone boundary the iterate is extended by one ghost node of linear
-extrapolation per row.
+slanted cone boundary each level is extended by one ghost node of linear
+extrapolation per side.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .errors import (
     DomainError,
     EmptyRegionError,
     MaterialError,
-    NonConvergenceError,
     NumericalError,
     SpeedBoundError,
 )
@@ -151,15 +155,14 @@ class GridSolution2D:
 
     ``values`` has shape (nt, nx) for the scalar equation and (2, nt, nx)
     for the 2x2 system; ``inside`` marks the nodes belonging to K_T.
+    ``sweeps`` counts the passes over the lattice, always 1.
     """
 
     xs: np.ndarray
     ts: np.ndarray
     values: np.ndarray
     inside: np.ndarray
-    sweeps: int
-    last_change: float
-    change_history: tuple = ()
+    sweeps: int = 1
 
     def nearest_node(self, x: float, t: float):
         i = int(np.argmin(np.abs(self.xs - x)))
@@ -292,14 +295,16 @@ class _CharacteristicLattice:
             prev = s
 
     def _build_level_queries(self):
+        """Per level: every foot on it, as one position array and the slices
+        ``(group index, foot index, slice)`` that hand its values back."""
         per_level = {}
         for gi, group in enumerate(self.groups):
             direction = 1 if group.level >= self.i0 else -1
             for m in range(group.taus.size):
                 s = self.i0 + direction * m
                 per_level.setdefault(s, []).append((gi, m))
-        self.level_queries = []
-        for s, entries in sorted(per_level.items()):
+        self.level_queries = {}
+        for s, entries in per_level.items():
             qpos = np.concatenate([self.groups[gi].pos[:, m] for gi, m in entries])
             slices = []
             off = 0
@@ -307,7 +312,7 @@ class _CharacteristicLattice:
                 n = self.groups[gi].node_ids.size
                 slices.append((gi, m, slice(off, off + n)))
                 off += n
-            self.level_queries.append((s, qpos, slices))
+            self.level_queries[s] = (qpos, slices)
 
     def precompute(self, f, g, u0):
         for group in self.groups:
@@ -318,24 +323,6 @@ class _CharacteristicLattice:
             for name, arr in (("f", group.F), ("g", group.G), ("u0", group.U0)):
                 if not np.all(np.isfinite(arr)):
                     raise NumericalError(f"coefficient {name} is not finite along a characteristic")
-
-    def initial_iterate(self):
-        grid = np.full((self.ts.size, self.xs.size), np.nan)
-        for group in self.groups:
-            grid[group.level, group.node_ids] = group.U0
-        return grid
-
-    def interpolate(self, row_tables):
-        """Current-iterate values at every cached foot, per group."""
-        out = [np.empty_like(g.pos) for g in self.groups]
-        for s, qpos, slices in self.level_queries:
-            table = row_tables[s]
-            if table is None:
-                raise NumericalError(f"no interpolation data on time level {s}")
-            vq = np.interp(qpos, table[0], table[1])
-            for gi, m, sl in slices:
-                out[gi][:, m] = vq[sl]
-        return out
 
 
 def _zero_level(ts):
@@ -348,30 +335,22 @@ def _zero_level(ts):
     return i0
 
 
-def _row_tables(ugrid, inside, xs):
-    """Per-level 1-d interpolation tables with one ghost node per side.
+def _row_table(xs, ids, vrow):
+    """One level's 1-d interpolation table with one ghost node per side.
 
     The ghosts extrapolate linearly from the outermost inside values, so
     queries up to the slanted cone boundary stay well-defined without ever
     consulting nodes outside the cone.
     """
-    nt = inside.shape[0]
-    dx_typ = float(np.mean(np.diff(xs))) if xs.size > 1 else 1.0
-    tables = [None] * nt
-    for s in range(nt):
-        ids = np.nonzero(inside[s])[0]
-        if ids.size == 0:
-            continue
-        xrow = xs[ids]
-        vrow = ugrid[s, ids]
-        if ids.size >= 2:
-            xe = np.concatenate(([2 * xrow[0] - xrow[1]], xrow, [2 * xrow[-1] - xrow[-2]]))
-            ve = np.concatenate(([2 * vrow[0] - vrow[1]], vrow, [2 * vrow[-1] - vrow[-2]]))
-        else:
-            xe = np.array([xrow[0] - dx_typ, xrow[0], xrow[0] + dx_typ])
-            ve = np.array([vrow[0], vrow[0], vrow[0]])
-        tables[s] = (xe, ve)
-    return tables
+    xrow = xs[ids]
+    if ids.size >= 2:
+        xe = np.concatenate(([2 * xrow[0] - xrow[1]], xrow, [2 * xrow[-1] - xrow[-2]]))
+        ve = np.concatenate(([2 * vrow[0] - vrow[1]], vrow, [2 * vrow[-1] - vrow[-2]]))
+    else:
+        dx_typ = float(np.mean(np.diff(xs))) if xs.size > 1 else 1.0
+        xe = np.array([xrow[0] - dx_typ, xrow[0], xrow[0] + dx_typ])
+        ve = np.array([vrow[0], vrow[0], vrow[0]])
+    return xe, ve
 
 
 def _verify_speed_bound(a, bound, region, xs, ts, time_dependent=True, oversample=10):
@@ -409,47 +388,65 @@ def _setup(a, bound, region, xs, ts, time_dependent, substep):
     return lattice
 
 
-def _picard(lattices, coupling, picard_tol, max_sweeps, what) -> GridSolution2D:
-    """Picard sweeps over one lattice per component, all from the previous iterate.
+def _march(lattices, coupling_weights) -> GridSolution2D:
+    """Solve the discrete integral equations in one causal pass over the levels.
 
-    Component k is updated along its own lattice as
-    ``U0 + (F * coupling(feet) + G) @ weights``, where ``feet`` are the
-    values of every component at that lattice's characteristic feet.
+    Component k travels along ``lattices[k]`` and sees the coupling
+    c = sum_j C_j u_j, with C the ``coupling_weights``.  Levels are visited
+    nearest t = 0 first, so every foot of a node but its own lies on a
+    finished level.  With A_k the value of component k's update over those
+    earlier feet, and the node's own trapezoid weight w, f and g shared by
+    every component, u_k = A_k + w (f c + g) gives
+
+        c = (C.A + sum(C) w g) / (1 - sum(C) w f).
+
+    Each node stores ``U0 + (F * c(feet) + G) @ weights`` with its own foot
+    set to that c; its finished level is then interpolated at every foot on
+    it.
     """
-    xs, ts, inside = lattices[0].xs, lattices[0].ts, lattices[0].inside
-    u = np.stack([lat.initial_iterate() for lat in lattices])
-    change = np.inf
-    history = []
-    for sweep in range(1, max_sweeps + 1):
-        tables = [_row_tables(uk, inside, xs) for uk in u]
-        u_next = u.copy()
-        for uk_next, lat in zip(u_next, lattices):
-            feet = [lat.interpolate(table) for table in tables]
-            for group, *at_feet in zip(lat.groups, *feet):
-                integrals = (group.F * coupling(*at_feet) + group.G) @ group.weights
-                uk_next[group.level, group.node_ids] = group.U0 + integrals
-        diff = np.abs(u_next - u)[:, inside]
-        change = float(diff.max()) if diff.size else 0.0
-        history.append(change)
-        u = u_next
-        if change <= picard_tol:
-            return GridSolution2D(xs, ts, u if len(lattices) > 1 else u[0], inside,
-                                  sweep, change, tuple(history))
-    raise NonConvergenceError(
-        f"{what} did not reach {picard_tol:g} within {max_sweeps} sweeps",
-        residual=change,
-        iterations=max_sweeps,
-    )
+    first = lattices[0]
+    xs, ts, inside, i0 = first.xs, first.ts, first.inside, first.i0
+    sum_c = sum(coupling_weights)
+    u = np.full((len(lattices), ts.size, xs.size), np.nan)
+    # the coupling c at every foot, per lattice and group
+    at_feet = [[np.empty_like(group.pos) for group in lat.groups] for lat in lattices]
+    for gi in sorted(range(len(first.groups)), key=lambda gi: abs(first.groups[gi].level - i0)):
+        groups = [lat.groups[gi] for lat in lattices]
+        s, ids = groups[0].level, groups[0].node_ids
+        earlier = [grp.U0 + (grp.F[:, :-1] * feet[gi][:, :-1] + grp.G[:, :-1]) @ grp.weights[:-1]
+                   for grp, feet in zip(groups, at_feet)]
+        w, f, g = groups[0].weights[-1], groups[0].F[:, -1], groups[0].G[:, -1]
+        denom = 1.0 - sum_c * w * f
+        if np.any(denom <= 0.0):
+            raise NumericalError(
+                f"transport step at t = {ts[s]:g} has 1 - w*f = {float(denom.min()):g} <= 0 "
+                f"(trapezoid weight w = {w:g}): the time step is too long for the reaction f"
+            )
+        c = (sum(ck * ak for ck, ak in zip(coupling_weights, earlier)) + sum_c * w * g) / denom
+        for uk, grp, feet in zip(u, groups, at_feet):
+            feet[gi][:, -1] = c
+            uk[s, ids] = grp.U0 + (grp.F * feet[gi] + grp.G) @ grp.weights
+        tables = [_row_table(xs, ids, uk[s, ids]) for uk in u]
+        for lat, feet in zip(lattices, at_feet):
+            qpos, slices = lat.level_queries[s]
+            coupled = sum(ck * np.interp(qpos, *table) for ck, table in zip(coupling_weights, tables))
+            for gj, m, sl in slices:
+                feet[gj][:, m] = coupled[sl]
+    return GridSolution2D(xs, ts, u if len(lattices) > 1 else u[0], inside)
 
 
 def solve_transport(coeffs: TransportCoefficients, region: DeterminacyRegion,
-                    xs, ts, picard_tol: float = 1e-10, max_sweeps: int = 100,
-                    substep: Optional[float] = None) -> GridSolution2D:
-    """Picard iteration for the scalar transport equation on K_T."""
+                    xs, ts, substep: Optional[float] = None) -> GridSolution2D:
+    """The scalar transport equation on K_T, in one causal pass over the lattice.
+
+    Raises :class:`NumericalError` where a node's own trapezoid weight w and
+    reaction f have 1 - w*f <= 0: the time step is then too long for the
+    discrete problem to have a solution the Picard iteration would reach.
+    """
     lattice = _setup(coeffs.a, coeffs.c, region, xs, ts, coeffs.a_time_dependent,
                      substep)(coeffs.a)
     lattice.precompute(coeffs.f, coeffs.g, coeffs.u0)
-    return _picard([lattice], lambda u: u, picard_tol, max_sweeps, "Picard iteration")
+    return _march([lattice], (1.0,))
 
 
 # --- 2x2 hyperbolic system ----------------------------------------------------
@@ -498,18 +495,19 @@ def wave_to_system(material: WaveMaterial, fd_step: Optional[float] = None):
         return np.sqrt(_checked(_eval_x(e_val, x), "E") / rho_at(x))
 
     if rho_const:
-        def speed_der(x):
+        def speed_der(x, e_prime):
             e = _checked(_eval_x(e_val, x), "E")
-            return _eval_x(e_der, x) / (2.0 * np.sqrt(e * rho))
+            return e_prime / (2.0 * np.sqrt(e * rho))
     else:
         if fd_step is None or not fd_step > 0.0:
             raise DomainError("variable density requires fd_step for the speed derivative")
 
-        def speed_der(x, _h=fd_step):
+        def speed_der(x, e_prime, _h=fd_step):
             return (speed(np.asarray(x) + _h) - speed(np.asarray(x) - _h)) / (2.0 * _h)
 
     def f_coeff(x, t=None):
-        return _eval_x(e_der, x) / rho_at(x) - 0.5 * speed_der(x)
+        e_prime = _eval_x(e_der, x)
+        return e_prime / rho_at(x) - 0.5 * speed_der(x, e_prime)
 
     q = material.q
 
@@ -522,16 +520,16 @@ def wave_to_system(material: WaveMaterial, fd_step: Optional[float] = None):
 
 
 def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
-                     picard_tol: float = 1e-10, max_sweeps: int = 100,
                      substep: Optional[float] = None,
                      a_time_dependent: bool = True) -> GridSolution2D:
-    """Coupled Picard iteration for the pair of transport equations
+    """The pair of coupled transport equations
 
         (d_t + a d_x) u1 = f (u2 - u1) + g,   u1(.,0) = u01,
-        (d_t - a d_x) u2 = f (u2 - u1) + g,   u2(.,0) = u02.
+        (d_t - a d_x) u2 = f (u2 - u1) + g,   u2(.,0) = u02,
 
-    Component 1 travels along the +a characteristics, component 2 along -a;
-    each sweep updates both from the previous iterate.
+    in one causal pass over the lattice.  Component 1 travels along the +a
+    characteristics, component 2 along -a.  A node's own terms cancel in
+    u2 - u1, so the march divides by exactly 1.
     """
     lattice = _setup(a, region.c, region, xs, ts, a_time_dependent, substep)
 
@@ -541,8 +539,7 @@ def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
     lattices = [lattice(a), lattice(neg_a)]
     for lat, u0 in zip(lattices, (u01, u02)):
         lat.precompute(f, g, u0)
-    return _picard(lattices, lambda q1, q2: q2 - q1, picard_tol, max_sweeps,
-                   "coupled Picard iteration")
+    return _march(lattices, (-1.0, 1.0))
 
 
 def reconstruct_displacement(solution: GridSolution2D, w) -> np.ndarray:

@@ -455,7 +455,7 @@ def _cmd_transport(args, out_dir, stages, manifest):
             rows.append((xs[i], ts[j], sol.values[j, i]))
     files = _write_table(out_dir, "solution", ["x", "t", "u"], rows, _formats(args, cfg))
     stages.mark("report")
-    manifest.update(outputs=files, seed=None, picard_sweeps=sol.sweeps)
+    manifest.update(outputs=files, seed=None)
     return EXIT_OK
 
 
@@ -485,7 +485,7 @@ def _cmd_wave(args, out_dir, stages, manifest):
     files = _write_table(out_dir, "solution", ["x", "t", "u1", "u2", "u"],
                          rows, _formats(args, cfg))
     stages.mark("report")
-    manifest.update(outputs=files, seed=None, picard_sweeps=sol.sweeps)
+    manifest.update(outputs=files, seed=None)
     return EXIT_OK
 
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit with 2,
-numerical failures (non-convergence) with 3, and coefficient/speed/material
-bound violations with 4.
+numerical failures (CG non-convergence, a transport step too long for its
+reaction) with 3, and coefficient/speed/material bound violations with 4.
 """
 
 from __future__ import annotations

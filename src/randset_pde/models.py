@@ -246,8 +246,6 @@ class _PointModel(_KLFieldModel):
     m_pairs: int
     sigma: float
     point: tuple
-    picard_tol: float = 1e-10
-    max_sweeps: int = 100
 
     output_labels = None
     pbox_component = 0
@@ -305,8 +303,7 @@ class TransportPointModel(_PointModel):
             f=self.f, g=self.g, u0=self.u0,
             c=self._bound, a_time_dependent=False,
         )
-        sol = solve_transport(coeffs, self.region, self._xs, self._ts,
-                              picard_tol=self.picard_tol, max_sweeps=self.max_sweeps)
+        sol = solve_transport(coeffs, self.region, self._xs, self._ts)
         i, j = sol.nearest_node(*self.point)
         return sol.values[j:j + 1, i]
 
@@ -341,7 +338,6 @@ class WavePointModel(_PointModel):
         u01 = lambda x: -a(x) * self.w_prime(x)   # zero initial velocity
         u02 = lambda x: a(x) * self.w_prime(x)
         sol = solve_2x2_system(a, f, g, u01, u02, self.region, self._xs, self._ts,
-                               picard_tol=self.picard_tol, max_sweeps=self.max_sweeps,
                                a_time_dependent=False)
         displacement = reconstruct_displacement(sol, self.w)
         i, j = sol.nearest_node(*self.point)

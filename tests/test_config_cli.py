@@ -260,8 +260,7 @@ u0 = sin(pi*x)
 """)
         assert main(["transport", "--config", path, "--out-dir", str(tmp_path / "o")]) == 4
 
-    def test_picard_divergence_exit_code(self, tmp_path):
-        path = write_cfg(tmp_path, """
+    STRONG_REACTION = """
 [meta]
 schema_version = 1
 [model]
@@ -271,13 +270,34 @@ kappa = 1.0
 horizon = 0.4
 speed_bound = 0.0
 nx = 31
-nt = 31
+nt = {nt}
 [transport]
 a = 0.0
 f = 40.0
 u0 = cos(x)
-""")
+"""
+
+    def test_strong_reaction_is_the_trapezoid_recursion(self, tmp_path):
+        # the solution grows to 5.6e7; at rest, each level is the last one
+        # times (1 + f dt/2) / (1 - f dt/2)
+        path = write_cfg(tmp_path, self.STRONG_REACTION.format(nt=31))
+        out = tmp_path / "o"
+        assert main(["transport", "--config", path, "--out-dir", str(out)]) == 0
+        x, t, u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1).T
+        f, dt = 40.0, 0.8 / 30
+        growth = (1.0 + 0.5 * f * dt) / (1.0 - 0.5 * f * dt)
+        for k in range(16):
+            level = np.abs(t - k * dt) < 1e-9
+            exact = np.cos(x[level]) * growth**k
+            assert np.abs(u[level] - exact).max() <= 1e-12 * np.abs(exact).max()
+        assert "picard_sweeps" not in json.loads((out / "manifest.json").read_text())
+
+    def test_transport_step_too_long_exit_code(self, tmp_path, capsys):
+        # dt = 0.2, so a node's own trapezoid term has 1 - w*f = 1 - 0.1*40 = -3
+        path = write_cfg(tmp_path, self.STRONG_REACTION.format(nt=5))
         assert main(["transport", "--config", path, "--out-dir", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: transport step at t = 0.2 has 1 - w*f = -3 <= 0" in err
 
     def test_gauss_propagate_rerun_is_byte_identical(self, tmp_path):
         path = write_cfg(tmp_path, GAUSS_SMALL)
