@@ -17,13 +17,17 @@ the node's own trapezoid term couples it to itself, which is one scalar
 division per node.
 
 The 2x2 system covering longitudinal waves in non-homogeneous rods uses the
-same machinery with one characteristic family per sign of the wave speed
-and the coupling term f*(u2 - u1) + g.
+same machinery with one characteristic family per sign of the wave speed,
+both traced in one pass, and the coupling term f*(u2 - u1) + g.
 
 Everything is restricted to grid nodes inside the cone K_T, so initial data
 outside K_0 = [-kappa, kappa] can never influence the solution; near the
 slanted cone boundary each level is extended by one ghost node of linear
-extrapolation per side.
+extrapolation per side.  The lattice is the domain of numerical dependence
+of the solve's target nodes: traced from |t| = T towards t = 0, a level
+holds its targets and the nodes the interpolation reads at the feet already
+traced onto it.  With no targets that is all of K_T; a point value needs
+only a small part of it.
 """
 
 from __future__ import annotations
@@ -151,10 +155,11 @@ class CharacteristicCurve:
 
 @dataclass(frozen=True)
 class GridSolution2D:
-    """Solution values on the space-time grid, NaN outside the cone.
+    """Solution values on the space-time grid, NaN at every node not solved.
 
     ``values`` has shape (nt, nx) for the scalar equation and (2, nt, nx)
-    for the 2x2 system; ``inside`` marks the nodes belonging to K_T.
+    for the 2x2 system; ``inside`` marks the solved nodes: the whole cone
+    K_T, or the domain of numerical dependence of the solve's targets.
     ``sweeps`` counts the passes over the lattice, always 1.
     """
 
@@ -163,13 +168,6 @@ class GridSolution2D:
     values: np.ndarray
     inside: np.ndarray
     sweeps: int = 1
-
-    def nearest_node(self, x: float, t: float):
-        i = int(np.argmin(np.abs(self.xs - x)))
-        j = int(np.argmin(np.abs(self.ts - t)))
-        if not self.inside[j, i]:
-            raise DomainError(f"nearest grid node to ({x}, {t}) lies outside the cone")
-        return i, j
 
 
 def build_grids(region: DeterminacyRegion, nx: int, nt: int):
@@ -233,15 +231,19 @@ def trace_characteristic(a, x: float, t: float, tau: float, step: float,
 
 
 class _FeetGroup:
-    """Characteristic feet for the inside nodes of one starting t-level."""
+    """Characteristic feet of the solved nodes of one starting t-level.
+
+    ``pos[k, n, m]`` is the foot of node n along family k on the m-th level
+    from t = 0; m = L - 1 is the node itself.
+    """
 
     __slots__ = ("level", "node_ids", "taus", "pos", "weights", "F", "G", "U0")
 
-    def __init__(self, level, node_ids, taus):
+    def __init__(self, level, node_ids, taus, n_families):
         self.level = level
         self.node_ids = node_ids
         self.taus = taus                      # taus[0] ~ 0, taus[-1] = ts[level]
-        self.pos = np.empty((node_ids.size, taus.size))
+        self.pos = np.empty((n_families, node_ids.size, taus.size))
         L = taus.size
         w = np.empty(L)
         if L == 1:
@@ -254,75 +256,115 @@ class _FeetGroup:
         self.weights = w                      # signed: negative below t = 0
 
 
-class _CharacteristicLattice:
-    """All characteristics of one speed family, traced once and cached."""
+class _Lattice:
+    """The characteristic feet of every node the target nodes depend on.
 
-    def __init__(self, speed, xs, ts, inside, i0, substep):
-        self.xs = xs
-        self.ts = ts
-        self.inside = inside
-        self.i0 = i0
+    Family k follows dgamma/dtau = signs[k] a(gamma, tau); all families are
+    traced together as one (K, n) position array, so each RK4 stage makes
+    one lookup of a.  Each side of t = 0 is traced from |t| = T inwards.  A
+    level's nodes are its targets plus, for every foot already traced onto
+    it, the two cone nodes that np.interp reads there (xs[j] <= x < xs[j+1],
+    clipped to the row's first or last pair, from which the ghost node
+    extrapolates).  The t = 0 level takes the feet of both sides.  So the
+    solved nodes are exactly the targets' domain of numerical dependence,
+    and each of them is computed as on the whole cone.
+
+    ``groups`` run from the outermost level inwards, so reversed they are a
+    causal order; ``queries[s]`` holds the feet of earlier groups on level s
+    and the ``(group index, m, slice)`` that hand their values back.
+    """
+
+    def __init__(self, a, signs, xs, ts, cone, i0, substep, targets):
+        self.xs, self.ts, self.i0 = xs, ts, i0
+        self.solved = np.zeros_like(cone)
         self.groups = []
-        for direction in (+1, -1):
-            self._march_side(speed, direction, substep)
-        self._build_level_queries()
+        self.queries = {}
+        self.n_families = len(signs)
+        signs = np.asarray(signs, dtype=float)[:, None]
 
-    def _march_side(self, speed, direction, substep):
-        ts, xs, i0 = self.ts, self.xs, self.i0
-        nt = ts.size
-        if direction > 0:
-            start_levels = range(nt - 1, i0 - 1, -1)
-        else:
-            start_levels = range(0, i0 + 1)
-        active_pos = np.empty(0)
-        active = []  # (group, offset)
-        prev = None
-        for s in start_levels:
-            if prev is not None and active_pos.size:
-                active_pos = _rk4_march(speed, active_pos, ts[prev], ts[s], substep)
-            ids = np.nonzero(self.inside[s])[0]
-            # the t = 0 group belongs to the + side
-            if ids.size and (direction > 0 or s != i0):
-                L = abs(s - i0) + 1
-                taus = ts[i0 + direction * np.arange(L)]
-                group = _FeetGroup(s, ids, taus)
-                active.append((group, active_pos.size))
-                active_pos = np.concatenate([active_pos, xs[ids]])
-                self.groups.append(group)
-            m = abs(s - i0)
-            for group, off in active:
-                group.pos[:, m] = active_pos[off:off + group.node_ids.size]
-            prev = s
+        def slope(x, t):
+            return signs * _eval_xt(a, x, t)
 
-    def _build_level_queries(self):
-        """Per level: every foot on it, as one position array and the slices
-        ``(group index, foot index, slice)`` that hand its values back."""
-        per_level = {}
-        for gi, group in enumerate(self.groups):
-            direction = 1 if group.level >= self.i0 else -1
-            for m in range(group.taus.size):
-                s = self.i0 + direction * m
-                per_level.setdefault(s, []).append((gi, m))
-        self.level_queries = {}
-        for s, entries in per_level.items():
-            qpos = np.concatenate([self.groups[gi].pos[:, m] for gi, m in entries])
-            slices = []
-            off = 0
-            for gi, m in entries:
-                n = self.groups[gi].node_ids.size
-                slices.append((gi, m, slice(off, off + n)))
-                off += n
-            self.level_queries[s] = (qpos, slices)
+        plus, plus_slices = self._trace_side(range(ts.size - 1, i0, -1), slope, substep,
+                                             cone, targets)
+        minus, minus_slices = self._trace_side(range(0, i0), slope, substep, cone, targets)
+        shift = plus.shape[1]
+        slices = plus_slices + [(gi, m, slice(sl.start + shift, sl.stop + shift))
+                                for gi, m, sl in minus_slices]
+        pos = np.concatenate([plus, minus], axis=1)
+        self.queries[i0] = (pos, slices)
+        ids = self._dependence(i0, pos, cone, targets)
+        if ids.size:
+            self._start(i0, ids)
 
-    def precompute(self, f, g, u0):
+    def _trace_side(self, levels, slope, substep, cone, targets):
+        """Trace one side of t = 0 from its outermost level inwards; return
+        the feet that land on t = 0 and their slices."""
+        pos, active = np.empty((self.n_families, 0)), []
+        for prev, s in zip([None, *levels], [*levels, self.i0]):
+            if active:
+                pos = _rk4_march(slope, pos, self.ts[prev], self.ts[s], substep)
+            slices = self._land(s, pos, active)
+            if s == self.i0:
+                return pos, slices
+            self.queries[s] = (pos, slices)
+            ids = self._dependence(s, pos, cone, targets)
+            if ids.size:
+                active.append((len(self.groups), pos.shape[1]))
+                self._start(s, ids)
+                own = np.broadcast_to(self.xs[ids], (self.n_families, ids.size))
+                pos = np.concatenate([pos, own], axis=1)
+
+    def _land(self, s, pos, active):
+        """Store the feet on level s of the active groups; return their slices."""
+        m = abs(s - self.i0)
+        slices = []
+        for gi, off in active:
+            group = self.groups[gi]
+            sl = slice(off, off + group.node_ids.size)
+            group.pos[:, :, m] = pos[:, sl]
+            slices.append((gi, m, sl))
+        return slices
+
+    def _dependence(self, s, feet, cone, targets):
+        """Level s's targets plus the cone nodes np.interp reads at the feet."""
+        take = targets[s].copy()
+        row = np.nonzero(cone[s])[0]
+        if feet.size and row.size:
+            j = np.searchsorted(self.xs[row], feet.ravel(), side="right") - 1
+            j = np.clip(j, 0, max(row.size - 2, 0))
+            take[row[j]] = True
+            take[row[np.minimum(j + 1, row.size - 1)]] = True
+        return np.nonzero(take)[0]
+
+    def _start(self, s, ids):
+        direction = 1 if s >= self.i0 else -1
+        taus = self.ts[self.i0 + direction * np.arange(abs(s - self.i0) + 1)]
+        group = _FeetGroup(s, ids, taus, self.n_families)
+        group.pos[:, :, -1] = self.xs[ids]
+        self.groups.append(group)
+        self.solved[s, ids] = True
+
+    def precompute(self, f, g, u0s):
+        """f and g at every foot, and family k's u0s[k] at its feet on t = 0,
+        each in one call over the whole lattice."""
+        pos = np.concatenate([group.pos.ravel() for group in self.groups])
+        taus = np.concatenate([np.broadcast_to(group.taus, group.pos.shape).ravel()
+                               for group in self.groups])
+        F, G = _eval_xt(f, pos, taus), _eval_xt(g, pos, taus)
+        U0 = np.stack([_eval_x(u0, np.concatenate([group.pos[k, :, 0] for group in self.groups]))
+                       for k, u0 in enumerate(u0s)])
+        for name, arr in (("f", F), ("g", G), ("u0", U0)):
+            if not np.all(np.isfinite(arr)):
+                raise NumericalError(f"coefficient {name} is not finite along a characteristic")
+        off = off0 = 0
         for group in self.groups:
-            tau_row = group.taus[None, :]
-            group.F = _eval_xt(f, group.pos, tau_row)
-            group.G = _eval_xt(g, group.pos, tau_row)
-            group.U0 = _eval_x(u0, group.pos[:, 0])
-            for name, arr in (("f", group.F), ("g", group.G), ("u0", group.U0)):
-                if not np.all(np.isfinite(arr)):
-                    raise NumericalError(f"coefficient {name} is not finite along a characteristic")
+            n = group.pos.size
+            group.F = F[off:off + n].reshape(group.pos.shape)
+            group.G = G[off:off + n].reshape(group.pos.shape)
+            group.U0 = U0[:, off0:off0 + group.node_ids.size]
+            off += n
+            off0 += group.node_ids.size
 
 
 def _zero_level(ts):
@@ -368,8 +410,12 @@ def _verify_speed_bound(a, bound, region, xs, ts, time_dependent=True, oversampl
         )
 
 
-def _setup(a, bound, region, xs, ts, time_dependent, substep):
-    """Check the grids and the speed bound; return a lattice builder on the cone."""
+def _lattice(a, signs, bound, region, xs, ts, time_dependent, substep, targets):
+    """Check the grids, the speed bound and the targets; trace their lattice.
+
+    ``targets`` is a boolean (nt, nx) mask of cone nodes, or None for the
+    whole cone.
+    """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if np.any(np.diff(xs) <= 0):
@@ -380,18 +426,25 @@ def _setup(a, bound, region, xs, ts, time_dependent, substep):
     _verify_speed_bound(a, bound, region, xs, ts, time_dependent=time_dependent)
     if substep is None:
         substep = 0.5 * min(float(np.min(np.diff(xs))), float(np.min(np.diff(ts))))
-    inside = region.contains(xs[None, :], ts[:, None])
+    cone = region.contains(xs[None, :], ts[:, None])
+    if targets is None:
+        targets = cone
+    else:
+        targets = np.asarray(targets, dtype=bool)
+        if targets.shape != cone.shape:
+            raise DomainError(f"targets must have the grid's shape {cone.shape}, "
+                              f"got {targets.shape}")
+        if not targets.any():
+            raise DomainError("targets select no node")
+        if np.any(targets & ~cone):
+            raise DomainError("targets select nodes outside the cone")
+    return _Lattice(a, signs, xs, ts, cone, i0, substep, targets)
 
-    def lattice(speed):
-        return _CharacteristicLattice(speed, xs, ts, inside, i0, substep)
 
-    return lattice
-
-
-def _march(lattices, coupling_weights) -> GridSolution2D:
+def _march(lattice, coupling_weights) -> GridSolution2D:
     """Solve the discrete integral equations in one causal pass over the levels.
 
-    Component k travels along ``lattices[k]`` and sees the coupling
+    Component k travels along the lattice's family k and sees the coupling
     c = sum_j C_j u_j, with C the ``coupling_weights``.  Levels are visited
     nearest t = 0 first, so every foot of a node but its own lies on a
     finished level.  With A_k the value of component k's update over those
@@ -404,18 +457,16 @@ def _march(lattices, coupling_weights) -> GridSolution2D:
     set to that c; its finished level is then interpolated at every foot on
     it.
     """
-    first = lattices[0]
-    xs, ts, inside, i0 = first.xs, first.ts, first.inside, first.i0
+    xs, ts, groups = lattice.xs, lattice.ts, lattice.groups
     sum_c = sum(coupling_weights)
-    u = np.full((len(lattices), ts.size, xs.size), np.nan)
-    # the coupling c at every foot, per lattice and group
-    at_feet = [[np.empty_like(group.pos) for group in lat.groups] for lat in lattices]
-    for gi in sorted(range(len(first.groups)), key=lambda gi: abs(first.groups[gi].level - i0)):
-        groups = [lat.groups[gi] for lat in lattices]
-        s, ids = groups[0].level, groups[0].node_ids
-        earlier = [grp.U0 + (grp.F[:, :-1] * feet[gi][:, :-1] + grp.G[:, :-1]) @ grp.weights[:-1]
-                   for grp, feet in zip(groups, at_feet)]
-        w, f, g = groups[0].weights[-1], groups[0].F[:, -1], groups[0].G[:, -1]
+    u = np.full((len(coupling_weights), ts.size, xs.size), np.nan)
+    # the coupling c at every foot, per group
+    at_feet = [np.empty_like(group.pos) for group in groups]
+    for grp, feet in zip(reversed(groups), reversed(at_feet)):
+        s, ids = grp.level, grp.node_ids
+        earlier = [U0 + (F[:, :-1] * c_k[:, :-1] + G[:, :-1]) @ grp.weights[:-1]
+                   for U0, F, G, c_k in zip(grp.U0, grp.F, grp.G, feet)]
+        w, f, g = grp.weights[-1], grp.F[0, :, -1], grp.G[0, :, -1]
         denom = 1.0 - sum_c * w * f
         if np.any(denom <= 0.0):
             raise NumericalError(
@@ -423,30 +474,34 @@ def _march(lattices, coupling_weights) -> GridSolution2D:
                 f"(trapezoid weight w = {w:g}): the time step is too long for the reaction f"
             )
         c = (sum(ck * ak for ck, ak in zip(coupling_weights, earlier)) + sum_c * w * g) / denom
-        for uk, grp, feet in zip(u, groups, at_feet):
-            feet[gi][:, -1] = c
-            uk[s, ids] = grp.U0 + (grp.F * feet[gi] + grp.G) @ grp.weights
-        tables = [_row_table(xs, ids, uk[s, ids]) for uk in u]
-        for lat, feet in zip(lattices, at_feet):
-            qpos, slices = lat.level_queries[s]
-            coupled = sum(ck * np.interp(qpos, *table) for ck, table in zip(coupling_weights, tables))
-            for gj, m, sl in slices:
-                feet[gj][:, m] = coupled[sl]
-    return GridSolution2D(xs, ts, u if len(lattices) > 1 else u[0], inside)
+        feet[:, :, -1] = c
+        for uk, U0, F, G, c_k in zip(u, grp.U0, grp.F, grp.G, feet):
+            uk[s, ids] = U0 + (F * c_k + G) @ grp.weights
+        qpos, slices = lattice.queries[s]
+        coupled = sum(ck * np.interp(qpos, *_row_table(xs, ids, uk[s, ids]))
+                      for ck, uk in zip(coupling_weights, u))
+        for gj, m, sl in slices:
+            at_feet[gj][:, :, m] = coupled[:, sl]
+    return GridSolution2D(xs, ts, u if len(u) > 1 else u[0], lattice.solved)
 
 
 def solve_transport(coeffs: TransportCoefficients, region: DeterminacyRegion,
-                    xs, ts, substep: Optional[float] = None) -> GridSolution2D:
+                    xs, ts, substep: Optional[float] = None,
+                    targets: Optional[np.ndarray] = None) -> GridSolution2D:
     """The scalar transport equation on K_T, in one causal pass over the lattice.
+
+    With a boolean (nt, nx) ``targets`` mask of cone nodes, only the nodes
+    the targets depend on are solved, each to the value the whole cone
+    gives it; the rest hold NaN.
 
     Raises :class:`NumericalError` where a node's own trapezoid weight w and
     reaction f have 1 - w*f <= 0: the time step is then too long for the
     discrete problem to have a solution the Picard iteration would reach.
     """
-    lattice = _setup(coeffs.a, coeffs.c, region, xs, ts, coeffs.a_time_dependent,
-                     substep)(coeffs.a)
-    lattice.precompute(coeffs.f, coeffs.g, coeffs.u0)
-    return _march([lattice], (1.0,))
+    lattice = _lattice(coeffs.a, (1.0,), coeffs.c, region, xs, ts, coeffs.a_time_dependent,
+                       substep, targets)
+    lattice.precompute(coeffs.f, coeffs.g, (coeffs.u0,))
+    return _march(lattice, (1.0,))
 
 
 # --- 2x2 hyperbolic system ----------------------------------------------------
@@ -521,25 +576,22 @@ def wave_to_system(material: WaveMaterial, fd_step: Optional[float] = None):
 
 def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
                      substep: Optional[float] = None,
-                     a_time_dependent: bool = True) -> GridSolution2D:
+                     a_time_dependent: bool = True,
+                     targets: Optional[np.ndarray] = None) -> GridSolution2D:
     """The pair of coupled transport equations
 
         (d_t + a d_x) u1 = f (u2 - u1) + g,   u1(.,0) = u01,
         (d_t - a d_x) u2 = f (u2 - u1) + g,   u2(.,0) = u02,
 
     in one causal pass over the lattice.  Component 1 travels along the +a
-    characteristics, component 2 along -a.  A node's own terms cancel in
-    u2 - u1, so the march divides by exactly 1.
+    characteristics, component 2 along -a; both families are traced in one
+    pass.  A node's own terms cancel in u2 - u1, so the march divides by
+    exactly 1.  ``targets`` restricts the solve as in :func:`solve_transport`.
     """
-    lattice = _setup(a, region.c, region, xs, ts, a_time_dependent, substep)
-
-    def neg_a(x, t):
-        return -_eval_xt(a, x, t)
-
-    lattices = [lattice(a), lattice(neg_a)]
-    for lat, u0 in zip(lattices, (u01, u02)):
-        lat.precompute(f, g, u0)
-    return _march(lattices, (-1.0, 1.0))
+    lattice = _lattice(a, (1.0, -1.0), region.c, region, xs, ts, a_time_dependent, substep,
+                       targets)
+    lattice.precompute(f, g, (u01, u02))
+    return _march(lattice, (-1.0, 1.0))
 
 
 def reconstruct_displacement(solution: GridSolution2D, w) -> np.ndarray:
@@ -548,7 +600,7 @@ def reconstruct_displacement(solution: GridSolution2D, w) -> np.ndarray:
     ``solution`` must be a 2-component system solution whose components are
     (d_t - a d_x)u and (d_t + a d_x)u, so their mean is the time derivative
     of the displacement.  Trapezoid accumulation along each x-column; NaN
-    outside the cone.
+    at every node whose column is not solved all the way from t = 0.
     """
     if solution.values.ndim != 3:
         raise DomainError("displacement reconstruction needs a 2-component solution")

@@ -237,7 +237,8 @@ class _PointModel(_KLFieldModel):
 
     The coefficient is a KL field on [-kappa, kappa], shifted and clipped;
     the output is the solution at ``point`` on the characteristic lattice
-    of ``region``.
+    of ``region``.  Each solve traces and solves only the nodes that value
+    depends on (the solvers' ``targets``).
     """
 
     region: DeterminacyRegion
@@ -250,8 +251,13 @@ class _PointModel(_KLFieldModel):
     output_labels = None
     pbox_component = 0
 
-    def _setup(self, cutoff: tuple, bound: float, bound_name: str) -> None:
-        """Checks and lattice shared by subclasses; cutoff is (shift, lo, hi)."""
+    def _setup(self, cutoff: tuple, bound: float, bound_name: str, column: bool) -> None:
+        """Checks, lattice and target nodes shared by subclasses.
+
+        cutoff is (shift, lo, hi).  The target is the grid node nearest
+        ``point``, or with ``column`` its whole column from t = 0, which the
+        displacement reconstruction integrates.
+        """
         if bound > self.region.c + 1e-12:
             raise ConfigError(f"region speed bound is smaller than {bound_name}")
         self._cutoff = cutoff
@@ -259,6 +265,18 @@ class _PointModel(_KLFieldModel):
         self._xs, self._ts = build_grids(self.region, self.nx, self.nt)
         if not self.region.contains(*self.point):
             raise ConfigError(f"evaluation point {self.point} outside the cone")
+        x, t = self.point
+        i = int(np.argmin(np.abs(self._xs - x)))
+        j = int(np.argmin(np.abs(self._ts - t)))
+        if not self.region.contains(self._xs[i], self._ts[j]):
+            raise ConfigError(f"nearest grid node to ({x}, {t}) lies outside the cone")
+        self._node = (j, i)
+        self._targets = np.zeros((self._ts.size, self._xs.size), dtype=bool)
+        if column:
+            i0 = int(np.argmin(np.abs(self._ts)))     # the t = 0 level
+            self._targets[min(i0, j):max(i0, j) + 1, i] = True
+        else:
+            self._targets[j, i] = True
 
     def coefficient(self, draw: np.ndarray, ell: float) -> CutoffField:
         """The realized clipped coefficient field of one draw at correlation length ell.
@@ -294,7 +312,8 @@ class TransportPointModel(_PointModel):
         if self.a_lo > self.a_hi:
             raise ConfigError("speed cutoff bounds out of order")
         self._bound = max(abs(self.a_lo), abs(self.a_hi))
-        self._setup((self.a_mean, self.a_lo, self.a_hi), self._bound, "the speed cutoff")
+        self._setup((self.a_mean, self.a_lo, self.a_hi), self._bound, "the speed cutoff",
+                    column=False)
 
     def evaluate(self, draw: np.ndarray, lam) -> np.ndarray:
         speed_field = self.coefficient(draw, lam[0])
@@ -303,8 +322,8 @@ class TransportPointModel(_PointModel):
             f=self.f, g=self.g, u0=self.u0,
             c=self._bound, a_time_dependent=False,
         )
-        sol = solve_transport(coeffs, self.region, self._xs, self._ts)
-        i, j = sol.nearest_node(*self.point)
+        sol = solve_transport(coeffs, self.region, self._xs, self._ts, targets=self._targets)
+        j, i = self._node
         return sol.values[j:j + 1, i]
 
 
@@ -330,7 +349,7 @@ class WavePointModel(_PointModel):
         if not self.rho > 0.0:
             raise ConfigError("density must be positive")
         self._setup((self.e_mean, self.e_min, self.e_max),
-                    float(np.sqrt(self.e_max / self.rho)), "sqrt(e_max/rho)")
+                    float(np.sqrt(self.e_max / self.rho)), "sqrt(e_max/rho)", column=True)
 
     def evaluate(self, draw: np.ndarray, lam) -> np.ndarray:
         modulus = self.coefficient(draw, lam[0])
@@ -338,9 +357,9 @@ class WavePointModel(_PointModel):
         u01 = lambda x: -a(x) * self.w_prime(x)   # zero initial velocity
         u02 = lambda x: a(x) * self.w_prime(x)
         sol = solve_2x2_system(a, f, g, u01, u02, self.region, self._xs, self._ts,
-                               a_time_dependent=False)
+                               a_time_dependent=False, targets=self._targets)
         displacement = reconstruct_displacement(sol, self.w)
-        i, j = sol.nearest_node(*self.point)
+        j, i = self._node
         return displacement[j:j + 1, i]
 
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracle
 from randset_pde.characteristics import (
     TransportCoefficients,
-    _setup,
+    _lattice,
     WaveMaterial,
     build_grids,
     domain_of_determinacy,
@@ -37,31 +39,31 @@ def const(v):
     return lambda x, t: np.full_like(np.asarray(x, dtype=float), v)
 
 
-def _picard_update(lattices, values, coupling):
+def _picard_update(lattice, values, coupling):
     """One Picard sweep of the discrete integral equations, applied to ``values``.
 
-    Component k is updated along ``lattices[k]`` as
+    Component k is updated along the lattice's family k as
     U0 + (F * coupling(feet) + G) @ weights, with every component linearly
     interpolated at the feet on its level, one ghost node of linear
     extrapolation per side.
     """
-    xs, inside = lattices[0].xs, lattices[0].inside
+    xs, inside = lattice.xs, lattice.solved
     out = np.full_like(values, np.nan)
-    for uk_next, lat in zip(out, lattices):
-        for group in lat.groups:
-            direction = 1 if group.level >= lat.i0 else -1
+    for k, uk_next in enumerate(out):
+        for group in lattice.groups:
+            direction = 1 if group.level >= lattice.i0 else -1
             at_feet = []
             for uk in values:
-                feet = np.empty_like(group.pos)
+                feet = np.empty_like(group.pos[k])
                 for m in range(group.taus.size):
-                    s = lat.i0 + direction * m
+                    s = lattice.i0 + direction * m
                     xr, vr = xs[inside[s]], uk[s, inside[s]]
                     xe = np.concatenate(([2 * xr[0] - xr[1]], xr, [2 * xr[-1] - xr[-2]]))
                     ve = np.concatenate(([2 * vr[0] - vr[1]], vr, [2 * vr[-1] - vr[-2]]))
-                    feet[:, m] = np.interp(group.pos[:, m], xe, ve)
+                    feet[:, m] = np.interp(group.pos[k, :, m], xe, ve)
                 at_feet.append(feet)
             uk_next[group.level, group.node_ids] = (
-                group.U0 + (group.F * coupling(*at_feet) + group.G) @ group.weights)
+                group.U0[k] + (group.F[k] * coupling(*at_feet) + group.G[k]) @ group.weights)
     return out
 
 
@@ -208,20 +210,19 @@ class TestSolveTransport:
             coeffs = TransportCoefficients(a=0.0, f=30.0, g=0.0, u0=ones,
                                            c=0.0, a_time_dependent=False)
             sol = solve_transport(coeffs, region, xs, ts)
-            lattices = [_setup(0.0, 0.0, region, xs, ts, False, None)(0.0)]
-            lattices[0].precompute(30.0, 0.0, ones)
+            lattice = _lattice(0.0, (1.0,), 0.0, region, xs, ts, False, None, None)
+            lattice.precompute(30.0, 0.0, (ones,))
             values, coupling = sol.values[None], lambda u: u
         else:
             a, u01, u02 = const(1.0), lambda x: -bump_prime(x), bump_prime
             sol = solve_2x2_system(a, 30.0, 0.0, u01, u02, region, xs, ts,
                                    a_time_dependent=False)
-            lattice = _setup(a, 1.0, region, xs, ts, False, None)
-            lattices = [lattice(a), lattice(lambda x, t: -a(x, t))]
-            for lat, u0 in zip(lattices, (u01, u02)):
-                lat.precompute(30.0, 0.0, u0)
+            lattice = _lattice(a, (1.0, -1.0), 1.0, region, xs, ts, False, None, None)
+            lattice.precompute(30.0, 0.0, (u01, u02))
             values, coupling = sol.values, lambda q1, q2: q2 - q1
         assert sol.sweeps == 1
-        updated = _picard_update(lattices, values, coupling)
+        assert np.array_equal(lattice.solved, sol.inside)
+        updated = _picard_update(lattice, values, coupling)
         scale = np.abs(values[:, sol.inside]).max()
         assert np.abs(updated - values)[:, sol.inside].max() <= 1e-13 * scale
 
@@ -232,6 +233,65 @@ class TestSolveTransport:
         coeffs = TransportCoefficients(a=0.0, f=0.0, g=0.0, u0=lambda x: x, c=0.0)
         with pytest.raises(DomainError):
             solve_transport(coeffs, region, xs, ts)
+
+
+class TestTargets:
+    """A solve restricted to target nodes against the whole-cone solve."""
+
+    @staticmethod
+    def _solve(solver, region, xs, ts, phase, targets=None):
+        a = lambda x, t: 0.55 + 0.4 * np.sin(3.0 * np.asarray(x, float) + phase)
+        f = lambda x, t: 0.5 + 0.8 * np.sin(np.asarray(x, float) - phase)
+        g = lambda x, t: 0.3 + np.asarray(x, float) * t
+        if solver == "transport":
+            coeffs = TransportCoefficients(a=a, f=f, g=g,
+                                           u0=lambda x: np.sin(np.pi * np.asarray(x, float)),
+                                           c=1.0, a_time_dependent=False)
+            return solve_transport(coeffs, region, xs, ts, targets=targets)
+        return solve_2x2_system(a, f, g, lambda x: -bump_prime(x), bump_prime, region, xs, ts,
+                                a_time_dependent=False, targets=targets)
+
+    # a*dt/dx up to 0.95 * (nx - 1) / (nt - 1) * 0.8 / 2, so the feet skip
+    # cells when nx is large against nt
+    @settings(max_examples=40, deadline=None)
+    @given(solver=st.sampled_from(["transport", "system"]),
+           nx=st.integers(5, 41), half_nt=st.integers(1, 12),
+           where=st.sampled_from(["above", "below", "zero", "edge"]),
+           pick=st.floats(0.0, 1.0), phase=st.floats(0.0, 6.0))
+    @example(solver="transport", nx=41, half_nt=2, where="below", pick=0.5, phase=1.0)
+    @example(solver="system", nx=41, half_nt=2, where="below", pick=0.3, phase=2.0)
+    @example(solver="system", nx=41, half_nt=3, where="edge", pick=0.9, phase=0.0)
+    def test_targets_match_the_whole_cone(self, solver, nx, half_nt, where, pick, phase):
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, nx, 2 * half_nt + 1)
+        cone = region.contains(xs[None, :], ts[:, None])
+        i0 = half_nt
+        levels = {"above": range(i0 + 1, ts.size), "below": range(0, i0),
+                  "zero": [i0], "edge": range(ts.size)}[where]
+        levels = [s for s in levels if cone[s].any()]
+        s = levels[min(int(pick * len(levels)), len(levels) - 1)]
+        row = np.nonzero(cone[s])[0]
+        i = row[[0, -1][int(pick > 0.5)]] if where == "edge" \
+            else row[min(int(pick * row.size), row.size - 1)]
+        targets = np.zeros_like(cone)
+        targets[s, i] = True
+        full = self._solve(solver, region, xs, ts, phase)
+        part = self._solve(solver, region, xs, ts, phase, targets)
+        assert np.array_equal(full.inside, cone)
+        assert part.inside[s, i] and not np.any(part.inside & ~cone)
+        assert np.all(np.isnan(part.values[..., ~part.inside]))
+        scale = np.abs(full.values[..., cone]).max()
+        assert np.abs(part.values[..., targets] - full.values[..., targets]).max() <= 1e-13 * scale
+
+    def test_targets_are_checked(self):
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, 21, 21)
+        coeffs = TransportCoefficients(a=0.5, f=0.0, g=0.0, u0=lambda x: x, c=1.0)
+        outside = np.zeros((21, 21), dtype=bool)
+        outside[-1, 0] = True      # x = -1 at t = T
+        for targets in (np.zeros((21, 21), bool), np.ones((21, 20), bool), outside):
+            with pytest.raises(DomainError):
+                solve_transport(coeffs, region, xs, ts, targets=targets)
 
 
 class TestWaveToSystem:

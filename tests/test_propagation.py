@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import _oracles as oracle
 from randset_pde import cli, fem, models, propagation
-from randset_pde.characteristics import domain_of_determinacy
+from randset_pde.characteristics import domain_of_determinacy, reconstruct_displacement
 from randset_pde.errors import (
     ComparisonError,
+    ConfigError,
     DomainError,
     NumericalError,
     PropagationRunError,
@@ -501,6 +502,50 @@ class TestPDEPointModels:
         monkeypatch.setattr(models, "FieldTable", lambda field: field)
         assert isinstance(model.coefficient(draws[0], 0.5).base, FieldEvaluator)
         np.testing.assert_allclose(tabulated, run(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("point", [(0.0, 0.3), (0.2, -0.25)])
+    @pytest.mark.parametrize("kind", ["transport", "wave"])
+    def test_point_models_solve_only_what_their_node_needs(self, kind, point, monkeypatch):
+        # the wave_point benchmark geometry; transport with f = 1, g = 0.5
+        common = dict(region=domain_of_determinacy(1.0, 0.4, 1.0), nx=41, nt=41,
+                      m_pairs=10, sigma=0.3, point=point)
+        w = lambda x: np.exp(-16 * x**2)
+        if kind == "transport":
+            model = TransportPointModel(a_mean=0.5, a_lo=0.1, a_hi=1.0, f=1.0, g=0.5,
+                                        u0=lambda x: np.sin(np.pi * x), **common)
+            name = "solve_transport"
+        else:
+            model = WavePointModel(e_mean=0.5, e_min=0.1, e_max=1.0, w=w,
+                                   w_prime=lambda x: -32 * x * np.exp(-16 * x**2), **common)
+            name = "solve_2x2_system"
+        solver, solves = getattr(models, name), []
+
+        def recording(*args, targets, **kwargs):
+            solves.append((solver(*args, targets=targets, **kwargs), solver(*args, **kwargs)))
+            return solves[-1][0]
+
+        monkeypatch.setattr(models, name, recording)
+        grid = ParameterGrid.regular([Interval(0.5, 1.5)], [2])
+        model.prepare(grid)
+        for seed in range(2):
+            for lam in grid.points:
+                value = model.evaluate(model.draw(seed, 0), lam)
+                part, full = solves[-1]
+                j = int(np.argmin(np.abs(full.ts - point[1])))
+                i = int(np.argmin(np.abs(full.xs - point[0])))
+                expected = full.values[j, i] if kind == "transport" \
+                    else reconstruct_displacement(full, w)[j, i]
+                scale = np.abs(full.values[..., full.inside]).max()
+                assert abs(value[0] - expected) <= 1e-13 * scale
+                assert part.inside.sum() <= 0.2 * full.inside.sum()
+
+    def test_nearest_node_outside_the_cone_is_a_config_error(self):
+        # (0.78, 0.2) lies in the cone, but its nearest node of the 5x5 grid,
+        # (1.0, 0.2), does not
+        with pytest.raises(ConfigError, match="nearest grid node"):
+            TransportPointModel(region=domain_of_determinacy(1.0, 0.4, 1.0), nx=5, nt=5,
+                                m_pairs=4, sigma=0.3, a_mean=0.5, a_lo=0.1, a_hi=1.0,
+                                f=0.0, g=0.0, u0=np.sin, point=(0.78, 0.2))
 
     def test_propagate_accepts_qoi_spec(self):
         qoi = QoISpec("elliptic_slice", (0.3333,), {
