@@ -30,7 +30,6 @@ from .fields import (
     OUPath,
     solve_characteristic_roots,
     kl_eigenpairs,
-    evaluate_kl_field,
     sample_ou_path,
     sample_ou_paths,
     coefficient_field_2d,

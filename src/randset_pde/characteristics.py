@@ -192,8 +192,8 @@ def _rk4_step(speed, pos, tau, h):
     return pos + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_march(speed, pos, tau_from, tau_to, substep):
-    n_sub = max(1, math.ceil(abs(tau_to - tau_from) / substep - 1e-12))
+def _rk4_march(speed, pos, tau_from, tau_to, max_step):
+    n_sub = max(1, math.ceil(abs(tau_to - tau_from) / max_step - 1e-12))
     h = (tau_to - tau_from) / n_sub
     tau = tau_from
     for _ in range(n_sub):
@@ -274,7 +274,7 @@ class _Lattice:
     and the ``(group index, m, slice)`` that hand their values back.
     """
 
-    def __init__(self, a, signs, xs, ts, cone, i0, substep, targets):
+    def __init__(self, a, signs, xs, ts, cone, i0, targets):
         self.xs, self.ts, self.i0 = xs, ts, i0
         self.solved = np.zeros_like(cone)
         self.groups = []
@@ -285,9 +285,11 @@ class _Lattice:
         def slope(x, t):
             return signs * _eval_xt(a, x, t)
 
-        plus, plus_slices = self._trace_side(range(ts.size - 1, i0, -1), slope, substep,
+        # RK4 sub-steps of at most half the finer grid spacing
+        max_step = 0.5 * min(float(np.min(np.diff(xs))), float(np.min(np.diff(ts))))
+        plus, plus_slices = self._trace_side(range(ts.size - 1, i0, -1), slope, max_step,
                                              cone, targets)
-        minus, minus_slices = self._trace_side(range(0, i0), slope, substep, cone, targets)
+        minus, minus_slices = self._trace_side(range(0, i0), slope, max_step, cone, targets)
         shift = plus.shape[1]
         slices = plus_slices + [(gi, m, slice(sl.start + shift, sl.stop + shift))
                                 for gi, m, sl in minus_slices]
@@ -297,13 +299,13 @@ class _Lattice:
         if ids.size:
             self._start(i0, ids)
 
-    def _trace_side(self, levels, slope, substep, cone, targets):
+    def _trace_side(self, levels, slope, max_step, cone, targets):
         """Trace one side of t = 0 from its outermost level inwards; return
         the feet that land on t = 0 and their slices."""
         pos, active = np.empty((self.n_families, 0)), []
         for prev, s in zip([None, *levels], [*levels, self.i0]):
             if active:
-                pos = _rk4_march(slope, pos, self.ts[prev], self.ts[s], substep)
+                pos = _rk4_march(slope, pos, self.ts[prev], self.ts[s], max_step)
             slices = self._land(s, pos, active)
             if s == self.i0:
                 return pos, slices
@@ -395,9 +397,10 @@ def _row_table(xs, ids, vrow):
     return xe, ve
 
 
-def _verify_speed_bound(a, bound, region, xs, ts, time_dependent=True, oversample=10):
-    xp = np.linspace(-region.kappa, region.kappa, oversample * xs.size + 1)
-    tp = np.linspace(-region.T, region.T, oversample * ts.size + 1) if time_dependent \
+def _verify_speed_bound(a, bound, region, xs, ts, time_dependent):
+    """Check |a| <= bound on a probe grid ten times finer than (xs, ts)."""
+    xp = np.linspace(-region.kappa, region.kappa, 10 * xs.size + 1)
+    tp = np.linspace(-region.T, region.T, 10 * ts.size + 1) if time_dependent \
         else np.array([0.0])
     X, Tm = xp[None, :], tp[:, None]
     mask = region.contains(X, Tm)
@@ -410,7 +413,7 @@ def _verify_speed_bound(a, bound, region, xs, ts, time_dependent=True, oversampl
         )
 
 
-def _lattice(a, signs, bound, region, xs, ts, time_dependent, substep, targets):
+def _lattice(a, signs, bound, region, xs, ts, time_dependent, targets):
     """Check the grids, the speed bound and the targets; trace their lattice.
 
     ``targets`` is a boolean (nt, nx) mask of cone nodes, or None for the
@@ -423,9 +426,7 @@ def _lattice(a, signs, bound, region, xs, ts, time_dependent, substep, targets):
     i0 = _zero_level(ts)
     if bound > region.c + BOUND_SLACK:
         raise DomainError("coefficient speed bound exceeds the region's bound")
-    _verify_speed_bound(a, bound, region, xs, ts, time_dependent=time_dependent)
-    if substep is None:
-        substep = 0.5 * min(float(np.min(np.diff(xs))), float(np.min(np.diff(ts))))
+    _verify_speed_bound(a, bound, region, xs, ts, time_dependent)
     cone = region.contains(xs[None, :], ts[:, None])
     if targets is None:
         targets = cone
@@ -438,7 +439,7 @@ def _lattice(a, signs, bound, region, xs, ts, time_dependent, substep, targets):
             raise DomainError("targets select no node")
         if np.any(targets & ~cone):
             raise DomainError("targets select nodes outside the cone")
-    return _Lattice(a, signs, xs, ts, cone, i0, substep, targets)
+    return _Lattice(a, signs, xs, ts, cone, i0, targets)
 
 
 def _march(lattice, coupling_weights) -> GridSolution2D:
@@ -486,8 +487,7 @@ def _march(lattice, coupling_weights) -> GridSolution2D:
 
 
 def solve_transport(coeffs: TransportCoefficients, region: DeterminacyRegion,
-                    xs, ts, substep: Optional[float] = None,
-                    targets: Optional[np.ndarray] = None) -> GridSolution2D:
+                    xs, ts, targets: Optional[np.ndarray] = None) -> GridSolution2D:
     """The scalar transport equation on K_T, in one causal pass over the lattice.
 
     With a boolean (nt, nx) ``targets`` mask of cone nodes, only the nodes
@@ -499,7 +499,7 @@ def solve_transport(coeffs: TransportCoefficients, region: DeterminacyRegion,
     discrete problem to have a solution the Picard iteration would reach.
     """
     lattice = _lattice(coeffs.a, (1.0,), coeffs.c, region, xs, ts, coeffs.a_time_dependent,
-                       substep, targets)
+                       targets)
     lattice.precompute(coeffs.f, coeffs.g, (coeffs.u0,))
     return _march(lattice, (1.0,))
 
@@ -575,7 +575,6 @@ def wave_to_system(material: WaveMaterial, fd_step: Optional[float] = None):
 
 
 def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
-                     substep: Optional[float] = None,
                      a_time_dependent: bool = True,
                      targets: Optional[np.ndarray] = None) -> GridSolution2D:
     """The pair of coupled transport equations
@@ -588,8 +587,7 @@ def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
     pass.  A node's own terms cancel in u2 - u1, so the march divides by
     exactly 1.  ``targets`` restricts the solve as in :func:`solve_transport`.
     """
-    lattice = _lattice(a, (1.0, -1.0), region.c, region, xs, ts, a_time_dependent, substep,
-                       targets)
+    lattice = _lattice(a, (1.0, -1.0), region.c, region, xs, ts, a_time_dependent, targets)
     lattice.precompute(f, g, (u01, u02))
     return _march(lattice, (-1.0, 1.0))
 

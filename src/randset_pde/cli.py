@@ -186,7 +186,7 @@ def emit_plots(rs, mean_field, out_dir, field_sampler=None):
 
 
 def _resolve_config_path(name: str) -> str:
-    if os.path.exists(name):
+    if os.path.isfile(name):
         return name
     candidates = [name, name + ".cfg"]
     base = resources.files("randset_pde").joinpath("presets")
@@ -410,7 +410,7 @@ def _cmd_elliptic(args, out_dir, stages, manifest):
     model = _elliptic_model(cfg)
     mesh, x2 = model.mesh, model.slice_x2
     coeffs = element_coefficients(mesh, model.coefficient(model.draw(seed, 0), ell))
-    solution = solve_cg(assemble(mesh, coeffs, model.load), rel_tol=model.rel_tol)
+    solution = solve_cg(assemble(mesh, coeffs, model.load))
     stages.mark("solve")
 
     rows = [(mesh.nodes[i, 0], mesh.nodes[i, 1], solution.values[i])
@@ -621,11 +621,13 @@ def main(argv=None) -> int:
         },
     }
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        # resolved before the output directory exists, so that directory
+        # can never stand in for the config file
         if args.config:
             path = _resolve_config_path(args.config)
             manifest["config_path"] = path
             manifest["config_sha256"] = _config_sha(path)
+        os.makedirs(out_dir, exist_ok=True)
         code = _COMMANDS[args.command](args, out_dir, stages, manifest)
     except ConfigError as exc:
         for problem in exc.problems:

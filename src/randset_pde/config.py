@@ -68,13 +68,13 @@ def compile_expression(source: str, variables=("x", "t")) -> Callable:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    sigma: float = 1.0
-    ell: Optional[float] = None
-    ell_min: Optional[float] = None
-    ell_max: Optional[float] = None
-    m_terms: Optional[int] = None
-    a_min: float = 0.1
-    mean: float = 1.0
+    sigma: float
+    ell: Optional[float]
+    ell_min: Optional[float]
+    ell_max: Optional[float]
+    m_terms: Optional[int]
+    a_min: float
+    mean: float
 
     def ell_interval(self) -> Interval:
         return Interval(self.ell_min, self.ell_max)
@@ -88,9 +88,9 @@ class FamilyConfig:
 
 @dataclass(frozen=True)
 class MeshConfig:
-    shape: str = "l_shape"
-    nx: int = 18
-    ny: int = 18
+    shape: str
+    nx: int
+    ny: int
 
 
 @dataclass(frozen=True)
@@ -98,56 +98,56 @@ class RegionConfig:
     kappa: float
     horizon: float
     speed_bound: float
-    nx: int = 201
-    nt: int = 201
+    nx: int
+    nt: int
 
 
 @dataclass(frozen=True)
 class TransportConfig:
-    a: Optional[Callable] = None
-    f: Optional[Callable] = None
-    g: Optional[Callable] = None
-    u0: Optional[Callable] = None
-    a_mean: Optional[float] = None
-    a_lo: Optional[float] = None
-    a_hi: Optional[float] = None
+    a: Optional[Callable]
+    f: Optional[Callable]
+    g: Optional[Callable]
+    u0: Optional[Callable]
+    a_mean: Optional[float]
+    a_lo: Optional[float]
+    a_hi: Optional[float]
 
 
 @dataclass(frozen=True)
 class WaveConfig:
-    rho: float = 1.0
-    e: Optional[Callable] = None
-    e_prime: Optional[Callable] = None
-    w: Optional[Callable] = None
-    w_prime: Optional[Callable] = None
-    e_mean: Optional[float] = None
-    e_min: Optional[float] = None
-    e_max: Optional[float] = None
+    rho: float
+    e: Optional[Callable]
+    e_prime: Optional[Callable]
+    w: Optional[Callable]
+    w_prime: Optional[Callable]
+    e_mean: Optional[float]
+    e_min: Optional[float]
+    e_max: Optional[float]
 
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-    ell_points: int = 11
-    mu_points: int = 11
-    sigma_points: int = 11
-    thresholds: int = 201
+    samples: Optional[int]
+    seed: Optional[int]
+    ell_points: int
+    mu_points: int
+    sigma_points: int
+    thresholds: int
 
 
 @dataclass(frozen=True)
 class QoIConfig:
-    kind: Optional[str] = None
-    x1: Optional[float] = None
-    x2: Optional[float] = None
-    pbox_x1: Optional[float] = None
-    x: Optional[float] = None
-    t: Optional[float] = None
+    kind: Optional[str]
+    x1: Optional[float]
+    x2: Optional[float]
+    pbox_x1: Optional[float]
+    x: Optional[float]
+    t: Optional[float]
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    formats: tuple = ("csv",)
+    formats: tuple
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,6 @@ class ScenarioConfig:
     propagation: PropagationConfig
     qoi: QoIConfig
     output: OutputConfig
-    source_path: Optional[str] = None
 
 
 class _Reader:
@@ -299,7 +298,7 @@ def parse_config(path) -> ScenarioConfig:
             if kappa - speed_bound * horizon <= 0:
                 r.problems.append("region: kappa must exceed speed_bound * horizon")
             else:
-                region = RegionConfig(kappa, horizon, speed_bound, nx or 201, nt or 201)
+                region = RegionConfig(kappa, horizon, speed_bound, nx, nt)
 
     transport = TransportConfig(
         a=r.expression("transport", "a", ("x", "t")),
@@ -359,7 +358,6 @@ def parse_config(path) -> ScenarioConfig:
         propagation=propagation,
         qoi=qoi,
         output=OutputConfig(formats=formats),
-        source_path=str(path),
     )
 
 

@@ -40,6 +40,8 @@ __all__ = [
     "extract_slice",
 ]
 
+CG_REL_TOL = 1e-10      # relative residual at which CG stops
+
 
 @dataclass(frozen=True)
 class StructuredMesh:
@@ -216,11 +218,10 @@ def build_mesh(shape: str, nx: int, ny: int) -> StructuredMesh:
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Per-cell coefficient values with optional admissible bounds."""
+    """Per-cell coefficient values with an optional admissible lower bound."""
 
     values: np.ndarray
     alpha_lo: float | None = None
-    beta_hi: float | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -232,16 +233,14 @@ class CoefficientSpec:
                 raise CoefficientBoundError("alpha_lo must be positive")
             if np.any(values < self.alpha_lo):
                 raise CoefficientBoundError("element coefficient fell below alpha_lo")
-        if self.beta_hi is not None and np.any(values > self.beta_hi):
-            raise CoefficientBoundError("element coefficient exceeded beta_hi")
 
 
-def element_coefficients(mesh: StructuredMesh, field, alpha_lo=None, beta_hi=None) -> CoefficientSpec:
+def element_coefficients(mesh: StructuredMesh, field, alpha_lo=None) -> CoefficientSpec:
     """Cell coefficients: average of the field at each cell's four corners."""
     nodal = np.asarray(field(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
     nodal = np.broadcast_to(nodal, (mesh.n_nodes,))
     values = nodal[mesh.quads].mean(axis=1)
-    return CoefficientSpec(values, alpha_lo=alpha_lo, beta_hi=beta_hi)
+    return CoefficientSpec(values, alpha_lo=alpha_lo)
 
 
 @dataclass(frozen=True)
@@ -315,8 +314,9 @@ class NodalSolution:
     residual: float
 
 
-def solve_cg(system: AssembledSystem, rel_tol: float = 1e-10, max_iter: int | None = None) -> NodalSolution:
-    """Jacobi-preconditioned conjugate gradients on the reduced system."""
+def solve_cg(system: AssembledSystem, max_iter: int | None = None) -> NodalSolution:
+    """Jacobi-preconditioned conjugate gradients on the reduced system, run
+    until the relative residual is at most ``CG_REL_TOL``."""
     A = system.matrix
     b = system.rhs
     n = b.size
@@ -335,10 +335,10 @@ def solve_cg(system: AssembledSystem, rel_tol: float = 1e-10, max_iter: int | No
     rz = float(r @ z)
     res = float(np.linalg.norm(r)) / b_norm
     iterations = 0
-    while res > rel_tol:
+    while res > CG_REL_TOL:
         if iterations >= max_iter:
             raise NonConvergenceError(
-                f"CG did not reach {rel_tol:g} in {max_iter} iterations",
+                f"CG did not reach {CG_REL_TOL:g} in {max_iter} iterations",
                 residual=res,
                 iterations=iterations,
             )
@@ -373,14 +373,14 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray, rel_tol: float = 1e-10,
+def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray,
                    max_iter: int | None = None) -> BlockSolution:
     """Jacobi-preconditioned CG on S independent systems at once.
 
     ``matrix`` is block diagonal with S blocks of size n and ``rhs`` is
     (S, n).  Every system follows :func:`solve_cg` step for step and stops
     at the iteration at which :func:`solve_cg` would: once its relative
-    residual is at most ``rel_tol``, or, unconverged, after ``max_iter``
+    residual is at most ``CG_REL_TOL``, or, unconverged, after ``max_iter``
     (default 10 n) iterations.  A stopped system leaves the batch: the
     matrix product still covers all S blocks, but only the running systems'
     vectors are updated.
@@ -409,7 +409,7 @@ def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray, rel_tol: float = 1e-1
     res = np.sqrt(_row_dots(r, r)) / b_norm
     iteration = 0
     while live.size:
-        running = res > rel_tol
+        running = res > CG_REL_TOL
         stop = ~running | (iteration >= max_iter)
         if stop.any():
             done = live[stop]

@@ -12,7 +12,7 @@ which couples the fields on a common probability space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "OUPath",
     "solve_characteristic_roots",
     "kl_eigenpairs",
-    "evaluate_kl_field",
     "field_table",
     "sample_ou_path",
     "sample_ou_paths",
@@ -173,13 +172,6 @@ class KLBasis:
         phi_star = np.sin(np.outer(xhat, self.alphas_star)) / self.norms_star
         return phi, phi_star
 
-    def eigenfunction_derivatives(self, xhat):
-        """d/dxhat of the eigenfunctions, same shapes as ``eigenfunctions``."""
-        xhat = np.atleast_1d(np.asarray(xhat, dtype=float))
-        dphi = -np.sin(np.outer(xhat, self.alphas)) * (self.alphas / self.norms)
-        dphi_star = np.cos(np.outer(xhat, self.alphas_star)) * (self.alphas_star / self.norms_star)
-        return dphi, dphi_star
-
 
 def kl_eigenpairs(params: ExpCovarianceParams, m_pairs: int) -> KLBasis:
     """KL basis for the exponential kernel on the given physical domain.
@@ -213,12 +205,10 @@ class GaussianDraw:
     """One realization of the 2M Gaussian coefficients, interleaved pairwise.
 
     ``xi[0::2]`` are the cosine-family coefficients, ``xi[1::2]`` the
-    sine-family ones.  ``seed_path`` records (seed, sample index) when the
-    draw came from a reproducible substream.
+    sine-family ones.
     """
 
     xi: np.ndarray
-    seed_path: Optional[tuple] = None
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=float)
@@ -228,7 +218,7 @@ class GaussianDraw:
 
     @classmethod
     def sample(cls, m_pairs: int, seed: int, index: int) -> "GaussianDraw":
-        return cls(standard_normals(seed, index, 2 * m_pairs), (seed, index))
+        return cls(standard_normals(seed, index, 2 * m_pairs))
 
     @classmethod
     def zeros(cls, m_pairs: int) -> "GaussianDraw":
@@ -254,11 +244,8 @@ class FieldEvaluator:
     basis: KLBasis
     draw: GaussianDraw
     params: ExpCovarianceParams
-    mode: str = "value"
 
     def __post_init__(self):
-        if self.mode not in ("value", "derivative"):
-            raise DomainError(f"mode must be 'value' or 'derivative', got {self.mode!r}")
         if self.draw.m_pairs != self.basis.m_pairs:
             raise DomainError("draw length does not match basis size")
         sigma = self.params.sigma
@@ -283,9 +270,6 @@ class FieldEvaluator:
             + np.cos(np.outer(flat, self.basis.alphas_star)) @ (self.basis.alphas_star * self._w_star)
         )
         return float(out[0]) if np.ndim(x) == 0 else out.reshape(xhat.shape)
-
-    def __call__(self, x):
-        return self.derivative(x) if self.mode == "derivative" else self.value(x)
 
 
 class FieldTable:
@@ -386,11 +370,6 @@ def field_table(basis: KLBasis, params: ExpCovarianceParams, x) -> np.ndarray:
     return table
 
 
-def evaluate_kl_field(f: FieldEvaluator, x):
-    """Value of a realized KL field at x (derivative if f.mode says so)."""
-    return f(x)
-
-
 @dataclass(frozen=True)
 class CutoffField:
     """Shifted field clipped to [lo, hi]; derivative is zero where clipped.
@@ -401,34 +380,24 @@ class CutoffField:
     """
 
     base: Union[FieldEvaluator, FieldTable]
-    shift: Union[float, Callable] = 0.0
-    lo: Optional[float] = None
-    hi: Optional[float] = None
+    shift: Union[float, Callable]
+    lo: float
+    hi: float
 
     def __post_init__(self):
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
+        if self.lo > self.hi:
             raise DomainError("cutoff bounds out of order")
 
     def _shift_at(self, x):
         return self.shift(x) if callable(self.shift) else self.shift
 
     def value(self, x):
-        raw = self._shift_at(x) + self.base.value(x)
-        if self.lo is not None:
-            raw = np.maximum(raw, self.lo)
-        if self.hi is not None:
-            raw = np.minimum(raw, self.hi)
+        raw = np.minimum(np.maximum(self._shift_at(x) + self.base.value(x), self.lo), self.hi)
         return float(raw) if np.ndim(x) == 0 else raw
 
     def derivative(self, x):
         raw = self._shift_at(x) + self.base.value(x)
-        der = self.base.derivative(x)
-        clipped = np.zeros_like(np.asarray(raw, dtype=float), dtype=bool)
-        if self.lo is not None:
-            clipped |= raw < self.lo
-        if self.hi is not None:
-            clipped |= raw > self.hi
-        der = np.where(clipped, 0.0, der)
+        der = np.where((raw < self.lo) | (raw > self.hi), 0.0, self.base.derivative(x))
         return float(der) if np.ndim(x) == 0 else der
 
 

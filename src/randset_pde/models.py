@@ -32,6 +32,7 @@ from .characteristics import (
 )
 from .errors import BoundViolationError, ConfigError, NonConvergenceError
 from .fem import (
+    CG_REL_TOL,
     CoefficientSpec,
     StructuredMesh,
     assemble,
@@ -126,7 +127,6 @@ class EllipticModel(_KLFieldModel):
     slice_x2: Optional[float] = None
     node: Optional[tuple] = None
     pbox_x1: Optional[float] = None
-    rel_tol: float = 1e-10
 
     n_fields = 2
 
@@ -159,7 +159,7 @@ class EllipticModel(_KLFieldModel):
     def evaluate(self, draw: np.ndarray, lam) -> np.ndarray:
         """One draw at one correlation length: the per-point reference path."""
         coeffs = element_coefficients(self.mesh, self.coefficient(draw, lam[0]))
-        solution = solve_cg(assemble(self.mesh, coeffs, self.load), rel_tol=self.rel_tol)
+        solution = solve_cg(assemble(self.mesh, coeffs, self.load))
         return solution.values[self._output_ids]
 
     def prepare(self, grid: ParameterGrid) -> None:
@@ -212,12 +212,11 @@ class EllipticModel(_KLFieldModel):
         live = np.array([s not in messages for s in range(cells.shape[0])])
         rhs = load_vector(mesh, self.load)[mesh.interior]
         solution = solve_cg_block(assemble_block(mesh, cells[live]),
-                                  np.broadcast_to(rhs, (int(live.sum()), rhs.size)),
-                                  rel_tol=self.rel_tol)
+                                  np.broadcast_to(rhs, (int(live.sum()), rhs.size)))
         for s, ok in zip(np.nonzero(live)[0], solution.converged):
             if not ok:
                 messages[s] = failure_message(NonConvergenceError(
-                    f"CG did not reach {self.rel_tol:g} in {solution.max_iter} iterations"))
+                    f"CG did not reach {CG_REL_TOL:g} in {solution.max_iter} iterations"))
 
         position = mesh.reduced_pattern.position[self._output_ids]
         free_values = np.full((cells.shape[0], rhs.size), np.nan)

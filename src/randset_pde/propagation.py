@@ -150,10 +150,6 @@ class RandomSetResult:
     output_labels: Optional[np.ndarray] = None
     failures: tuple = ()
 
-    @property
-    def aumann_interval(self) -> Interval:
-        return self.aumann[self.pbox_component]
-
 
 @dataclass(frozen=True)
 class ParametricResult:

@@ -92,10 +92,6 @@ class FiniteRandomSet:
         if abs(total - 1.0) > WEIGHT_TOL:
             raise DomainError(f"weights must sum to 1 within {WEIGHT_TOL}, got {total!r}")
 
-    @property
-    def n_focals(self) -> int:
-        return len(self.focals)
-
 
 @dataclass(frozen=True)
 class RandomIntervalSample:
@@ -129,10 +125,6 @@ class RandomIntervalSample:
     @property
     def n(self) -> int:
         return int(self.lowers.size)
-
-    @property
-    def samples(self) -> tuple:
-        return tuple(Interval(float(lo), float(hi)) for lo, hi in zip(self.lowers, self.uppers))
 
 
 @dataclass(frozen=True)

@@ -210,14 +210,14 @@ class TestSolveTransport:
             coeffs = TransportCoefficients(a=0.0, f=30.0, g=0.0, u0=ones,
                                            c=0.0, a_time_dependent=False)
             sol = solve_transport(coeffs, region, xs, ts)
-            lattice = _lattice(0.0, (1.0,), 0.0, region, xs, ts, False, None, None)
+            lattice = _lattice(0.0, (1.0,), 0.0, region, xs, ts, False, None)
             lattice.precompute(30.0, 0.0, (ones,))
             values, coupling = sol.values[None], lambda u: u
         else:
             a, u01, u02 = const(1.0), lambda x: -bump_prime(x), bump_prime
             sol = solve_2x2_system(a, 30.0, 0.0, u01, u02, region, xs, ts,
                                    a_time_dependent=False)
-            lattice = _lattice(a, (1.0, -1.0), 1.0, region, xs, ts, False, None, None)
+            lattice = _lattice(a, (1.0, -1.0), 1.0, region, xs, ts, False, None)
             lattice.precompute(30.0, 0.0, (u01, u02))
             values, coupling = sol.values, lambda q1, q2: q2 - q1
         assert sol.sweeps == 1
@@ -356,6 +356,25 @@ class TestWaveToSystem:
         np.testing.assert_allclose(f(xs, 0.0), 1.0 - 1.0 / (4.0 * np.sqrt(1.0 + xs)),
                                    rtol=1e-6)
 
+    def test_variable_density_against_sympy(self):
+        # a' of a callable density comes from central differences of step fd_step
+        x = sympy.Symbol("x")
+        E_expr, rho_expr = 1 + x, 2 + x
+        a_expr = sympy.sqrt(E_expr / rho_expr)
+        f_expr = sympy.diff(E_expr, x) / rho_expr - sympy.diff(a_expr, x) / 2
+        a_fn = sympy.lambdify(x, a_expr, "numpy")
+        f_fn = sympy.lambdify(x, f_expr, "numpy")
+        material = WaveMaterial(
+            rho=lambda xv: 2.0 + np.asarray(xv, dtype=float),
+            E=(lambda xv: 1.0 + np.asarray(xv, dtype=float),
+               lambda xv: np.ones_like(np.asarray(xv, float))))
+        a, f, _ = wave_to_system(material, fd_step=1e-6)
+        xs = np.linspace(-0.5, 0.9, 11)
+        assert np.max(np.abs(a(xs, 0.0) - a_fn(xs))) <= 1e-8
+        assert np.max(np.abs(f(xs, 0.0) - f_fn(xs))) <= 1e-8
+        with pytest.raises(DomainError):
+            wave_to_system(material)
+
     def test_nonpositive_modulus_rejected(self):
         a, f, _ = wave_to_system(WaveMaterial(
             rho=1.0, E=(lambda xv: np.asarray(xv, dtype=float),
@@ -364,10 +383,15 @@ class TestWaveToSystem:
             a(np.array([-0.5, 0.5]), 0.0)
 
     def test_nonpositive_density_rejected(self):
+        modulus = (lambda xv: np.ones_like(np.asarray(xv, float)),
+                   lambda xv: np.zeros_like(np.asarray(xv, float)))
         with pytest.raises(MaterialError):
-            wave_to_system(WaveMaterial(
-                rho=-1.0, E=(lambda xv: np.ones_like(np.asarray(xv, float)),
-                             lambda xv: np.zeros_like(np.asarray(xv, float)))))
+            wave_to_system(WaveMaterial(rho=-1.0, E=modulus))
+        # a callable density is checked where it is evaluated
+        a, _, _ = wave_to_system(
+            WaveMaterial(rho=lambda xv: np.asarray(xv, dtype=float), E=modulus), fd_step=1e-6)
+        with pytest.raises(MaterialError):
+            a(np.array([-0.5, 0.5]), 0.0)
 
 
 def _dalembert_setup(nx=201, nt=201):

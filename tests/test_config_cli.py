@@ -387,6 +387,21 @@ m_terms = 20
         assert header == "x,q_0,q_1,q_2,q_3"
         assert (out / "field.svg").exists()
 
+    def test_out_dir_named_like_the_preset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["kl-table", "--config", "membrane", "--ell", "1.0",
+                     "--out-dir", "membrane"]) == 0
+        manifest = json.loads((tmp_path / "membrane" / "manifest.json").read_text())
+        assert manifest["config_path"].endswith(os.path.join("presets", "membrane.cfg"))
+        assert (tmp_path / "membrane" / "kl_table.csv").is_file()
+
+    def test_directory_is_not_a_config_file(self, tmp_path, capsys):
+        folder = tmp_path / "scenario_dir"
+        folder.mkdir()
+        assert main(["propagate", "--config", str(folder),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert "not found" in capsys.readouterr().err
+
     @pytest.mark.slow
     @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
     def test_readme_command_runs(self, tmp_path, argv):

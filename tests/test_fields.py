@@ -16,7 +16,6 @@ from randset_pde.fields import (
     FieldTable,
     GaussianDraw,
     coefficient_field_2d,
-    evaluate_kl_field,
     field_table,
     kl_eigenpairs,
     sample_ou_path,
@@ -132,7 +131,7 @@ class TestFieldEvaluator:
         basis = kl_eigenpairs(unit_params(), 30)
         f = FieldEvaluator(basis, GaussianDraw.zeros(30), unit_params())
         xs = np.linspace(-1, 1, 17)
-        assert np.all(evaluate_kl_field(f, xs) == 0.0)
+        assert np.all(f.value(xs) == 0.0)
 
     def test_single_coefficient_value(self):
         basis = kl_eigenpairs(unit_params(), 5)
@@ -192,14 +191,6 @@ class TestFieldEvaluator:
         f = FieldEvaluator(basis, GaussianDraw.zeros(4), unit_params())
         with pytest.raises(DomainError):
             f.value(1.5)
-
-    def test_mode_dispatch(self):
-        basis = kl_eigenpairs(unit_params(), 4)
-        draw = GaussianDraw.sample(4, 5, 0)
-        fv = FieldEvaluator(basis, draw, unit_params(), mode="value")
-        fd = FieldEvaluator(basis, draw, unit_params(), mode="derivative")
-        assert fv(0.2) == fv.value(0.2)
-        assert fd(0.2) == fv.derivative(0.2)
 
     def test_monte_carlo_covariance(self):
         # covariance of the realized field matches exp(-|x-y|) within 3 SE
