@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import os
+import pathlib
 import sys
 import time
 from importlib import resources
@@ -185,15 +186,19 @@ def emit_plots(rs, mean_field, out_dir, field_sampler=None):
 # --- shared argument plumbing ---------------------------------------------------
 
 
-def _resolve_config_path(name: str) -> str:
+def _resolve_config_path(name: str):
+    """The file ``name``, or else the preset of that name.
+
+    A preset is an ``importlib.resources`` Traversable, which need not be a
+    real file (a zipped package); read it through ``open``/``read_bytes``.
+    """
     if os.path.isfile(name):
-        return name
-    candidates = [name, name + ".cfg"]
+        return pathlib.Path(name)
     base = resources.files("randset_pde").joinpath("presets")
-    for cand in candidates:
+    for cand in (name, name + ".cfg"):
         preset = base.joinpath(cand)
         if preset.is_file():
-            return str(preset)
+            return preset
     raise ConfigError([f"config file or preset {name!r} not found"])
 
 
@@ -224,8 +229,7 @@ def _formats(args, cfg):
 
 
 def _config_sha(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # --- model/grid construction from config ----------------------------------------
@@ -625,7 +629,7 @@ def main(argv=None) -> int:
         # can never stand in for the config file
         if args.config:
             path = _resolve_config_path(args.config)
-            manifest["config_path"] = path
+            manifest["config_path"] = str(path)
             manifest["config_sha256"] = _config_sha(path)
         os.makedirs(out_dir, exist_ok=True)
         code = _COMMANDS[args.command](args, out_dir, stages, manifest)

@@ -9,6 +9,8 @@ checks with the same all-violations policy.
 from __future__ import annotations
 
 import configparser
+import os
+import pathlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -236,10 +238,14 @@ class _Reader:
 
 def parse_config(path) -> ScenarioConfig:
     """Parse and validate a scenario file; raises ConfigError listing
-    every violation found."""
+    every violation found.
+
+    ``path`` is a file name or an ``importlib.resources`` Traversable.
+    """
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    source = pathlib.Path(path) if isinstance(path, (str, os.PathLike)) else path
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with source.open("r", encoding="utf-8") as fh:
             cp.read_file(fh)
     except OSError as exc:
         raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc

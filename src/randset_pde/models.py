@@ -7,10 +7,12 @@ correlation length of the coefficient random field in all PDE models, and
 each model's ``coefficient(draw, ell)`` is the one place where a draw and a
 correlation length become a realized coefficient field.
 
+Every model implements the block protocol of :mod:`~randset_pde.propagation`.
 The elliptic model evaluates a whole block of draws at every grid point at
 once (``evaluate_block``); its per-point ``evaluate`` is the reference path.
-The hyperbolic point models evaluate one draw at one point and run through
-:class:`~randset_pde.propagation.PointwiseBlocks`.
+The hyperbolic point models evaluate one draw at one point: they subclass
+:class:`~randset_pde.propagation.PointwiseBlocks` and keep the block
+``draws`` of the KL field models.
 """
 
 from __future__ import annotations
@@ -53,7 +55,13 @@ from .fields import (
     field_table,
     kl_eigenpairs,
 )
-from .propagation import GaussianFamilyModel, ParameterGrid, QoISpec, failure_message
+from .propagation import (
+    GaussianFamilyModel,
+    ParameterGrid,
+    PointwiseBlocks,
+    QoISpec,
+    failure_message,
+)
 from .randomsets import Interval
 from .sampling import standard_normals
 
@@ -231,7 +239,7 @@ class EllipticModel(_KLFieldModel):
 
 
 @dataclass(kw_only=True)
-class _PointModel(_KLFieldModel):
+class _PointModel(_KLFieldModel, PointwiseBlocks):
     """Shared part of the hyperbolic point models.
 
     The coefficient is a KL field on [-kappa, kappa], shifted and clipped;
@@ -246,9 +254,6 @@ class _PointModel(_KLFieldModel):
     m_pairs: int
     sigma: float
     point: tuple
-
-    output_labels = None
-    pbox_component = 0
 
     def _setup(self, cutoff: tuple, bound: float, bound_name: str, column: bool) -> None:
         """Checks, lattice and target nodes shared by subclasses.

@@ -10,19 +10,21 @@ Parametric algorithm: per grid point, estimate the ordinary empirical CDF
 and envelope the family pointwise.  With shared draws the two results obey
 the exact ordering chain  f_lower <= f_low <= f_upp <= f_upper.
 
-Models are evaluated a block of samples at a time through one protocol:
-``draws(seed, indices)`` returns the block's draws, one row per sample, and
-``evaluate_block(draws, points)`` returns the (B, M, P) values of every
-sample at every grid point together with a dict ``{row: (grid index,
-message)}`` of the samples that failed.  A model with only a per-sample
-``draw(seed, index)`` and a per-point ``evaluate(draw, lam)`` runs through
-the :class:`PointwiseBlocks` adapter.
+Every model speaks one protocol: ``prepare(grid)`` before the first block;
+``draws(seed, indices)``, the block's draws, one row per sample;
+``evaluate_block(draws, points)``, the (B, M, P) values of every sample at
+every given grid point together with a dict ``{row: (grid index, message)}``
+of the samples that failed; and the attributes ``output_labels`` and
+``pbox_component``.  One sample loop, :func:`_run_samples`, serves both
+double loops.  A model that evaluates one draw at one grid point subclasses
+:class:`PointwiseBlocks`, which builds the protocol from its ``draw`` and
+``evaluate``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -208,9 +210,6 @@ class GaussianFamilyModel:
         if grid.dims[1].lo <= 0.0:
             raise DomainError("sigma interval must be positive")
 
-    def draw(self, seed: int, index: int) -> float:
-        return float(standard_normals(seed, index, 1)[0])
-
     def draws(self, seed: int, indices) -> np.ndarray:
         return standard_normals(seed, indices, 1)
 
@@ -232,28 +231,27 @@ def failure_message(exc: Exception) -> str:
 
 
 class PointwiseBlocks:
-    """The block protocol for a model that evaluates one draw at one grid point.
+    """Base class of a model that evaluates one draw at one grid point.
 
-    ``model`` has ``draw(seed, index)`` and ``evaluate(draw, lam)``; its own
-    block ``draws`` is used when it has one.  A sample stops at the first
-    grid point whose evaluation raises a numerical or bound error.
+    The subclass provides ``prepare(grid)``, ``draw(seed, index)`` and
+    ``evaluate(draw, lam)``, and inherits the block protocol from them; it
+    may still define a block ``draws`` of its own, as the point models do.
+    A sample stops at the first grid point whose evaluation raises a
+    numerical or bound error.
     """
 
-    def __init__(self, model):
-        self.model = model
+    output_labels = None
+    pbox_component = 0
 
     def draws(self, seed: int, indices):
-        block = getattr(self.model, "draws", None)
-        if block is not None:
-            return block(seed, indices)
-        return [self.model.draw(seed, int(k)) for k in indices]
+        return [self.draw(seed, int(k)) for k in indices]
 
     def evaluate_block(self, draws, points: np.ndarray):
         values, failures = None, {}
         for b, draw in enumerate(draws):
             for i, lam in enumerate(points):
                 try:
-                    value = np.atleast_1d(np.asarray(self.model.evaluate(draw, tuple(lam)),
+                    value = np.atleast_1d(np.asarray(self.evaluate(draw, tuple(lam)),
                                                      dtype=float))
                 except (NumericalError, BoundViolationError) as exc:
                     failures[b] = (i, failure_message(exc))
@@ -269,10 +267,9 @@ class PointwiseBlocks:
 def _resolve_model(qoi):
     if isinstance(qoi, QoISpec):
         return qoi.build()
-    if hasattr(qoi, "evaluate_block") or (hasattr(qoi, "evaluate") and hasattr(qoi, "draw")):
+    if hasattr(qoi, "draws") and hasattr(qoi, "evaluate_block"):
         return qoi
-    raise DomainError("expected a QoISpec or a model object with draws/evaluate_block "
-                      "or draw/evaluate")
+    raise DomainError("expected a QoISpec or a model object with draws and evaluate_block")
 
 
 def _first_failures(values, failures):
@@ -302,24 +299,29 @@ def _check_budget(failures, n_samples) -> None:
         )
 
 
-def _run_samples(model, grid, n_samples, seed, draw_index=None):
+def _run_samples(model, grid, n_samples, seed, point=None):
     """Evaluate all (sample, lambda) pairs a block at a time.
 
-    Returns (values of the surviving samples, their sample indices,
-    failures); everything is determined by the sample indices alone.
+    With ``point`` = i only grid point i is evaluated, and sample k draws
+    from its own substream ``(i + 1) * 2**32 + k``.  Returns (values of the
+    surviving samples, their sample indices, failures); everything is
+    determined by the sample indices alone.
     """
     if n_samples < 1:
         raise DomainError("need at least one sample")
-    blocks = model if hasattr(model, "evaluate_block") else PointwiseBlocks(model)
+    points, first = grid.points, 0
+    if point is not None:
+        points, first = grid.points[point:point + 1], point
     values, kept, failures = [], [], []
     for start in range(0, n_samples, BLOCK_SIZE):
         samples = np.arange(start, min(start + BLOCK_SIZE, n_samples))
-        keys = samples if draw_index is None else [draw_index(int(k)) for k in samples]
-        block, failed = blocks.evaluate_block(blocks.draws(seed, keys), grid.points)
+        keys = samples if point is None else \
+            [(point + 1) * _INDEPENDENT_STRIDE + int(k) for k in samples]
+        block, failed = model.evaluate_block(model.draws(seed, keys), points)
         block = np.asarray(block, dtype=float)
         ok = np.ones(samples.size, dtype=bool)
         for b, (i, message) in sorted(_first_failures(block, failed).items()):
-            failures.append(SampleFailure(int(samples[b]), int(i), message))
+            failures.append(SampleFailure(int(samples[b]), first + int(i), message))
             ok[b] = False
         if ok.any():
             values.append(block[ok])
@@ -349,7 +351,7 @@ def propagate_random_set(qoi, grid: ParameterGrid, n_samples: int, seed: int,
     lowers = values.min(axis=1)
     uppers = values.max(axis=1)
 
-    pc = getattr(model, "pbox_component", 0)
+    pc = model.pbox_component
     intervals = RandomIntervalSample(lowers[:, pc], uppers[:, pc])
     if thresholds is None:
         thresholds = default_thresholds(float(intervals.lowers.min()),
@@ -361,7 +363,7 @@ def propagate_random_set(qoi, grid: ParameterGrid, n_samples: int, seed: int,
         Interval(float(lowers[:, p].mean()), float(uppers[:, p].mean()))
         for p in range(values.shape[2])
     )
-    labels = getattr(model, "output_labels", None)
+    labels = model.output_labels
     return RandomSetResult(
         grid=grid,
         seed=seed,
@@ -414,25 +416,11 @@ def propagate_parametric(qoi, grid: ParameterGrid, n_samples: int, seed: int,
     model.prepare(grid)
     if grid.m >= _INDEPENDENT_STRIDE or n_samples >= _INDEPENDENT_STRIDE:
         raise DomainError("independent-draw indexing supports < 2^32 points/samples")
-    pc = getattr(model, "pbox_component", 0)
     columns, failures = [], []
     for i in range(grid.m):
-        sub = ParameterGrid(
-            dims=grid.dims, counts=(1,) * grid.ndim,
-            axes=tuple(np.array([v]) for v in grid.points[i]),
-            points=grid.points[i:i + 1],
-        )
-        try:
-            vals, _, fails = _run_samples(
-                model, sub, n_samples, seed,
-                draw_index=lambda k, _i=i: (_i + 1) * _INDEPENDENT_STRIDE + k,
-            )
-        except PropagationRunError as exc:
-            # the sub-grid numbers its one point 0: report the true grid point
-            _check_budget([replace(f, grid_index=i) for f in exc.failures], n_samples)
-            raise
-        columns.append(vals[:, 0, pc])
-        failures.extend(replace(f, grid_index=i) for f in fails)
+        vals, _, fails = _run_samples(model, grid, n_samples, seed, point=i)
+        columns.append(vals[:, 0, model.pbox_component])
+        failures.extend(fails)
     if thresholds is None:
         thresholds = default_thresholds(min(float(col.min()) for col in columns),
                                         max(float(col.max()) for col in columns))

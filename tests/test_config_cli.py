@@ -1,11 +1,14 @@
 """Configuration parsing and the command-line front end."""
 
+import hashlib
 import json
 import os
 import re
 import runpy
 import shlex
+import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -26,6 +29,12 @@ from test_propagation import FailingModel
 PRESETS = os.path.join(os.path.dirname(__file__), "..", "src", "randset_pde", "presets")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 SCRIPTS = os.path.join(os.path.dirname(__file__), "..", "scripts")
+# the commands each script runs, each into its own <out>/<command> directory
+SCRIPT_COMMANDS = {
+    "run_gauss_family.py": ("propagate", "compare"),
+    "run_membrane.py": ("propagate", "compare"),
+    "run_hyperbolic_demos.py": ("transport", "wave"),
+}
 
 
 def readme_commands():
@@ -412,18 +421,39 @@ m_terms = 20
     def test_readme_lists_every_command(self):
         assert sorted(argv[0] for argv in readme_commands()) == sorted(cli._COMMANDS)
 
-    def test_script_gives_each_command_its_own_manifest(self, tmp_path, monkeypatch):
-        script = os.path.join(SCRIPTS, "run_gauss_family.py")
-        monkeypatch.setattr(sys, "argv", [script, str(tmp_path)])
+    @pytest.mark.parametrize("script", sorted(SCRIPT_COMMANDS))
+    def test_script_gives_each_command_its_own_manifest(self, tmp_path, monkeypatch, script):
+        path = os.path.join(SCRIPTS, script)
+        monkeypatch.setattr(sys, "argv", [path, str(tmp_path)])
         with pytest.raises(SystemExit) as done:
-            runpy.run_path(script, run_name="__main__")
+            runpy.run_path(path, run_name="__main__")
         assert done.value.code == 0
-        for command in ("propagate", "compare"):
+        for command in SCRIPT_COMMANDS[script]:
             out = tmp_path / command
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["command"] == command
             data_files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
             assert sorted(manifest["outputs"]) == data_files
+
+    def test_presets_load_from_a_zipped_package(self, tmp_path):
+        # a preset inside a zip is no real file: it must be read through resources
+        package = os.path.dirname(cli.__file__)
+        archive = tmp_path / "randset_pde.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for root, _, files in os.walk(package):
+                for name in files:
+                    if name.endswith((".py", ".cfg")):
+                        full = os.path.join(root, name)
+                        zf.write(full, os.path.relpath(full, os.path.dirname(package)))
+        code = ("import sys; from randset_pde import cli; sys.exit(cli.main(["
+                "'kl-table', '--config', 'membrane', '--ell', '1.0', '--out-dir', 'out']))")
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(archive)})
+        assert done.returncode == 0, done.stderr
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config_path"].startswith(str(archive))
+        with open(os.path.join(PRESETS, "membrane.cfg"), "rb") as fh:
+            assert manifest["config_sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
     @pytest.mark.parametrize("command", ["elliptic", "sample-field"])
     def test_membrane_without_ell_uses_the_midpoint(self, tmp_path, command):

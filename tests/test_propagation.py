@@ -37,15 +37,13 @@ from randset_pde.propagation import (
     propagate_random_set,
 )
 from randset_pde.randomsets import Interval
+from randset_pde.sampling import standard_normals
 
 FIG1_DIMS = [Interval(-1.0, 1.0), Interval(1.0, 2.0)]
 
 
-class ConstantModel:
+class ConstantModel(PointwiseBlocks):
     """u == value for every draw and parameter."""
-
-    output_labels = None
-    pbox_component = 0
 
     def __init__(self, value=7.0):
         self.value = value
@@ -159,6 +157,21 @@ class TestRandomSetLoop:
         assert rs.thresholds[0] < 7.0 < rs.thresholds[-1]
         assert rs.pbox.f_lower[0] == 0.0 and rs.pbox.f_upper[-1] == 1.0
 
+    def test_a_model_without_the_block_protocol_is_rejected(self):
+        class PerPointOnly:
+            def prepare(self, grid):
+                pass
+
+            def draw(self, seed, index):
+                return index
+
+            def evaluate(self, draw, lam):
+                return np.array([1.0])
+
+        grid = ParameterGrid.regular([Interval(0, 1)], [3])
+        with pytest.raises(DomainError, match="draws and evaluate_block"):
+            propagate_random_set(PerPointOnly(), grid, 10, seed=0)
+
     def test_failure_budget(self):
         grid = ParameterGrid.regular([Interval(0, 1)], [3])
         # one failure out of 200 stays under the 1% budget and is excluded
@@ -183,6 +196,11 @@ class TestBlocks:
         rs = propagate_random_set(model, grid, TestBlocks.N, seed=seed)
         return rs.per_lambda_values, rs.sample_indices, rs.failures, rs.pbox
 
+    @staticmethod
+    def _run_independent(model, grid, seed):
+        pm = propagate_parametric(model, grid, TestBlocks.N, seed=seed, shared_draws=False)
+        return pm.per_lambda_ecdfs, pm.failures
+
     @settings(max_examples=25, deadline=None)
     @given(block_size=st.integers(1, N))
     def test_outputs_do_not_depend_on_block_size(self, block_size):
@@ -191,10 +209,19 @@ class TestBlocks:
             (ConstantModel(3.0), ParameterGrid.regular([Interval(0, 1)], [3]), 7),
             (FailingModel({13, 150}), ParameterGrid.regular([Interval(0, 1)], [3]), 7),
         ]
+        # independent draws: grid point 1 draws its sample k from key 2 * stride + k
+        stride = propagation._INDEPENDENT_STRIDE
+        independent = (FailingModel({2 * stride + 13, 2 * stride + 150}),
+                       ParameterGrid.regular([Interval(0, 1)], [3]), 7)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagation, "BLOCK_SIZE", self.N)
             reference = [self._run(*case) for case in cases]
+            ref_ecdfs, ref_failures = self._run_independent(*independent)
+            assert [(f.sample_index, f.grid_index) for f in ref_failures] == [(13, 1), (150, 1)]
             mp.setattr(propagation, "BLOCK_SIZE", block_size)
+            ecdfs, failures = self._run_independent(*independent)
+            np.testing.assert_array_equal(ecdfs, ref_ecdfs)
+            assert failures == ref_failures
             for case, (values, samples, failures, pbox) in zip(cases, reference):
                 got_values, got_samples, got_failures, got_pbox = self._run(*case)
                 np.testing.assert_array_equal(got_values, values)
@@ -207,8 +234,8 @@ class TestBlocks:
     def test_gauss_block_is_the_per_point_path(self):
         model, grid = GaussianFamilyModel(), ParameterGrid.regular(FIG1_DIMS, [5, 4])
         values, failures = model.evaluate_block(model.draws(168, range(30)), grid.points)
-        per_point = [[model.evaluate(model.draw(168, k), tuple(lam)) for lam in grid.points]
-                     for k in range(30)]
+        per_point = [[model.evaluate(standard_normals(168, k, 1)[0], tuple(lam))
+                      for lam in grid.points] for k in range(30)]
         assert failures == {}
         np.testing.assert_array_equal(values, np.array(per_point))
 
@@ -220,7 +247,7 @@ class TestBlocks:
         model.prepare(grid)
         draws = model.draws(42, range(5))
         values, failures = model.evaluate_block(draws, grid.points)
-        ref_values, ref_failures = PointwiseBlocks(model).evaluate_block(draws, grid.points)
+        ref_values, ref_failures = PointwiseBlocks.evaluate_block(model, draws, grid.points)
         assert failures == ref_failures == {}
         np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=1e-12)
 
@@ -235,7 +262,7 @@ class TestBlocks:
         grid = ParameterGrid.regular([Interval(0.5, 1.5)], [3])
         draws = model.draws(1, range(6))
         values, failures = model.evaluate_block(draws, grid.points)
-        ref_values, ref_failures = PointwiseBlocks(model).evaluate_block(draws, grid.points)
+        ref_values, ref_failures = PointwiseBlocks.evaluate_block(model, draws, grid.points)
         assert failures == ref_failures
         assert sorted(failures) == [0, 3]
         assert all(i == 1 and message.startswith("NonConvergenceError: CG did not reach")
@@ -352,6 +379,46 @@ class TestParametricLoop:
         np.testing.assert_array_equal(pm.per_lambda_ecdfs, np.stack(expected))
         np.testing.assert_array_equal(pm.f_low, np.min(expected, axis=0))
         np.testing.assert_array_equal(pm.f_upp, np.max(expected, axis=0))
+
+    def test_block_model_failures_carry_the_true_grid_point(self):
+        stride = propagation._INDEPENDENT_STRIDE
+
+        class BlockKeyModel:
+            """Block-native: u = sample index; fails for the chosen draw keys."""
+
+            output_labels = None
+            pbox_component = 0
+
+            def __init__(self, bad_keys):
+                self.bad_keys = set(bad_keys)
+
+            def prepare(self, grid):
+                pass
+
+            def draws(self, seed, indices):
+                return np.array(indices, dtype=np.int64)
+
+            def evaluate_block(self, draws, points):
+                values = np.repeat((draws % stride).astype(float)[:, None, None],
+                                   points.shape[0], axis=1)
+                failures = {b: (0, "NumericalError: synthetic block failure")
+                            for b, key in enumerate(draws) if int(key) in self.bad_keys}
+                values[list(failures)] = np.nan
+                return values, failures
+
+        grid = ParameterGrid.regular([Interval(0, 1)], [3])
+        # grid point 2 draws its sample k from key 3 * stride + k
+        pm = propagate_parametric(BlockKeyModel({3 * stride + 9}), grid, 200, seed=0,
+                                  shared_draws=False)
+        assert [(f.sample_index, f.grid_index, f.message) for f in pm.failures] == \
+            [(9, 2, "NumericalError: synthetic block failure")]
+        model = BlockKeyModel({3 * stride + k for k in range(5)})
+        with pytest.raises(PropagationRunError,
+                           match="5 of 200 samples failed .* first: sample 0, grid point 2: "
+                                 "NumericalError: synthetic block failure") as info:
+            propagate_parametric(model, grid, 200, seed=0, shared_draws=False)
+        assert [(f.sample_index, f.grid_index) for f in info.value.failures] == \
+            [(k, 2) for k in range(5)]
 
     def test_independent_draws_errors_name_the_true_grid_point(self):
         stride = propagation._INDEPENDENT_STRIDE
