@@ -8,7 +8,11 @@ integral form along characteristics,
 with composite-trapezoid quadrature along each characteristic and linear
 interpolation at the characteristic foot points on the time levels of a
 fixed space-time grid.  Characteristic curves are traced once with a classic
-fourth-order Runge-Kutta method and cached.
+fourth-order Runge-Kutta method and cached.  Where the speed ignores t and
+the levels are evenly spaced, the curve through (x, t) is the one through
+(x, t') shifted in time, so one curve per abscissa, family and side of
+t = 0 gives the feet of every node above that abscissa; otherwise each node
+is traced on a curve of its own.
 
 The discrete problem is lower-triangular in |t|: a node's last foot is the
 node itself, and every other foot lies on a level nearer t = 0.  So one
@@ -28,6 +32,13 @@ of the solve's target nodes: traced from |t| = T towards t = 0, a level
 holds its targets and the nodes the interpolation reads at the feet already
 traced onto it.  With no targets that is all of K_T; a point value needs
 only a small part of it.
+
+A solve may stack S problems on one grid (``lattices`` = S), such as one
+coefficient field at S correlation lengths: every array of the lattice has
+a leading axis of length S, each coefficient is called once on points of
+that shape and reads problem l's coefficient at index l, and the problems
+share one node set, the union of their domains of dependence.  A single
+problem is the case S = 1 without that axis in its values.
 """
 
 from __future__ import annotations
@@ -63,17 +74,25 @@ __all__ = [
 
 BOUND_SLACK = 1e-9
 INSIDE_TOL = 1e-12
+# Feet per lattice in one call of f and g; 1.4 MB of points for 11
+# stacked lattices, and the whole lattice of a 41x41 point solve.
+PRECOMPUTE_FEET = 1 << 14
 
 
 def _eval_xt(fn, x, t):
     """Evaluate an (x, t) coefficient, broadcasting scalars to x's shape."""
-    out = fn(x, t) if callable(fn) else fn
-    return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x))
+    return _shaped(fn(x, t) if callable(fn) else fn, x)
 
 
 def _eval_x(fn, x):
-    out = fn(x) if callable(fn) else fn
-    return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x))
+    return _shaped(fn(x) if callable(fn) else fn, x)
+
+
+def _shaped(out, x):
+    """``out`` as a float array of x's shape; a broadcast view only where needed,
+    since the RK4 stages call this several times each."""
+    out = np.asarray(out, dtype=float)
+    return out if out.shape == np.shape(x) else np.broadcast_to(out, np.shape(x))
 
 
 @dataclass(frozen=True)
@@ -158,9 +177,10 @@ class GridSolution2D:
     """Solution values on the space-time grid, NaN at every node not solved.
 
     ``values`` has shape (nt, nx) for the scalar equation and (2, nt, nx)
-    for the 2x2 system; ``inside`` marks the solved nodes: the whole cone
-    K_T, or the domain of numerical dependence of the solve's targets.
-    ``sweeps`` counts the passes over the lattice, always 1.
+    for the 2x2 system, with a leading axis of length ``lattices`` when a
+    solve stacks that many problems; ``inside`` marks the solved nodes: the
+    whole cone K_T, or the domain of numerical dependence of the solve's
+    targets.  ``sweeps`` counts the passes over the lattice, always 1.
     """
 
     xs: np.ndarray
@@ -168,6 +188,7 @@ class GridSolution2D:
     values: np.ndarray
     inside: np.ndarray
     sweeps: int = 1
+    lattices: Optional[int] = None
 
 
 def build_grids(region: DeterminacyRegion, nx: int, nt: int):
@@ -192,8 +213,13 @@ def _rk4_step(speed, pos, tau, h):
     return pos + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _substeps(span, max_step):
+    """RK4 sub-steps over a level step of length |span|: as few as keep h <= max_step."""
+    return max(1, math.ceil(abs(span) / max_step - 1e-12))
+
+
 def _rk4_march(speed, pos, tau_from, tau_to, max_step):
-    n_sub = max(1, math.ceil(abs(tau_to - tau_from) / max_step - 1e-12))
+    n_sub = _substeps(tau_to - tau_from, max_step)
     h = (tau_to - tau_from) / n_sub
     tau = tau_from
     for _ in range(n_sub):
@@ -233,17 +259,17 @@ def trace_characteristic(a, x: float, t: float, tau: float, step: float,
 class _FeetGroup:
     """Characteristic feet of the solved nodes of one starting t-level.
 
-    ``pos[k, n, m]`` is the foot of node n along family k on the m-th level
-    from t = 0; m = L - 1 is the node itself.
+    ``pos[l, k, n, m]`` is the foot of node n along family k of lattice l on
+    the m-th level from t = 0; m = L - 1 is the node itself.
     """
 
     __slots__ = ("level", "node_ids", "taus", "pos", "weights", "F", "G", "U0")
 
-    def __init__(self, level, node_ids, taus, n_families):
+    def __init__(self, level, node_ids, taus, n_lattices, n_families):
         self.level = level
         self.node_ids = node_ids
         self.taus = taus                      # taus[0] ~ 0, taus[-1] = ts[level]
-        self.pos = np.empty((n_families, node_ids.size, taus.size))
+        self.pos = np.empty((n_lattices, n_families, node_ids.size, taus.size))
         L = taus.size
         w = np.empty(L)
         if L == 1:
@@ -257,65 +283,102 @@ class _FeetGroup:
 
 
 class _Lattice:
-    """The characteristic feet of every node the target nodes depend on.
+    """The characteristic feet of every node the target nodes depend on, for
+    S lattices at once.
 
-    Family k follows dgamma/dtau = signs[k] a(gamma, tau); all families are
-    traced together as one (K, n) position array, so each RK4 stage makes
-    one lookup of a.  Each side of t = 0 is traced from |t| = T inwards.  A
-    level's nodes are its targets plus, for every foot already traced onto
-    it, the two cone nodes that np.interp reads there (xs[j] <= x < xs[j+1],
-    clipped to the row's first or last pair, from which the ghost node
-    extrapolates).  The t = 0 level takes the feet of both sides.  So the
-    solved nodes are exactly the targets' domain of numerical dependence,
-    and each of them is computed as on the whole cone.
+    Family k of lattice l follows dgamma/dtau = signs[k] a(gamma, tau)[l]:
+    the speed is called on (S, K, n) positions and reads lattice l's
+    coefficient at x[l], so each RK4 stage makes one lookup of a for every
+    lattice and family.  Each side of t = 0 is traced from |t| = T inwards.
+    A level's nodes are its targets plus, for every foot already traced onto
+    it in any lattice, the two cone nodes that np.interp reads there
+    (xs[j] <= x < xs[j+1], clipped to the row's first or last pair, from
+    which the ghost node extrapolates).  The t = 0 level takes the feet of
+    both sides.  So the lattices share one node set, the union of their
+    domains of numerical dependence closed under every lattice's feet, and
+    each node is computed in each lattice as on the whole cone.
+
+    With ``shared`` curves (a speed that ignores t, on levels whose steps
+    agree to rounding) the characteristic through (x_i, t) is the same curve
+    for every level t, shifted in time.  So one RK4 curve per (lattice,
+    family, abscissa) and side is traced, from the outermost level on which
+    the abscissa has a node, and a node m levels from t = 0 takes its feet
+    from the curve's first m level steps.  Otherwise every node is traced on
+    a curve of its own.
 
     ``groups`` run from the outermost level inwards, so reversed they are a
-    causal order; ``queries[s]`` holds the feet of earlier groups on level s
-    and the ``(group index, m, slice)`` that hand their values back.
+    causal order; ``queries[s]`` lists the ``(group index, m, slice)`` of the
+    earlier groups whose feet land on level s, in order: the slices tile the
+    feet on level s, and hand their values back.
     """
 
-    def __init__(self, a, signs, xs, ts, cone, i0, targets):
+    def __init__(self, a, signs, xs, ts, cone, i0, targets, n_lattices, shared):
         self.xs, self.ts, self.i0 = xs, ts, i0
         self.solved = np.zeros_like(cone)
         self.groups = []
         self.queries = {}
-        self.n_families = len(signs)
+        self.n_lattices, self.n_families, self.shared = n_lattices, len(signs), shared
         signs = np.asarray(signs, dtype=float)[:, None]
 
         def slope(x, t):
             return signs * _eval_xt(a, x, t)
 
-        # RK4 sub-steps of at most half the finer grid spacing
-        max_step = 0.5 * min(float(np.min(np.diff(xs))), float(np.min(np.diff(ts))))
+        max_step = _max_step(xs, ts)
         plus, plus_slices = self._trace_side(range(ts.size - 1, i0, -1), slope, max_step,
                                              cone, targets)
         minus, minus_slices = self._trace_side(range(0, i0), slope, max_step, cone, targets)
-        shift = plus.shape[1]
+        shift = plus.shape[2]
         slices = plus_slices + [(gi, m, slice(sl.start + shift, sl.stop + shift))
                                 for gi, m, sl in minus_slices]
-        pos = np.concatenate([plus, minus], axis=1)
-        self.queries[i0] = (pos, slices)
+        pos = np.concatenate([plus, minus], axis=2)
+        self.queries[i0] = slices
         ids = self._dependence(i0, pos, cone, targets)
         if ids.size:
             self._start(i0, ids)
 
     def _trace_side(self, levels, slope, max_step, cone, targets):
         """Trace one side of t = 0 from its outermost level inwards; return
-        the feet that land on t = 0 and their slices."""
-        pos, active = np.empty((self.n_families, 0)), []
+        the feet that land on t = 0 and their slices.
+
+        ``pos`` holds the feet on the current level of every node started on
+        an earlier one, in the order of their groups.  Per-node curves march
+        ``pos`` itself.  Shared curves march ``curves[..., i, k]``, the curve
+        from abscissa i after k level steps, and read a node's foot m levels
+        below it off step m of its abscissa's curve.
+        """
+        S, K, nx = self.n_lattices, self.n_families, self.xs.size
+        pos, active = np.empty((S, K, 0)), []
+        if self.shared:
+            curves = np.empty((S, K, nx, len(levels) + 1))
+            start = np.full(nx, -1)          # level distance at which a curve starts
+            node_x = node_d = np.empty(0, dtype=np.intp)
         for prev, s in zip([None, *levels], [*levels, self.i0]):
-            if active:
+            d = abs(s - self.i0)
+            if active and self.shared:
+                live = np.nonzero(start >= 0)[0]
+                k = start[live] - d - 1     # steps each curve has taken
+                curves[:, :, live, k + 1] = _rk4_march(slope, curves[:, :, live, k],
+                                                       self.ts[prev], self.ts[s], max_step)
+                pos = curves[:, :, node_x, node_d - d]
+            elif active:
                 pos = _rk4_march(slope, pos, self.ts[prev], self.ts[s], max_step)
             slices = self._land(s, pos, active)
             if s == self.i0:
                 return pos, slices
-            self.queries[s] = (pos, slices)
+            self.queries[s] = slices
             ids = self._dependence(s, pos, cone, targets)
             if ids.size:
-                active.append((len(self.groups), pos.shape[1]))
+                active.append((len(self.groups), pos.shape[2]))
                 self._start(s, ids)
-                own = np.broadcast_to(self.xs[ids], (self.n_families, ids.size))
-                pos = np.concatenate([pos, own], axis=1)
+                if self.shared:
+                    new = ids[start[ids] < 0]
+                    start[new] = d
+                    curves[:, :, new, 0] = self.xs[new]
+                    node_x = np.concatenate([node_x, ids])
+                    node_d = np.concatenate([node_d, np.full(ids.size, d)])
+                else:
+                    own = np.broadcast_to(self.xs[ids], (S, K, ids.size))
+                    pos = np.concatenate([pos, own], axis=2)
 
     def _land(self, s, pos, active):
         """Store the feet on level s of the active groups; return their slices."""
@@ -324,7 +387,7 @@ class _Lattice:
         for gi, off in active:
             group = self.groups[gi]
             sl = slice(off, off + group.node_ids.size)
-            group.pos[:, :, m] = pos[:, sl]
+            group.pos[:, :, :, m] = pos[:, :, sl]
             slices.append((gi, m, sl))
         return slices
 
@@ -342,31 +405,64 @@ class _Lattice:
     def _start(self, s, ids):
         direction = 1 if s >= self.i0 else -1
         taus = self.ts[self.i0 + direction * np.arange(abs(s - self.i0) + 1)]
-        group = _FeetGroup(s, ids, taus, self.n_families)
-        group.pos[:, :, -1] = self.xs[ids]
+        group = _FeetGroup(s, ids, taus, self.n_lattices, self.n_families)
+        group.pos[..., -1] = self.xs[ids]
         self.groups.append(group)
         self.solved[s, ids] = True
 
     def precompute(self, f, g, u0s):
-        """f and g at every foot, and family k's u0s[k] at its feet on t = 0,
-        each in one call over the whole lattice."""
-        pos = np.concatenate([group.pos.ravel() for group in self.groups])
-        taus = np.concatenate([np.broadcast_to(group.taus, group.pos.shape).ravel()
-                               for group in self.groups])
-        F, G = _eval_xt(f, pos, taus), _eval_xt(g, pos, taus)
-        U0 = np.stack([_eval_x(u0, np.concatenate([group.pos[k, :, 0] for group in self.groups]))
-                       for k, u0 in enumerate(u0s)])
-        for name, arr in (("f", F), ("g", G), ("u0", U0)):
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"coefficient {name} is not finite along a characteristic")
-        off = off0 = 0
-        for group in self.groups:
-            n = group.pos.size
-            group.F = F[off:off + n].reshape(group.pos.shape)
-            group.G = G[off:off + n].reshape(group.pos.shape)
-            group.U0 = U0[:, off0:off0 + group.node_ids.size]
-            off += n
-            off0 += group.node_ids.size
+        """f and g at every foot, and family k's u0s[k] at its feet on t = 0;
+        lattice l's values are read at the points' index l on their leading
+        axis.  f and g are called once per run of groups holding up to
+        PRECOMPUTE_FEET feet per lattice, which bounds the size of their
+        temporaries; u0 once over the whole lattice."""
+        S, groups = self.n_lattices, self.groups
+        chunks, size = [[]], 0
+        for group in groups:
+            if size and size + group.pos[0].size > PRECOMPUTE_FEET:
+                chunks.append([])
+                size = 0
+            chunks[-1].append(group)
+            size += group.pos[0].size
+        for chunk in chunks:
+            pos = np.concatenate([group.pos.reshape(S, -1) for group in chunk], axis=1)
+            taus = np.concatenate([np.broadcast_to(group.taus, group.pos.shape[1:]).ravel()
+                                   for group in chunk])
+            F, G = _eval_xt(f, pos, taus), _eval_xt(g, pos, taus)
+            _check_finite(("f", F), ("g", G))
+            off = 0
+            for group in chunk:
+                n = group.pos[0].size
+                group.F = F[:, off:off + n].reshape(group.pos.shape)
+                group.G = G[:, off:off + n].reshape(group.pos.shape)
+                off += n
+        U0 = np.stack([_eval_x(u0, np.concatenate([group.pos[:, k, :, 0] for group in groups],
+                                                   axis=1))
+                       for k, u0 in enumerate(u0s)], axis=1)
+        _check_finite(("u0", U0))
+        off = 0
+        for group in groups:
+            group.U0 = U0[:, :, off:off + group.node_ids.size]
+            off += group.node_ids.size
+
+
+def _check_finite(*named):
+    for name, arr in named:
+        if not np.all(np.isfinite(arr)):
+            raise NumericalError(f"coefficient {name} is not finite along a characteristic")
+
+
+def _max_step(xs, ts):
+    """The RK4 sub-step bound: half the finer grid spacing."""
+    return 0.5 * min(float(np.min(np.diff(xs))), float(np.min(np.diff(ts))))
+
+
+def _uniform_levels(ts, max_step) -> bool:
+    """Whether every level step has one length up to the rounding of the
+    levels themselves, and so the same RK4 sub-steps."""
+    dt = np.diff(ts)
+    return (float(np.ptp(dt)) <= 8.0 * np.finfo(float).eps * float(np.abs(ts).max())
+            and len({_substeps(step, max_step) for step in dt}) == 1)
 
 
 def _zero_level(ts):
@@ -397,36 +493,41 @@ def _row_table(xs, ids, vrow):
     return xe, ve
 
 
-def _verify_speed_bound(a, bound, region, xs, ts, time_dependent):
-    """Check |a| <= bound on a probe grid ten times finer than (xs, ts)."""
+def _verify_speed_bound(a, bound, region, xs, ts, time_dependent, n_lattices):
+    """Check |a| <= bound in every lattice on a probe grid ten times finer than (xs, ts)."""
     xp = np.linspace(-region.kappa, region.kappa, 10 * xs.size + 1)
     tp = np.linspace(-region.T, region.T, 10 * ts.size + 1) if time_dependent \
         else np.array([0.0])
-    X, Tm = xp[None, :], tp[:, None]
-    mask = region.contains(X, Tm)
+    X, Tm = np.broadcast_to(xp, (n_lattices, 1, xp.size)), tp[:, None]
+    mask = region.contains(xp[None, :], Tm)
     vals = np.broadcast_to(np.asarray(a(X, Tm) if callable(a) else a, dtype=float),
-                           (tp.size, xp.size))
-    worst = float(np.abs(vals[mask]).max())
+                           (n_lattices, tp.size, xp.size))
+    worst = float(np.abs(vals[:, mask]).max())
     if worst > bound * (1.0 + BOUND_SLACK) + BOUND_SLACK * (bound == 0.0):
         raise SpeedBoundError(
             f"|a| reaches {worst:g} on the region, exceeding the declared bound {bound:g}"
         )
 
 
-def _lattice(a, signs, bound, region, xs, ts, time_dependent, targets):
+def _lattice(a, signs, bound, region, xs, ts, time_dependent, targets, lattices=None):
     """Check the grids, the speed bound and the targets; trace their lattice.
 
     ``targets`` is a boolean (nt, nx) mask of cone nodes, or None for the
-    whole cone.
+    whole cone; ``lattices`` is the solvers' stack size, None for one.  The
+    lattice's curves are shared when the speed ignores t and the level steps
+    are uniform.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
     if np.any(np.diff(xs) <= 0):
         raise DomainError("space grid must be strictly increasing")
+    n_lattices = 1 if lattices is None else lattices
+    if not n_lattices >= 1:
+        raise DomainError(f"need at least one lattice, got {n_lattices}")
     i0 = _zero_level(ts)
     if bound > region.c + BOUND_SLACK:
         raise DomainError("coefficient speed bound exceeds the region's bound")
-    _verify_speed_bound(a, bound, region, xs, ts, time_dependent)
+    _verify_speed_bound(a, bound, region, xs, ts, time_dependent, n_lattices)
     cone = region.contains(xs[None, :], ts[:, None])
     if targets is None:
         targets = cone
@@ -439,10 +540,11 @@ def _lattice(a, signs, bound, region, xs, ts, time_dependent, targets):
             raise DomainError("targets select no node")
         if np.any(targets & ~cone):
             raise DomainError("targets select nodes outside the cone")
-    return _Lattice(a, signs, xs, ts, cone, i0, targets)
+    shared = not time_dependent and _uniform_levels(ts, _max_step(xs, ts))
+    return _Lattice(a, signs, xs, ts, cone, i0, targets, n_lattices, shared)
 
 
-def _march(lattice, coupling_weights) -> GridSolution2D:
+def _march(lattice, coupling_weights) -> np.ndarray:
     """Solve the discrete integral equations in one causal pass over the levels.
 
     Component k travels along the lattice's family k and sees the coupling
@@ -456,18 +558,21 @@ def _march(lattice, coupling_weights) -> GridSolution2D:
 
     Each node stores ``U0 + (F * c(feet) + G) @ weights`` with its own foot
     set to that c; its finished level is then interpolated at every foot on
-    it.
+    it, one lattice at a time.  Returns the (S, components, nt, nx) values,
+    NaN off the lattice.
     """
     xs, ts, groups = lattice.xs, lattice.ts, lattice.groups
     sum_c = sum(coupling_weights)
-    u = np.full((len(coupling_weights), ts.size, xs.size), np.nan)
+    n_comp = len(coupling_weights)
+    u = np.full((lattice.n_lattices, n_comp, ts.size, xs.size), np.nan)
     # the coupling c at every foot, per group
     at_feet = [np.empty_like(group.pos) for group in groups]
     for grp, feet in zip(reversed(groups), reversed(at_feet)):
         s, ids = grp.level, grp.node_ids
-        earlier = [U0 + (F[:, :-1] * c_k[:, :-1] + G[:, :-1]) @ grp.weights[:-1]
-                   for U0, F, G, c_k in zip(grp.U0, grp.F, grp.G, feet)]
-        w, f, g = grp.weights[-1], grp.F[0, :, -1], grp.G[0, :, -1]
+        F, G, U0 = grp.F, grp.G, grp.U0
+        earlier = [U0[:, k] + (F[:, k, :, :-1] * feet[:, k, :, :-1] + G[:, k, :, :-1])
+                   @ grp.weights[:-1] for k in range(n_comp)]
+        w, f, g = grp.weights[-1], F[:, 0, :, -1], G[:, 0, :, -1]
         denom = 1.0 - sum_c * w * f
         if np.any(denom <= 0.0):
             raise NumericalError(
@@ -475,33 +580,53 @@ def _march(lattice, coupling_weights) -> GridSolution2D:
                 f"(trapezoid weight w = {w:g}): the time step is too long for the reaction f"
             )
         c = (sum(ck * ak for ck, ak in zip(coupling_weights, earlier)) + sum_c * w * g) / denom
-        feet[:, :, -1] = c
-        for uk, U0, F, G, c_k in zip(u, grp.U0, grp.F, grp.G, feet):
-            uk[s, ids] = U0 + (F * c_k + G) @ grp.weights
-        qpos, slices = lattice.queries[s]
-        coupled = sum(ck * np.interp(qpos, *_row_table(xs, ids, uk[s, ids]))
-                      for ck, uk in zip(coupling_weights, u))
+        feet[:, :, :, -1] = c[:, None]
+        for k in range(n_comp):
+            u[:, k, s, ids] = U0[:, k] + (F[:, k] * feet[:, k] + G[:, k]) @ grp.weights
+        slices = lattice.queries[s]
+        if not slices:
+            continue
+        qpos = np.concatenate([groups[gj].pos[:, :, :, m] for gj, m, _ in slices], axis=2)
+        coupled = np.empty_like(qpos)
+        for ul, ql, out in zip(u, qpos, coupled):
+            out[...] = sum(ck * np.interp(ql, *_row_table(xs, ids, uk[s, ids]))
+                           for ck, uk in zip(coupling_weights, ul))
         for gj, m, sl in slices:
-            at_feet[gj][:, :, m] = coupled[:, sl]
-    return GridSolution2D(xs, ts, u if len(u) > 1 else u[0], lattice.solved)
+            at_feet[gj][:, :, :, m] = coupled[:, :, sl]
+    return u
+
+
+def _solution(lattice, u, lattices) -> GridSolution2D:
+    """The march's (S, components, nt, nx) values as a solution: one component
+    loses its axis, and a single lattice (``lattices`` None) its lattice axis."""
+    values = u[:, 0] if u.shape[1] == 1 else u
+    return GridSolution2D(lattice.xs, lattice.ts, values if lattices is not None else values[0],
+                          lattice.solved, lattices=lattices)
 
 
 def solve_transport(coeffs: TransportCoefficients, region: DeterminacyRegion,
-                    xs, ts, targets: Optional[np.ndarray] = None) -> GridSolution2D:
+                    xs, ts, targets: Optional[np.ndarray] = None,
+                    lattices: Optional[int] = None) -> GridSolution2D:
     """The scalar transport equation on K_T, in one causal pass over the lattice.
 
     With a boolean (nt, nx) ``targets`` mask of cone nodes, only the nodes
     the targets depend on are solved, each to the value the whole cone
     gives it; the rest hold NaN.
 
+    With ``lattices`` = S, S problems on one grid are solved at once: every
+    coefficient is called with points whose leading axis has length S and
+    must return problem l's values at index l of it, and the values gain a
+    leading axis of length S.  The problems share one set of solved nodes,
+    the union of their targets' dependence domains.
+
     Raises :class:`NumericalError` where a node's own trapezoid weight w and
     reaction f have 1 - w*f <= 0: the time step is then too long for the
     discrete problem to have a solution the Picard iteration would reach.
     """
     lattice = _lattice(coeffs.a, (1.0,), coeffs.c, region, xs, ts, coeffs.a_time_dependent,
-                       targets)
+                       targets, lattices)
     lattice.precompute(coeffs.f, coeffs.g, (coeffs.u0,))
-    return _march(lattice, (1.0,))
+    return _solution(lattice, _march(lattice, (1.0,)), lattices)
 
 
 # --- 2x2 hyperbolic system ----------------------------------------------------
@@ -576,7 +701,8 @@ def wave_to_system(material: WaveMaterial, fd_step: Optional[float] = None):
 
 def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
                      a_time_dependent: bool = True,
-                     targets: Optional[np.ndarray] = None) -> GridSolution2D:
+                     targets: Optional[np.ndarray] = None,
+                     lattices: Optional[int] = None) -> GridSolution2D:
     """The pair of coupled transport equations
 
         (d_t + a d_x) u1 = f (u2 - u1) + g,   u1(.,0) = u01,
@@ -585,11 +711,13 @@ def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
     in one causal pass over the lattice.  Component 1 travels along the +a
     characteristics, component 2 along -a; both families are traced in one
     pass.  A node's own terms cancel in u2 - u1, so the march divides by
-    exactly 1.  ``targets`` restricts the solve as in :func:`solve_transport`.
+    exactly 1.  ``targets`` restricts the solve and ``lattices`` stacks S
+    problems as in :func:`solve_transport`.
     """
-    lattice = _lattice(a, (1.0, -1.0), region.c, region, xs, ts, a_time_dependent, targets)
+    lattice = _lattice(a, (1.0, -1.0), region.c, region, xs, ts, a_time_dependent, targets,
+                       lattices)
     lattice.precompute(f, g, (u01, u02))
-    return _march(lattice, (-1.0, 1.0))
+    return _solution(lattice, _march(lattice, (-1.0, 1.0)), lattices)
 
 
 def reconstruct_displacement(solution: GridSolution2D, w) -> np.ndarray:
@@ -598,21 +726,22 @@ def reconstruct_displacement(solution: GridSolution2D, w) -> np.ndarray:
     ``solution`` must be a 2-component system solution whose components are
     (d_t - a d_x)u and (d_t + a d_x)u, so their mean is the time derivative
     of the displacement.  Trapezoid accumulation along each x-column; NaN
-    at every node whose column is not solved all the way from t = 0.
+    at every node whose column is not solved all the way from t = 0.  A
+    solution of S lattices gives (S, nt, nx) displacements.
     """
-    if solution.values.ndim != 3:
+    if solution.values.ndim - (solution.lattices is not None) != 3:
         raise DomainError("displacement reconstruction needs a 2-component solution")
     xs, ts, inside = solution.xs, solution.ts, solution.inside
     i0 = _zero_level(ts)
-    v = 0.5 * (solution.values[0] + solution.values[1])
-    u = np.full((ts.size, xs.size), np.nan)
-    u[i0, inside[i0]] = _eval_x(w, xs[inside[i0]])
+    v = 0.5 * (solution.values[..., 0, :, :] + solution.values[..., 1, :, :])
+    u = np.full(v.shape, np.nan)
+    u[..., i0, inside[i0]] = _eval_x(w, xs[inside[i0]])
     for j in range(i0 + 1, ts.size):
         step = 0.5 * (ts[j] - ts[j - 1])
         sel = inside[j]
-        u[j, sel] = u[j - 1, sel] + step * (v[j - 1, sel] + v[j, sel])
+        u[..., j, sel] = u[..., j - 1, sel] + step * (v[..., j - 1, sel] + v[..., j, sel])
     for j in range(i0 - 1, -1, -1):
         step = 0.5 * (ts[j] - ts[j + 1])
         sel = inside[j]
-        u[j, sel] = u[j + 1, sel] + step * (v[j + 1, sel] + v[j, sel])
+        u[..., j, sel] = u[..., j + 1, sel] + step * (v[..., j + 1, sel] + v[..., j, sel])
     return u

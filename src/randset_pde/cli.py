@@ -498,6 +498,14 @@ def _run_counts(rs):
     return dict(failure_count=len(rs.failures), n_samples=rs.n_samples, grid_points=rs.grid.m)
 
 
+def _point_entry(model) -> dict:
+    """Manifest entry of a point model: the requested (x, t) and the solved node's."""
+    if not hasattr(model, "solved_point"):
+        return {}
+    return {"point": {"requested": [float(v) for v in model.point],
+                      "solved": list(model.solved_point)}}
+
+
 def _propagation_outputs(args, cfg, out_dir, model, rs, stages, manifest):
     formats = _formats(args, cfg)
     pbox_rows = list(zip(rs.pbox.thresholds, rs.pbox.f_lower, rs.pbox.f_upper))
@@ -518,7 +526,7 @@ def _propagation_outputs(args, cfg, out_dir, model, rs, stages, manifest):
         sampler = _field_sampler(model, rs.grid.dims[0].mid, rs.seed)
     files += emit_plots(rs, mf, out_dir, field_sampler=sampler)
     stages.mark("report")
-    manifest.update(outputs=files, seed=rs.seed, **_run_counts(rs))
+    manifest.update(outputs=files, seed=rs.seed, **_run_counts(rs), **_point_entry(model))
     return files
 
 
@@ -541,8 +549,9 @@ def _cmd_compare(args, out_dir, stages, manifest):
     require(cfg, "propagation.samples")
     seed = _seed(args, cfg, required=True)
     qoi, grid = _build_qoi(cfg)
+    model = qoi.build()
     stages.mark("prepare")
-    rs = propagate_random_set(qoi, grid, cfg.propagation.samples, seed,
+    rs = propagate_random_set(model, grid, cfg.propagation.samples, seed,
                               threshold_count=cfg.propagation.thresholds)
     pm = parametric_from_random_set(rs)
     cb = compare_bounds(rs, pm)
@@ -556,7 +565,8 @@ def _cmd_compare(args, out_dir, stages, manifest):
                          ["b", "f_lower", "f_low", "f_upp", "f_upper", "chain_ok"],
                          rows, _formats(args, cfg))
     stages.mark("report")
-    manifest.update(outputs=files, seed=seed, violations=cb.violations, **_run_counts(rs))
+    manifest.update(outputs=files, seed=seed, violations=cb.violations, **_run_counts(rs),
+                    **_point_entry(model))
     if not cb.chain_holds:
         print(f"ordering chain violated at {cb.violations} thresholds", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -273,7 +273,7 @@ class FieldEvaluator:
 
 
 class FieldTable:
-    """A realized field tabulated once: FieldEvaluator's interface, no trig sums.
+    """Realized fields tabulated once: FieldEvaluator's interface, no trig sums.
 
     The nodes lie on a uniform grid of spacing h over the reference interval
     [-1, 1], and the exact q, q' and q'' (in reference coordinates) are
@@ -286,33 +286,61 @@ class FieldTable:
     (times the chain-rule scale for the derivative in x), sets the spacing
     that keeps both within TABLE_TOL of ``FieldEvaluator``, up to the
     rounding of either.  Points outside the domain raise DomainError.
+
+    Given M fields on one domain, the table stacks them: the pieces of all M
+    lie in one array, written in place, and a lookup at points x whose
+    leading axis has length M reads field k's pieces at x[k].  With one
+    field every point reads it, whatever the shape of x.
     """
 
-    def __init__(self, field: FieldEvaluator):
-        basis = field.basis
-        self.domain = field.params.domain
+    def __init__(self, *fields: FieldEvaluator):
+        if not fields:
+            raise DomainError("a field table needs at least one field")
+        self.domain = fields[0].params.domain
+        if any(field.params.domain != self.domain for field in fields):
+            raise DomainError("stacked fields must share one domain")
         scale = 2.0 / self.domain.width
-        # q(x) = Re sum_j c_j exp(i f_j x); each derivative multiplies c_j by i f_j
-        freqs = np.concatenate([basis.alphas, basis.alphas_star])
-        c = np.concatenate([field._w, -1j * field._w_star])
-        bound = max(np.sum(freqs**4 * np.abs(c)), scale * np.sum(freqs**5 * np.abs(c)))
-        n = 1 if bound == 0.0 else int(np.ceil(2.0 * (bound / (384.0 * TABLE_TOL)) ** 0.25))
-        h = 2.0 / n
-        q, dq, d2q = _node_sums(freqs, c, h, n + 1)
-        self._per_h = 0.5 * n
-        self._value = _hermite_pieces(q, h * dq)
-        self._derivative = scale * _hermite_pieces(dq, h * d2q)
+        terms, sizes = [], []
+        for field in fields:
+            basis = field.basis
+            # q(x) = Re sum_j c_j exp(i f_j x); each derivative multiplies c_j by i f_j
+            freqs = np.concatenate([basis.alphas, basis.alphas_star])
+            c = np.concatenate([field._w, -1j * field._w_star])
+            bound = max(np.sum(freqs**4 * np.abs(c)), scale * np.sum(freqs**5 * np.abs(c)))
+            terms.append((freqs, c))
+            sizes.append(1 if bound == 0.0 else
+                         int(np.ceil(2.0 * (bound / (384.0 * TABLE_TOL)) ** 0.25)))
+        sizes = np.array(sizes, dtype=np.intp)
+        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        self._value = np.empty((4, int(sizes.sum())))
+        self._derivative = np.empty_like(self._value)
+        for (freqs, c), n, off in zip(terms, sizes, offsets):
+            h = 2.0 / n
+            q, dq, d2q = _node_sums(freqs, c, h, n + 1)
+            _hermite_pieces(q, h * dq, self._value[:, off:off + n])
+            derivative = _hermite_pieces(dq, h * d2q, self._derivative[:, off:off + n])
+            derivative *= scale
+        self._per_h, self._last, self._offsets = 0.5 * sizes, sizes - 1, offsets
 
     def _lookup(self, x, pieces):
         xhat = _reference_coords(self.domain, x)
-        s = (np.ravel(xhat) + 1.0) * self._per_h
+        per_h, last, offsets = self._per_h, self._last, self._offsets
+        if per_h.size > 1:
+            if xhat.ndim == 0 or xhat.shape[0] != per_h.size:
+                raise DomainError(f"a table of {per_h.size} fields needs points with a "
+                                  f"leading axis of {per_h.size}, got shape {xhat.shape}")
+            stacked = (per_h.size,) + (1,) * (xhat.ndim - 1)
+            per_h, last, offsets = (a.reshape(stacked) for a in (per_h, last, offsets))
+        else:
+            per_h, last, offsets = per_h[0], last[0], offsets[0]
+        s = (xhat + 1.0) * per_h
         # truncation is the floor for s >= 0, and gives piece 0 for the
         # rounding-sized negative s that _reference_coords lets through
-        i = np.minimum(s.astype(np.intp), pieces.shape[1] - 1)
+        i = np.minimum(s.astype(np.intp), last)
         t = s - i
-        c = pieces[:, i]
+        c = pieces[:, i + offsets]
         out = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
-        return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(xhat))
+        return float(out) if np.ndim(x) == 0 else out
 
     def value(self, x):
         return self._lookup(x, self._value)
@@ -326,23 +354,31 @@ def _node_sums(freqs, c, h, count):
 
     With x = s + t*h for block starts s, exp(i f x) = exp(i f s) exp(i f t h):
     trig runs only at the ~sqrt(count) starts and offsets, and one matrix
-    product per derivative order sums the terms at every node.
+    product per derivative order sums the terms at every node.  The orders
+    are summed one at a time into the real output, so only one complex
+    product is alive at once.
     """
     width = int(np.ceil(np.sqrt(count)))
-    starts = -1.0 + h * width * np.arange(-(-count // width))
-    coefs = np.stack([c, 1j * freqs * c, -freqs**2 * c])[:, :, None]
-    sums = np.exp(1j * np.outer(h * np.arange(width), freqs)) @ (
-        coefs * np.exp(1j * np.outer(freqs, starts)))
-    return sums.real.transpose(0, 2, 1).reshape(3, -1)[:, :count]
+    n_starts = -(-count // width)
+    starts = -1.0 + h * width * np.arange(n_starts)
+    offsets = np.exp(1j * np.outer(h * np.arange(width), freqs))
+    at_starts = np.exp(1j * np.outer(freqs, starts))
+    out = np.empty((3, n_starts * width))
+    for r, coef in enumerate((c, 1j * freqs * c, -freqs**2 * c)):
+        out[r].reshape(n_starts, width)[...] = (offsets @ (coef[:, None] * at_starts)).real.T
+    return out[:, :count]
 
 
-def _hermite_pieces(y, hdy):
-    """(4, n) power-form coefficients in t of the cubic Hermite pieces on (y, h*y')."""
-    pieces = np.empty((4, y.size - 1))
+def _hermite_pieces(y, hdy, pieces):
+    """Write into ``pieces`` the (4, n) power-form coefficients in t of the cubic
+    Hermite pieces on (y, h*y'), and return it."""
+    dy = np.subtract(y[1:], y[:-1], out=pieces[2])
     pieces[0] = y[:-1]
     pieces[1] = hdy[:-1]
-    pieces[3] = hdy[:-1] + hdy[1:] - 2.0 * (y[1:] - y[:-1])
-    pieces[2] = y[1:] - y[:-1] - pieces[1] - pieces[3]   # the piece ends at y[1:]
+    np.add(hdy[:-1], hdy[1:], out=pieces[3])
+    pieces[3] -= 2.0 * dy
+    dy -= pieces[1]
+    dy -= pieces[3]          # the piece ends at y[1:]
     return pieces
 
 
@@ -351,7 +387,7 @@ def _reference_coords(domain: Interval, x):
     arr = np.asarray(x, dtype=float)
     a, b = domain.lo, domain.hi
     tol = 1e-12 * max(1.0, abs(a), abs(b))
-    if np.any(arr < a - tol) or np.any(arr > b + tol):
+    if (arr < a - tol).any() or (arr > b + tol).any():
         raise DomainError(f"evaluation point outside field domain [{a}, {b}]")
     return (2.0 * arr - (a + b)) / (b - a)
 

@@ -10,9 +10,12 @@ correlation length become a realized coefficient field.
 Every model implements the block protocol of :mod:`~randset_pde.propagation`.
 The elliptic model evaluates a whole block of draws at every grid point at
 once (``evaluate_block``); its per-point ``evaluate`` is the reference path.
-The hyperbolic point models evaluate one draw at one point: they subclass
-:class:`~randset_pde.propagation.PointwiseBlocks` and keep the block
-``draws`` of the KL field models.
+The hyperbolic point models solve each draw at all its correlation lengths
+in one stacked characteristic solve (``evaluate_block``); their per-point
+``evaluate`` solves one lattice.  They subclass
+:class:`~randset_pde.propagation.PointwiseBlocks`, whose loop re-runs a draw
+whose stacked solve fails, and keep the block ``draws`` of the KL field
+models.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .characteristics import (
     solve_transport,
     wave_to_system,
 )
-from .errors import BoundViolationError, ConfigError, NonConvergenceError
+from .errors import BoundViolationError, ConfigError, NonConvergenceError, NumericalError
 from .fem import (
     CG_REL_TOL,
     CoefficientSpec,
@@ -238,14 +241,38 @@ class EllipticModel(_KLFieldModel):
         return values.reshape(n_b, n_m, -1), failures
 
 
+# A point model's solved node may lie this fraction of a grid spacing from
+# the requested point in x and in t; farther is a configuration error.
+SNAP_TOL = 0.01
+
+
+def _hitting_count(lo: float, hi: float, value: float, n: int, odd: bool, limit: int):
+    """The node count of linspace(lo, hi, count) nearest n (odd if ``odd``)
+    that puts a node within SNAP_TOL of a spacing of ``value``; None if no
+    count up to ``limit`` does."""
+    for count in sorted(range(3, limit + 1), key=lambda c: (abs(c - n), c)):
+        if (count % 2 or not odd) and _snap_gap(np.linspace(lo, hi, count), value) <= SNAP_TOL:
+            return count
+    return None
+
+
+def _snap_gap(grid: np.ndarray, value: float) -> float:
+    """Distance from value to its nearest node of a uniform grid, in spacings."""
+    return float(np.min(np.abs(grid - value))) / float(grid[1] - grid[0])
+
+
 @dataclass(kw_only=True)
 class _PointModel(_KLFieldModel, PointwiseBlocks):
     """Shared part of the hyperbolic point models.
 
     The coefficient is a KL field on [-kappa, kappa], shifted and clipped;
-    the output is the solution at ``point`` on the characteristic lattice
-    of ``region``.  Each solve traces and solves only the nodes that value
-    depends on (the solvers' ``targets``).
+    the output is the solution at ``point``, which must be a node of the
+    characteristic lattice of ``region`` (within SNAP_TOL of a spacing).
+    Each solve traces and solves only the nodes that value depends on (the
+    solvers' ``targets``).  ``evaluate_block`` solves each sample's M
+    correlation lengths as one stacked solve of M lattices; each subclass's
+    own ``evaluate`` (which ``perfbench/tracer.py`` wraps per class) is the
+    per-point path, a solve of one lattice.
     """
 
     region: DeterminacyRegion
@@ -258,7 +285,7 @@ class _PointModel(_KLFieldModel, PointwiseBlocks):
     def _setup(self, cutoff: tuple, bound: float, bound_name: str, column: bool) -> None:
         """Checks, lattice and target nodes shared by subclasses.
 
-        cutoff is (shift, lo, hi).  The target is the grid node nearest
+        cutoff is (shift, lo, hi).  The target is the grid node at
         ``point``, or with ``column`` its whole column from t = 0, which the
         displacement reconstruction integrates.
         """
@@ -274,6 +301,8 @@ class _PointModel(_KLFieldModel, PointwiseBlocks):
         j = int(np.argmin(np.abs(self._ts - t)))
         if not self.region.contains(self._xs[i], self._ts[j]):
             raise ConfigError(f"nearest grid node to ({x}, {t}) lies outside the cone")
+        self.solved_point = (float(self._xs[i]), float(self._ts[j]))
+        self._check_snap()
         self._node = (j, i)
         self._targets = np.zeros((self._ts.size, self._xs.size), dtype=bool)
         if column:
@@ -281,6 +310,26 @@ class _PointModel(_KLFieldModel, PointwiseBlocks):
             self._targets[min(i0, j):max(i0, j) + 1, i] = True
         else:
             self._targets[j, i] = True
+
+    def _check_snap(self) -> None:
+        """ConfigError when the solved node is off the requested point by more
+        than SNAP_TOL of a spacing; the message names node counts that hit it."""
+        (x, t), (kappa, T) = self.point, (self.region.kappa, self.region.T)
+        gaps = (_snap_gap(self._xs, x), _snap_gap(self._ts, t))
+        if max(gaps) <= SNAP_TOL:
+            return
+        hits = []
+        for name, n, gap, half, value in (("nx", self.nx, gaps[0], kappa, x),
+                                          ("nt", self.nt, gaps[1], T, t)):
+            if gap > SNAP_TOL:
+                limit = 4 * n + 40
+                count = _hitting_count(-half, half, value, n, name == "nt", limit)
+                hits.append(f"{name} = {count}" if count else f"no {name} up to {limit}")
+        raise ConfigError(
+            f"point ({x:g}, {t:g}) is not a node of the {self.nx}x{self.nt} lattice: the "
+            f"nearest node is ({self.solved_point[0]:.6g}, {self.solved_point[1]:.6g}), "
+            f"{max(gaps):.3g} of a spacing away (at most {SNAP_TOL:g} allowed); "
+            f"{' and '.join(hits)} would put a node on it")
 
     def coefficient(self, draw: np.ndarray, ell: float) -> CutoffField:
         """The realized clipped coefficient field of one draw at correlation length ell.
@@ -291,9 +340,36 @@ class _PointModel(_KLFieldModel, PointwiseBlocks):
         shift and the clip act on the interpolated values, so no
         interpolant ever spans a kink of the clip.
         """
-        (q,) = self.fields(draw, ell)
+        return self.coefficients(draw, [ell])
+
+    def coefficients(self, draw: np.ndarray, ells) -> CutoffField:
+        """The clipped coefficient fields of one draw at the correlation lengths
+        ells, as one field whose value at points x reads ells[k]'s table at x[k]."""
         shift, lo, hi = self._cutoff
-        return CutoffField(FieldTable(q), shift=shift, lo=lo, hi=hi)
+        table = FieldTable(*(self.fields(draw, ell)[0] for ell in ells))
+        return CutoffField(table, shift=shift, lo=lo, hi=hi)
+
+    def evaluate_block(self, draws, points: np.ndarray):
+        """Values (B, M, 1) of B draws at M correlation lengths, and failures.
+
+        Each draw's M correlation lengths are one solve of M lattices, whose
+        target values equal M solves of one lattice.  A draw whose stacked
+        solve raises NumericalError or BoundViolationError is evaluated
+        again one point at a time, so its failure record is the one
+        :class:`~randset_pde.propagation.PointwiseBlocks` keeps.
+        """
+        values = np.full((len(draws), points.shape[0], 1), np.nan)
+        failures = {}
+        for b, draw in enumerate(draws):
+            try:
+                values[b, :, 0] = self._solve(self.coefficients(draw, points[:, 0]),
+                                              points.shape[0])
+            except (NumericalError, BoundViolationError):
+                row, failed = PointwiseBlocks.evaluate_block(self, draws[b:b + 1], points)
+                values[b, :, :row.shape[2]] = row[0]
+                if failed:
+                    failures[b] = failed[0]
+        return values, failures
 
 
 @dataclass(kw_only=True)
@@ -320,15 +396,20 @@ class TransportPointModel(_PointModel):
                     column=False)
 
     def evaluate(self, draw: np.ndarray, lam) -> np.ndarray:
-        speed_field = self.coefficient(draw, lam[0])
+        """One draw at one correlation length: a solve of one lattice."""
+        return np.atleast_1d(self._solve(self.coefficient(draw, lam[0]), None))
+
+    def _solve(self, speed_field: CutoffField, lattices: Optional[int]) -> np.ndarray:
+        """The solution at the point node, one value per lattice."""
         coeffs = TransportCoefficients(
             a=lambda x, t: speed_field.value(x),
             f=self.f, g=self.g, u0=self.u0,
             c=self._bound, a_time_dependent=False,
         )
-        sol = solve_transport(coeffs, self.region, self._xs, self._ts, targets=self._targets)
+        sol = solve_transport(coeffs, self.region, self._xs, self._ts, targets=self._targets,
+                              lattices=lattices)
         j, i = self._node
-        return sol.values[j:j + 1, i]
+        return sol.values[..., j, i]
 
 
 @dataclass(kw_only=True)
@@ -356,15 +437,19 @@ class WavePointModel(_PointModel):
                     float(np.sqrt(self.e_max / self.rho)), "sqrt(e_max/rho)", column=True)
 
     def evaluate(self, draw: np.ndarray, lam) -> np.ndarray:
-        modulus = self.coefficient(draw, lam[0])
+        """One draw at one correlation length: a solve of one lattice."""
+        return np.atleast_1d(self._solve(self.coefficient(draw, lam[0]), None))
+
+    def _solve(self, modulus: CutoffField, lattices: Optional[int]) -> np.ndarray:
+        """The displacement at the point node, one value per lattice."""
         a, f, g = wave_to_system(WaveMaterial(rho=self.rho, E=modulus, q=None))
         u01 = lambda x: -a(x) * self.w_prime(x)   # zero initial velocity
         u02 = lambda x: a(x) * self.w_prime(x)
         sol = solve_2x2_system(a, f, g, u01, u02, self.region, self._xs, self._ts,
-                               a_time_dependent=False, targets=self._targets)
-        displacement = reconstruct_displacement(sol, self.w)
+                               a_time_dependent=False, targets=self._targets,
+                               lattices=lattices)
         j, i = self._node
-        return displacement[j:j + 1, i]
+        return reconstruct_displacement(sol, self.w)[..., j, i]
 
 
 def build_model(qoi: QoISpec):

@@ -121,7 +121,10 @@ def line_plot(series, title="", xlabel="", ylabel=""):
         for seg in segments:
             if seg.size < 2:
                 continue
-            pts = " ".join(f"{sx(xv):.2f},{sy(yv):.2f}" for xv, yv in zip(x[seg], y[seg]))
+            # the segment's pixel coordinates in one array pass each, formatted
+            # as Python floats (numpy scalars format the same, but slowly)
+            pts = " ".join(map("{:.2f},{:.2f}".format, sx(x[seg]).tolist(),
+                               sy(y[seg]).tolist()))
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{dash} '
                 f'points="{pts}"/>'

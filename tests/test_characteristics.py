@@ -10,6 +10,8 @@ import _oracles as oracle
 from randset_pde.characteristics import (
     TransportCoefficients,
     _lattice,
+    _max_step,
+    _uniform_levels,
     WaveMaterial,
     build_grids,
     domain_of_determinacy,
@@ -42,28 +44,30 @@ def const(v):
 def _picard_update(lattice, values, coupling):
     """One Picard sweep of the discrete integral equations, applied to ``values``.
 
-    Component k is updated along the lattice's family k as
-    U0 + (F * coupling(feet) + G) @ weights, with every component linearly
-    interpolated at the feet on its level, one ghost node of linear
-    extrapolation per side.
+    ``values`` is (S, components, nt, nx).  Component k of lattice l is
+    updated along that lattice's family k as U0 + (F * coupling(feet) + G)
+    @ weights, with every component of the lattice linearly interpolated at
+    the feet on its level, one ghost node of linear extrapolation per side.
     """
     xs, inside = lattice.xs, lattice.solved
     out = np.full_like(values, np.nan)
-    for k, uk_next in enumerate(out):
-        for group in lattice.groups:
-            direction = 1 if group.level >= lattice.i0 else -1
-            at_feet = []
-            for uk in values:
-                feet = np.empty_like(group.pos[k])
-                for m in range(group.taus.size):
-                    s = lattice.i0 + direction * m
-                    xr, vr = xs[inside[s]], uk[s, inside[s]]
-                    xe = np.concatenate(([2 * xr[0] - xr[1]], xr, [2 * xr[-1] - xr[-2]]))
-                    ve = np.concatenate(([2 * vr[0] - vr[1]], vr, [2 * vr[-1] - vr[-2]]))
-                    feet[:, m] = np.interp(group.pos[k, :, m], xe, ve)
-                at_feet.append(feet)
-            uk_next[group.level, group.node_ids] = (
-                group.U0[k] + (group.F[k] * coupling(*at_feet) + group.G[k]) @ group.weights)
+    for l, (ul, ul_next) in enumerate(zip(values, out)):
+        for k, uk_next in enumerate(ul_next):
+            for group in lattice.groups:
+                direction = 1 if group.level >= lattice.i0 else -1
+                at_feet = []
+                for uk in ul:
+                    feet = np.empty_like(group.pos[l, k])
+                    for m in range(group.taus.size):
+                        s = lattice.i0 + direction * m
+                        xr, vr = xs[inside[s]], uk[s, inside[s]]
+                        xe = np.concatenate(([2 * xr[0] - xr[1]], xr, [2 * xr[-1] - xr[-2]]))
+                        ve = np.concatenate(([2 * vr[0] - vr[1]], vr, [2 * vr[-1] - vr[-2]]))
+                        feet[:, m] = np.interp(group.pos[l, k, :, m], xe, ve)
+                    at_feet.append(feet)
+                uk_next[group.level, group.node_ids] = (
+                    group.U0[l, k]
+                    + (group.F[l, k] * coupling(*at_feet) + group.G[l, k]) @ group.weights)
     return out
 
 
@@ -212,19 +216,19 @@ class TestSolveTransport:
             sol = solve_transport(coeffs, region, xs, ts)
             lattice = _lattice(0.0, (1.0,), 0.0, region, xs, ts, False, None)
             lattice.precompute(30.0, 0.0, (ones,))
-            values, coupling = sol.values[None], lambda u: u
+            values, coupling = sol.values[None, None], lambda u: u
         else:
             a, u01, u02 = const(1.0), lambda x: -bump_prime(x), bump_prime
             sol = solve_2x2_system(a, 30.0, 0.0, u01, u02, region, xs, ts,
                                    a_time_dependent=False)
             lattice = _lattice(a, (1.0, -1.0), 1.0, region, xs, ts, False, None)
             lattice.precompute(30.0, 0.0, (u01, u02))
-            values, coupling = sol.values, lambda q1, q2: q2 - q1
+            values, coupling = sol.values[None], lambda q1, q2: q2 - q1
         assert sol.sweeps == 1
         assert np.array_equal(lattice.solved, sol.inside)
         updated = _picard_update(lattice, values, coupling)
-        scale = np.abs(values[:, sol.inside]).max()
-        assert np.abs(updated - values)[:, sol.inside].max() <= 1e-13 * scale
+        scale = np.abs(values[..., sol.inside]).max()
+        assert np.abs(updated - values)[..., sol.inside].max() <= 1e-13 * scale
 
     def test_time_grid_must_contain_zero(self):
         region = domain_of_determinacy(1.0, 0.4, 0.0)
@@ -294,6 +298,120 @@ class TestTargets:
                 solve_transport(coeffs, region, xs, ts, targets=targets)
 
 
+class TestLatticeCurves:
+    """Which characteristic curves a lattice traces, and their feet.
+
+    The feet are RK4 at step 0.02 against a trace at step 2e-3, within
+    FOOT_TOL; one curve per abscissa where it does not apply puts them 0.03
+    off on the uneven levels below and 0.07 off for the t-dependent speed.
+    """
+
+    FOOT_TOL = 2e-7
+
+    @staticmethod
+    def speed(x, t):
+        return 0.55 + 0.4 * np.sin(3.0 * np.asarray(x, float) + 1.0)
+
+    @staticmethod
+    def worst_foot_error(lattice, speed, signs):
+        """Largest distance of a node's foot on t = 0 from a fine-step trace."""
+        worst = 0.0
+        for group in lattice.groups:
+            t = lattice.ts[group.level]
+            for n, x in enumerate(lattice.xs[group.node_ids]):
+                for k, sign in enumerate(signs):
+                    ref = trace_characteristic(lambda y, tau: sign * speed(y, tau), x, t,
+                                               group.taus[0], 2e-3).positions[-1]
+                    worst = max(worst, abs(group.pos[0, k, n, 0] - ref))
+        return worst
+
+    def lattice(self, speed, ts, time_dependent, signs=(1.0, -1.0)):
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs = np.linspace(-1.0, 1.0, 21)
+        targets = np.zeros((ts.size, xs.size), dtype=bool)
+        targets[-3, 9] = targets[1, 12] = True
+        return _lattice(speed, signs, 1.0, region, xs, ts, time_dependent, targets)
+
+    def test_uniform_levels_share_one_curve_per_abscissa(self):
+        _, ts = build_grids(domain_of_determinacy(1.0, 0.4, 1.0), 21, 21)
+        lattice = self.lattice(self.speed, ts, time_dependent=False)
+        assert lattice.shared
+        assert self.worst_foot_error(lattice, self.speed, (1.0, -1.0)) <= self.FOOT_TOL
+
+    def test_uneven_levels_keep_a_curve_per_node(self):
+        _, ts = build_grids(domain_of_determinacy(1.0, 0.4, 1.0), 21, 21)
+        inner = np.r_[1:10, 11:20]
+        ts[inner] += 0.3 * 0.04 * np.sin(3.0 * inner)
+        lattice = self.lattice(self.speed, ts, time_dependent=False)
+        assert not lattice.shared
+        assert self.worst_foot_error(lattice, self.speed, (1.0, -1.0)) <= self.FOOT_TOL
+
+    def test_time_dependent_speed_keeps_a_curve_per_node(self):
+        def speed(x, t):
+            return 0.55 + 0.4 * np.sin(3.0 * np.asarray(x, float) + 8.0 * t)
+
+        _, ts = build_grids(domain_of_determinacy(1.0, 0.4, 1.0), 21, 21)
+        lattice = self.lattice(speed, ts, time_dependent=True)
+        assert not lattice.shared
+        assert self.worst_foot_error(lattice, speed, (1.0, -1.0)) <= self.FOOT_TOL
+
+    @pytest.mark.parametrize("nt", [3, 41, 201, 401])
+    def test_build_grids_levels_count_as_uniform(self, nt):
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, 41, nt)
+        assert _uniform_levels(ts, _max_step(xs, ts))
+        ts[1] += 1e-9
+        assert not _uniform_levels(ts, _max_step(xs, ts))
+
+    def test_stack_size_is_checked(self):
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, 11, 11)
+        coeffs = TransportCoefficients(a=0.5, f=0.0, g=0.0, u0=lambda x: x, c=1.0)
+        with pytest.raises(DomainError, match="at least one lattice"):
+            solve_transport(coeffs, region, xs, ts, lattices=0)
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    @pytest.mark.parametrize("solver", ["transport", "system"])
+    def test_stacked_lattices_equal_their_single_solves(self, solver, time_dependent):
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, 31, 31)
+        targets = np.zeros((31, 31), dtype=bool)
+        targets[27, 12] = targets[15:27, 17] = True     # a node, and a column from t = 0
+
+        def solve(phase, lattices=None):
+            def shift(x):
+                # lattice l reads phase[l] at the points x[l]
+                return np.reshape(phase, np.shape(phase) + (1,) * (np.ndim(x) - np.ndim(phase)))
+
+            a = lambda x, t: 0.55 + 0.4 * np.sin(3.0 * x + shift(x))
+            f = lambda x, t: 0.5 + 0.8 * np.sin(x - shift(x))
+            g = lambda x, t: 0.3 + x * t
+            if solver == "transport":
+                coeffs = TransportCoefficients(a=a, f=f, g=g, u0=lambda x: np.sin(x + shift(x)),
+                                               c=1.0, a_time_dependent=time_dependent)
+                return solve_transport(coeffs, region, xs, ts, targets=targets,
+                                       lattices=lattices)
+            return solve_2x2_system(a, f, g, lambda x: -bump_prime(x - 0.1 * shift(x)),
+                                    bump_prime, region, xs, ts, a_time_dependent=time_dependent,
+                                    targets=targets, lattices=lattices)
+
+        phases = np.array([0.0, 2.0, 4.5])
+        stacked = solve(phases, lattices=3)
+        assert stacked.lattices == 3 and stacked.values.shape[0] == 3
+        for l, phase in enumerate(phases):
+            single = solve(phase)
+            assert single.lattices is None
+            assert not np.any(single.inside & ~stacked.inside)
+            assert np.array_equal(stacked.values[l][..., single.inside],
+                                  single.values[..., single.inside])
+            if solver == "system":
+                w = lambda x: np.exp(-16.0 * x**2)
+                own = reconstruct_displacement(single, w)
+                done = np.isfinite(own)
+                assert done[15:27, 17].all()
+                assert np.array_equal(reconstruct_displacement(stacked, w)[l][done], own[done])
+
+
 class TestWaveToSystem:
     def test_homogeneous_material(self):
         a, f, g = wave_to_system(WaveMaterial(
@@ -341,7 +459,8 @@ class TestWaveToSystem:
 
         modulus, rho = CountingModulus(), 2.0
         _, f, _ = wave_to_system(WaveMaterial(rho=rho, E=modulus))
-        xs = np.linspace(-1.0, 1.0, 7)
+        # the point set of a stacked lattice: one row of points per lattice
+        xs = np.linspace(-1.0, 1.0, 14).reshape(2, 7)
         values = f(xs, 0.0)
         assert calls == {"value": 1, "derivative": 1}
         e, e_prime = modulus.value(xs), modulus.derivative(xs)

@@ -148,6 +148,8 @@ class TestParseConfig:
         model = spec.build()
         model.prepare(grid)
         assert sorted(model._bases) == sorted(grid.points[:, 0])
+        # the preset's point is a lattice node, up to the rounding of the grid
+        np.testing.assert_allclose(model.solved_point, spec.location, rtol=0, atol=1e-15)
 
     def test_missing_seed_named(self, tmp_path):
         path = write_cfg(tmp_path, GAUSS_SMALL.replace("seed = 7\n", ""))
@@ -204,6 +206,41 @@ m_terms = 0
             parse_config(write_cfg(tmp_path, text))
         assert "family.mu_min: must not exceed family.mu_max" in err.value.problems
         assert "family.sigma_min: must not exceed family.sigma_max" in err.value.problems
+
+
+class TestPointSnapping:
+    """A point model solves at a lattice node, and says which."""
+
+    @staticmethod
+    def _wave_point(tmp_path, nx, nt):
+        # the wave_point preset, cut to one sample, two ell values and 10 KL pairs
+        with open(os.path.join(PRESETS, "wave_point.cfg"), encoding="utf-8") as fh:
+            text = fh.read()
+        for key, value in (("nx", nx), ("nt", nt), ("samples", 1), ("ell_points", 2),
+                           ("m_terms", 10)):
+            text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        return write_cfg(tmp_path, text, name=f"wave_{nx}x{nt}.cfg")
+
+    def test_off_grid_point_exits_2_and_names_a_grid_that_hits_it(self, tmp_path, capsys):
+        # on 101 levels over [-0.4, 0.4] the spacing is 0.008, and t = 0.3
+        # lies half way between the levels 0.296 and 0.304
+        path = self._wave_point(tmp_path, 101, 101)
+        assert main(["propagate", "--config", path, "--out-dir", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert "the nearest node is (0, 0.296), 0.5 of a spacing away" in err
+        nt = int(re.search(r"nt = (\d+) would put a node on it", err).group(1))
+        assert "nx =" not in err        # x = 0 is a node of every odd nx
+        assert nt == 97
+        path = self._wave_point(tmp_path, 101, nt)
+        assert main(["propagate", "--config", path, "--out-dir", str(tmp_path / "b")]) == 0
+
+    def test_manifest_records_the_requested_and_the_solved_point(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["propagate", "--config", self._wave_point(tmp_path, 41, 41),
+                     "--out-dir", str(out)]) == 0
+        point = json.loads((out / "manifest.json").read_text())["point"]
+        assert point["requested"] == [0.0, 0.3]
+        np.testing.assert_allclose(point["solved"], [0.0, 0.3], rtol=0, atol=1e-15)
 
 
 class TestExpressions:

@@ -1,6 +1,7 @@
 """Double-loop propagation: hulls, envelopes, ordering chain, determinism."""
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
-from randset_pde import cli, fem, models, propagation
+from randset_pde import characteristics, cli, fem, models, propagation
 from randset_pde.characteristics import domain_of_determinacy, reconstruct_displacement
 from randset_pde.errors import (
     ComparisonError,
@@ -520,7 +521,7 @@ class TestPDEPointModels:
                                     sigma=0.3, a_mean=0.5, a_lo=0.2, a_hi=0.9,
                                     f=0.0, g=0.0,
                                     u0=lambda x: np.sin(np.pi * np.asarray(x, float)),
-                                    point=(0.0, 0.25))
+                                    point=(0.0, 0.24))   # a node of the 41x41 lattice
         grid = ParameterGrid.regular([Interval(0.5, 1.5)], [3])
         rs1 = propagate_random_set(model, grid, 4, seed=21)
         rs2 = propagate_random_set(model, grid, 4, seed=21)
@@ -570,7 +571,7 @@ class TestPDEPointModels:
         assert isinstance(model.coefficient(draws[0], 0.5).base, FieldEvaluator)
         np.testing.assert_allclose(tabulated, run(), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("point", [(0.0, 0.3), (0.2, -0.25)])
+    @pytest.mark.parametrize("point", [(0.0, 0.3), (0.2, -0.24)])
     @pytest.mark.parametrize("kind", ["transport", "wave"])
     def test_point_models_solve_only_what_their_node_needs(self, kind, point, monkeypatch):
         # the wave_point benchmark geometry; transport with f = 1, g = 0.5
@@ -626,7 +627,7 @@ class TestPDEPointModels:
 
     def test_qoi_spec_dispatch(self):
         region = domain_of_determinacy(1.0, 0.3, 1.0)
-        qoi = QoISpec("transport_point", (0.0, 0.1), {
+        qoi = QoISpec("transport_point", (0.0, 0.09), {
             "region": region, "nx": 21, "nt": 21, "m_pairs": 4, "sigma": 0.2,
             "a_mean": 0.5, "a_lo": 0.3, "a_hi": 0.7, "f": 0.0, "g": 0.0,
             "u0": lambda x: np.cos(np.asarray(x, float)),
@@ -637,3 +638,97 @@ class TestPDEPointModels:
         assert isinstance(gauss, GaussianFamilyModel)
         with pytest.raises(Exception):
             build_model(QoISpec("mystery", (), {}))
+
+
+def point_model(kind, n, point, cls=None):
+    """A point model on the wave_point benchmark geometry (K_T with kappa = 1,
+    T = 0.4, c = 1) on an n x n lattice, with 6 KL pairs; transport has
+    f = 1 and g = 0.5."""
+    common = dict(region=domain_of_determinacy(1.0, 0.4, 1.0), nx=n, nt=n, m_pairs=6,
+                  sigma=0.3, point=point)
+    if kind == "transport":
+        return (cls or TransportPointModel)(a_mean=0.5, a_lo=0.1, a_hi=1.0, f=1.0, g=0.5,
+                                            u0=lambda x: np.sin(np.pi * x), **common)
+    return (cls or WavePointModel)(e_mean=0.5, e_min=0.1, e_max=1.0,
+                                   w=lambda x: np.exp(-16 * x**2),
+                                   w_prime=lambda x: -32 * x * np.exp(-16 * x**2), **common)
+
+
+class TooLargeAt:
+    """Point-model mixin: the coefficient field is ten times too large at the
+    correlation lengths in ``bad_ells``, in the stacked and the single-lattice
+    solve alike, so the solver's speed-bound check fails there."""
+
+    bad_ells = ()
+
+    def coefficients(self, draw, ells):
+        field = super().coefficients(draw, ells)
+        bad = np.isin(np.asarray(ells, dtype=float), self.bad_ells)
+
+        def scaled(values):
+            return np.where(bad.reshape((-1,) + (1,) * (np.ndim(values) - 1)), 10.0, 1.0) * values
+
+        class Scaled:
+            def value(self, x):
+                return scaled(field.value(x))
+
+            def derivative(self, x):
+                return scaled(field.derivative(x))
+
+        return Scaled()
+
+
+class TooFastTransport(TooLargeAt, TransportPointModel):
+    pass
+
+
+class TooStiffWave(TooLargeAt, WavePointModel):
+    pass
+
+
+class TestStackedPointSolves:
+    """evaluate_block solves a draw's M correlation lengths as one stacked solve."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["transport", "wave"]), seed=st.integers(0, 2**32 - 1),
+           ells=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=4),
+           level=st.floats(0.0, 1.0), across=st.floats(0.0, 1.0))
+    def test_stacked_block_equals_the_per_point_solves(self, kind, seed, ells, level, across):
+        n = 21
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = np.linspace(-1.0, 1.0, n), np.linspace(-0.4, 0.4, n)
+        t = ts[min(int(level * n), n - 1)]
+        row = xs[region.contains(xs, t)]
+        model = point_model(kind, n, (row[min(int(across * row.size), row.size - 1)], t))
+        points = np.array(ells)[:, None]
+        draws = model.draws(seed, [0, 1])
+        block, failures = model.evaluate_block(draws, points)
+        per_point = np.array([[model.evaluate(d, tuple(lam)) for lam in points] for d in draws])
+        assert failures == {}
+        # stacking alone changes no bit: each node is computed as in its own lattice
+        assert np.array_equal(block, per_point)
+        # one curve per abscissa moves the feet by rounding only
+        with mock.patch.object(characteristics, "_uniform_levels", lambda ts, step: False):
+            own_curves, _ = model.evaluate_block(draws, points)
+        assert np.abs(block - own_curves).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["transport", "wave"])
+    def test_failures_are_recorded_as_on_the_per_point_path(self, kind):
+        model = point_model(kind, 21, (0.0, 0.2), cls=TooFastTransport if kind == "transport"
+                            else TooStiffWave)
+        points = np.array([[0.5], [0.8], [1.1], [1.5]])
+        draws = model.draws(3, range(3))
+        for bad_ells, expected in (((1.1,), 2), ((0.8, 1.5), 1), ((0.5,), 0), ((), None)):
+            model.bad_ells = bad_ells
+            block, failures = model.evaluate_block(draws, points)
+            reference, ref_failures = PointwiseBlocks.evaluate_block(model, draws, points)
+            assert failures == ref_failures
+            assert np.array_equal(block[..., :reference.shape[2]], reference, equal_nan=True)
+            if expected is None:
+                assert failures == {}
+            else:
+                assert sorted(failures) == [0, 1, 2]
+                for i, message in failures.values():
+                    assert i == expected and message.startswith("SpeedBoundError: |a| reaches")
+                assert np.all(np.isfinite(block[:, :expected]))
+                assert np.all(np.isnan(block[:, expected:]))
