@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -344,7 +345,8 @@ def _field_sampler(model, ell, seed, n_paths=3, n_points=201):
     def sampler():
         domain = model.field_domain
         xs = np.linspace(domain.lo, domain.hi, n_points)
-        paths = [model.fields(model.draw(seed, k), ell)[0].value(xs) for k in range(n_paths)]
+        draws = model.draws(seed, range(n_paths))
+        paths = [model.fields(draw, ell)[0].value(xs) for draw in draws]
         return xs, paths
 
     return sampler
@@ -585,7 +587,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="randset-pde",
         description="Random-set uncertainty propagation through PDE models.",

@@ -383,11 +383,17 @@ def _hermite_pieces(y, hdy, pieces):
 
 
 def _reference_coords(domain: Interval, x):
-    """Affine map of points of ``domain`` onto [-1, 1]; DomainError outside."""
+    """Affine map of points of ``domain`` onto [-1, 1].
+
+    DomainError outside the domain; NumericalError for a NaN point, which
+    fails both range checks as written.
+    """
     arr = np.asarray(x, dtype=float)
     a, b = domain.lo, domain.hi
     tol = 1e-12 * max(1.0, abs(a), abs(b))
-    if (arr < a - tol).any() or (arr > b + tol).any():
+    if not (arr >= a - tol).all() or not (arr <= b + tol).all():
+        if np.isnan(arr).any():
+            raise NumericalError("evaluation point is not finite")
         raise DomainError(f"evaluation point outside field domain [{a}, {b}]")
     return (2.0 * arr - (a + b)) / (b - a)
 

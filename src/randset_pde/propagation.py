@@ -65,9 +65,13 @@ __all__ = [
 
 DEFAULT_THRESHOLDS = 201
 FAILURE_BUDGET = 0.01
-# Samples per model call.  Outputs do not depend on it: each sample keeps its
-# own substream and its own solves.
+# Samples per model evaluation.  Outputs do not depend on it: each sample
+# keeps its own substream and its own solves.
 BLOCK_SIZE = 16
+# Samples per ``model.draws`` call, a multiple of BLOCK_SIZE: one Philox
+# kernel pass draws them all, and draw memory stays bounded independently
+# of the run's sample count.  Outputs do not depend on it either.
+DRAW_BLOCK = 64 * BLOCK_SIZE
 _INDEPENDENT_STRIDE = 1 << 32
 
 
@@ -302,10 +306,12 @@ def _check_budget(failures, n_samples) -> None:
 def _run_samples(model, grid, n_samples, seed, point=None):
     """Evaluate all (sample, lambda) pairs a block at a time.
 
-    With ``point`` = i only grid point i is evaluated, and sample k draws
-    from its own substream ``(i + 1) * 2**32 + k``.  Returns (values of the
-    surviving samples, their sample indices, failures); everything is
-    determined by the sample indices alone.
+    Draws come from one ``model.draws`` call per :data:`DRAW_BLOCK` samples,
+    and are evaluated in slices of :data:`BLOCK_SIZE`.  With ``point`` = i
+    only grid point i is evaluated, and sample k draws from its own
+    substream ``(i + 1) * 2**32 + k``.  Returns (values of the surviving
+    samples, their sample indices, failures); everything is determined by
+    the sample indices alone.
     """
     if n_samples < 1:
         raise DomainError("need at least one sample")
@@ -313,19 +319,22 @@ def _run_samples(model, grid, n_samples, seed, point=None):
     if point is not None:
         points, first = grid.points[point:point + 1], point
     values, kept, failures = [], [], []
-    for start in range(0, n_samples, BLOCK_SIZE):
-        samples = np.arange(start, min(start + BLOCK_SIZE, n_samples))
-        keys = samples if point is None else \
-            [(point + 1) * _INDEPENDENT_STRIDE + int(k) for k in samples]
-        block, failed = model.evaluate_block(model.draws(seed, keys), points)
-        block = np.asarray(block, dtype=float)
-        ok = np.ones(samples.size, dtype=bool)
-        for b, (i, message) in sorted(_first_failures(block, failed).items()):
-            failures.append(SampleFailure(int(samples[b]), first + int(i), message))
-            ok[b] = False
-        if ok.any():
-            values.append(block[ok])
-            kept.append(samples[ok])
+    for draw_start in range(0, n_samples, DRAW_BLOCK):
+        drawn = np.arange(draw_start, min(draw_start + DRAW_BLOCK, n_samples))
+        keys = drawn if point is None else \
+            drawn.astype(np.uint64) + np.uint64((point + 1) * _INDEPENDENT_STRIDE)
+        draws = model.draws(seed, keys)
+        for start in range(0, drawn.size, BLOCK_SIZE):
+            samples = drawn[start:start + BLOCK_SIZE]
+            block, failed = model.evaluate_block(draws[start:start + BLOCK_SIZE], points)
+            block = np.asarray(block, dtype=float)
+            ok = np.ones(samples.size, dtype=bool)
+            for b, (i, message) in sorted(_first_failures(block, failed).items()):
+                failures.append(SampleFailure(int(samples[b]), first + int(i), message))
+                ok[b] = False
+            if ok.any():
+                values.append(block[ok])
+                kept.append(samples[ok])
     _check_budget(failures, n_samples)   # raises whenever every sample failed
     return np.concatenate(values), np.concatenate(kept), tuple(failures)
 

@@ -514,6 +514,21 @@ m_terms = 20
             q1 = FieldEvaluator(basis, GaussianDraw(standard_normals(4, k, 520)[:260]), params)
             np.testing.assert_array_equal(table[:, 1 + k], q1.value(xs))
 
+    def test_consecutive_calls_parse_independently(self, tmp_path):
+        assert cli._build_parser() is cli._build_parser()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["sample-field", "--config", "membrane", "--seed", "4", "--paths", "2",
+                     "--grid-points", "11", "--format", "json", "--out-dir", str(first)]) == 0
+        assert main(["kl-table", "--ell", "1.0", "--terms", "3",
+                     "--out-dir", str(tmp_path / "kl")]) == 0
+        assert main(["sample-field", "--config", "membrane", "--out-dir", str(second)]) == 0
+        rows = (second / "field.csv").read_text().splitlines()
+        assert rows[0] == "x,q_0,q_1,q_2,q_3,q_4"     # --paths 5 and --grid-points 201
+        assert len(rows) == 1 + 201
+        manifest = json.loads((second / "manifest.json").read_text())
+        assert manifest["argv_overrides"] == {"seed": None, "workers": None, "format": None}
+        assert manifest["seed"] == 42    # the preset's seed, not the first call's 4
+
     def test_elliptic_single_run(self, tmp_path):
         cfg = write_cfg(tmp_path, ELLIPTIC_SINGLE)
         out = tmp_path / "el"

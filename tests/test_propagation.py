@@ -203,8 +203,8 @@ class TestBlocks:
         return pm.per_lambda_ecdfs, pm.failures
 
     @settings(max_examples=25, deadline=None)
-    @given(block_size=st.integers(1, N))
-    def test_outputs_do_not_depend_on_block_size(self, block_size):
+    @given(block_size=st.integers(1, N), draw_block=st.integers(1, N))
+    def test_outputs_do_not_depend_on_block_size(self, block_size, draw_block):
         cases = [
             (GaussianFamilyModel(), ParameterGrid.regular(FIG1_DIMS, [4, 3]), 42),
             (ConstantModel(3.0), ParameterGrid.regular([Interval(0, 1)], [3]), 7),
@@ -216,10 +216,12 @@ class TestBlocks:
                        ParameterGrid.regular([Interval(0, 1)], [3]), 7)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagation, "BLOCK_SIZE", self.N)
+            mp.setattr(propagation, "DRAW_BLOCK", self.N)
             reference = [self._run(*case) for case in cases]
             ref_ecdfs, ref_failures = self._run_independent(*independent)
             assert [(f.sample_index, f.grid_index) for f in ref_failures] == [(13, 1), (150, 1)]
             mp.setattr(propagation, "BLOCK_SIZE", block_size)
+            mp.setattr(propagation, "DRAW_BLOCK", draw_block)
             ecdfs, failures = self._run_independent(*independent)
             np.testing.assert_array_equal(ecdfs, ref_ecdfs)
             assert failures == ref_failures
@@ -655,18 +657,21 @@ def point_model(kind, n, point, cls=None):
 
 
 class TooLargeAt:
-    """Point-model mixin: the coefficient field is ten times too large at the
-    correlation lengths in ``bad_ells``, in the stacked and the single-lattice
-    solve alike, so the solver's speed-bound check fails there."""
+    """Point-model mixin: the coefficient field is ``bad_factor`` (ten) times
+    too large at the correlation lengths in ``bad_ells``, in the stacked and
+    the single-lattice solve alike, so the solver's speed-bound check fails
+    there."""
 
     bad_ells = ()
+    bad_factor = 10.0
 
     def coefficients(self, draw, ells):
         field = super().coefficients(draw, ells)
         bad = np.isin(np.asarray(ells, dtype=float), self.bad_ells)
 
         def scaled(values):
-            return np.where(bad.reshape((-1,) + (1,) * (np.ndim(values) - 1)), 10.0, 1.0) * values
+            factor = np.where(bad, self.bad_factor, 1.0)
+            return factor.reshape((-1,) + (1,) * (np.ndim(values) - 1)) * values
 
         class Scaled:
             def value(self, x):
@@ -732,3 +737,18 @@ class TestStackedPointSolves:
                     assert i == expected and message.startswith("SpeedBoundError: |a| reaches")
                 assert np.all(np.isfinite(block[:, :expected]))
                 assert np.all(np.isnan(block[:, expected:]))
+
+    @pytest.mark.parametrize("kind", ["transport", "wave"])
+    def test_a_nan_field_is_a_recorded_failure(self, kind):
+        # NaN speeds carry the traced feet to NaN points, whose field lookup
+        # must fail as a sample, not index a table piece
+        model = point_model(kind, 21, (0.0, 0.2), cls=TooFastTransport if kind == "transport"
+                            else TooStiffWave)
+        model.bad_ells, model.bad_factor = (0.8,), np.nan
+        points = np.array([[0.5], [0.8], [1.1]])
+        draws = model.draws(3, range(2))
+        block, failures = model.evaluate_block(draws, points)
+        assert failures == PointwiseBlocks.evaluate_block(model, draws, points)[1]
+        assert failures == {b: (1, "NumericalError: evaluation point is not finite")
+                            for b in range(2)}
+        assert np.all(np.isfinite(block[:, 0])) and np.all(np.isnan(block[:, 1:]))

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randset_pde.randomsets import inverse_normal_cdf
-from randset_pde.sampling import open_uniforms, standard_normals, substream
+from randset_pde.sampling import open_uniforms, philox_words, standard_normals, substream
+
+# substream keys: any uint64, the independent-draw keys (i + 1) * 2**32 + k, the top key
+KEYS = st.one_of(st.integers(0, 2**64 - 1),
+                 st.builds(lambda i, k: (i + 1) * 2**32 + k,
+                           st.integers(0, 2**32 - 2), st.integers(0, 2**32 - 1)),
+                 st.just(2**64 - 1))
 
 
 def test_substream_replay_is_exact():
@@ -63,6 +71,32 @@ def test_block_rows_are_the_single_index_draws(n):
         assert single.shape == (n,)
         assert np.array_equal(row, single)
     assert standard_normals(11, [], n).shape == (0, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), keys=st.lists(KEYS, max_size=5),
+       n=st.integers(0, 600), as_array=st.booleans())
+def test_block_kernel_is_numpy_philox(seed, keys, n, as_array):
+    indices = np.array(keys, dtype=np.uint64) if as_array else keys
+    words = philox_words(seed, indices, n)
+    block = standard_normals(seed, indices, n)
+    assert words.shape == block.shape == (len(keys), n)
+    for k, row_words, row in zip(keys, words, block):
+        assert np.array_equal(row_words, substream(seed, k).bit_generator.random_raw(n))
+        assert np.array_equal(row, inverse_normal_cdf(open_uniforms(substream(seed, k), n)))
+        assert np.array_equal(standard_normals(seed, k, n), row)
+
+
+@pytest.mark.parametrize("seed, key", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_keys_outside_uint64_raise_as_numpy_philox_does(seed, key):
+    with pytest.raises(Exception) as reference:
+        substream(seed, key)
+    for index in (key, [0, key], np.array([0, key], dtype=object)):
+        with pytest.raises(reference.type):
+            standard_normals(seed, index, 3)
+    if key < 0:
+        with pytest.raises(reference.type):
+            standard_normals(seed, np.array([0, key]), 3)
 
 
 def test_normals_moments():
