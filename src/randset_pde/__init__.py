@@ -7,7 +7,13 @@ lower/upper distribution functions (p-boxes), Aumann expectation interval
 fields, and random-set versus parametric bound comparisons.
 """
 
-from .randomsets import (
+import time
+
+# Start of the package import; cli reports the span to its own loading as
+# the manifest's import_seconds.
+_IMPORT_STARTED = time.perf_counter()
+
+from .randomsets import (  # noqa: E402
     Interval,
     FiniteRandomSet,
     RandomIntervalSample,
@@ -21,7 +27,7 @@ from .randomsets import (
     aumann_expectation,
     interval_hull,
 )
-from .fields import (
+from .fields import (  # noqa: E402
     ExpCovarianceParams,
     KLBasis,
     GaussianDraw,
@@ -34,7 +40,7 @@ from .fields import (
     sample_ou_paths,
     coefficient_field_2d,
 )
-from .fem import (
+from .fem import (  # noqa: E402
     StructuredMesh,
     CoefficientSpec,
     NodalSolution,
@@ -45,7 +51,7 @@ from .fem import (
     solve_cg,
     extract_slice,
 )
-from .characteristics import (
+from .characteristics import (  # noqa: E402
     TransportCoefficients,
     DeterminacyRegion,
     CharacteristicCurve,
@@ -59,7 +65,7 @@ from .characteristics import (
     reconstruct_displacement,
     build_grids,
 )
-from .propagation import (
+from .propagation import (  # noqa: E402
     ParameterGrid,
     QoISpec,
     RandomSetResult,
@@ -73,6 +79,6 @@ from .propagation import (
     compare_bounds,
     interval_mean_field,
 )
-from .config import ScenarioConfig, parse_config
+from .config import ScenarioConfig, parse_config  # noqa: E402
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__
+from . import _IMPORT_STARTED, __version__
 from .characteristics import (
     DeterminacyRegion,
     TransportCoefficients,
@@ -630,6 +630,7 @@ def main(argv=None) -> int:
     manifest = {
         "package_version": __version__,
         "library_versions": {"numpy": np.__version__, "scipy": scipy.__version__},
+        "import_seconds": IMPORT_SECONDS,
         "schema_version": 1,
         "command": args.command,
         "argv_overrides": {
@@ -670,6 +671,12 @@ def main(argv=None) -> int:
         except OSError as exc:
             _warn(f"could not write manifest: {exc}")
     return code
+
+
+# Seconds from the start of the package import to here, the end of this
+# module's import.  A process pays it once, so every main() call in one
+# process reports the same value.
+IMPORT_SECONDS = round(time.perf_counter() - _IMPORT_STARTED, 6)
 
 
 if __name__ == "__main__":

@@ -6,15 +6,21 @@ lower-left/upper-right diagonal into two right triangles, which makes the
 stiffness matrix an M-matrix and the discrete maximum principle testable.
 The per-element coefficient is the average of the field at the cell's four
 corner nodes, shared by both triangles of the cell.
+
+scipy.sparse is imported only by the functions that build sparse matrices
+(:attr:`StructuredMesh.reduced_pattern`, :func:`assemble` and
+:func:`assemble_block`), so importing this module, and the package, loads no
+part of scipy.  The elliptic model builds the reduced pattern in its
+``prepare``, which puts that import inside a run's set-up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     CoefficientBoundError,
@@ -22,6 +28,9 @@ from .errors import (
     DomainError,
     NonConvergenceError,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "StructuredMesh",
@@ -111,6 +120,8 @@ class StructuredMesh:
     @cached_property
     def reduced_pattern(self) -> "ReducedPattern":
         """CSR pattern of the free x free stiffness matrix and its element scatter."""
+        import scipy.sparse as sp
+
         geo = self.geometry
         free = self.interior
         position = np.full(self.n_nodes, -1)
@@ -256,6 +267,8 @@ class AssembledSystem:
 
 def assemble(mesh: StructuredMesh, coeffs: CoefficientSpec, load) -> AssembledSystem:
     """Stiffness K_ij = sum_e a_e int grad(phi_i).grad(phi_j), centroid-rule load."""
+    import scipy.sparse as sp
+
     if coeffs.values.shape[0] != mesh.quads.shape[0]:
         raise DomainError("coefficient count must match cell count")
     geo = mesh.geometry
@@ -290,6 +303,8 @@ def assemble_block(mesh: StructuredMesh, cell_values: np.ndarray) -> sp.csr_matr
     All S matrices are filled by one product with the precomputed
     element-entry to CSR-slot map.
     """
+    import scipy.sparse as sp
+
     cell_values = np.asarray(cell_values, dtype=float)
     if cell_values.ndim != 2 or cell_values.shape[1] != mesh.quads.shape[0]:
         raise DomainError("coefficient count must match cell count")

@@ -174,8 +174,11 @@ class EllipticModel(_KLFieldModel):
         return solution.values[self._output_ids]
 
     def prepare(self, grid: ParameterGrid) -> None:
+        """KL eigenpairs and field tables for every correlation length, and
+        the mesh's reduced CSR pattern (the first import of scipy.sparse)."""
         super().prepare(grid)
         self._field_tables(grid.points[:, 0])
+        self.mesh.reduced_pattern
 
     def _field_tables(self, ells) -> tuple:
         """(M, n_x, 2m) KL tables of q1 and of q2 at the correlation lengths ells.

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
 
@@ -171,21 +170,107 @@ class ImpreciseGaussianSpec:
 # --- inverse normal CDF -----------------------------------------------------
 
 
+# Wichura's AS241 (Applied Statistics 37, 1988, 477-484): rational
+# approximations num(x)/den(x) of degree 7, one per branch, each polynomial
+# with its x**7 coefficient first.
+# |p - 1/2| <= 0.425, x = 0.180625 - (p - 1/2)**2; num is multiplied by p - 1/2
+_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+# tails, r = sqrt(-log(min(p, 1 - p))) <= 5, x = r - 1.6
+_NEAR_TAIL = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+     4.63033784615654529590e+0, 1.42343711074968357734e+0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+     2.05319162663775882187e+0, 1.0))
+# tails, r > 5 (p < 1.4e-11 or p > 1 - 1.4e-11), x = r - 5
+_FAR_TAIL = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+     5.46378491116411436990e+0, 6.65790464350110377720e+0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0))
+
+
+def _rational(branch: tuple, x: np.ndarray) -> tuple:
+    """num(x) and den(x) of an AS241 branch, each by Horner's rule.
+
+    Float coefficients against 1-d arrays take numpy's fast scalar path,
+    which a stacked (2, n) evaluation with (2, 1) coefficients does not.
+    """
+    values = []
+    for coefs in branch:
+        acc = x * coefs[0]
+        for c in coefs[1:-1]:
+            acc += c
+            acc *= x
+        acc += coefs[-1]
+        values.append(acc)
+    return tuple(values)
+
+
+def _as241(p: np.ndarray) -> np.ndarray:
+    """AS241 quantile of a float64 array inside (0, 1), in a new array of its shape.
+
+    Each element takes the same floating-point steps as the scalar
+    ``statistics.NormalDist().inv_cdf``, so the two agree bit for bit.  The
+    central fraction runs on every element; the tail fractions run only on
+    the elements that need them, and not at all when none does.
+    """
+    flat = p.ravel()
+    q = flat - 0.5
+    num, den = _rational(_CENTRAL, 0.180625 - q * q)
+    num *= q
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        p_tail = flat[tail]
+        r = np.sqrt(-np.log(np.minimum(p_tail, 1.0 - p_tail)))
+        t_num, t_den = _rational(_NEAR_TAIL, r - 1.6)
+        far = np.flatnonzero(r > 5.0)
+        if far.size:
+            t_num[far], t_den[far] = _rational(_FAR_TAIL, r[far] - 5.0)
+        # both tail numerators are positive: the sign of q is the sign of z
+        num[tail] = np.copysign(t_num, q[tail])
+        den[tail] = t_den
+    # divided straight into an array of p's shape that owns its data, as
+    # ndtri's result did, not handed back as a reshaped view of a 1-d one
+    z = np.empty(p.shape)
+    np.divide(num, den, out=z.reshape(-1))
+    return z
+
+
 def inverse_normal_cdf(p):
     """Standard normal quantile z with Phi(z) = p, for p strictly in (0, 1).
 
     Accepts scalars (returns a float) or arrays (returns an array of the
-    same shape).  This is ``scipy.special.ndtri`` behind a domain check: a
-    non-finite p, or p outside (0, 1), raises DomainError rather than
-    returning an infinity or NaN.  Against a 30-digit mpmath quantile the
-    error in z stays below 1e-12 * max(1, |z|) for p in [1e-300, 1 - 1e-16].
+    same shape).  A non-finite p, or p outside (0, 1), raises DomainError
+    rather than returning an infinity or NaN.
+
+    The quantile is Wichura's AS241 (Applied Statistics 37, 1988), the
+    algorithm of CPython's ``statistics.NormalDist.inv_cdf``, in numpy array
+    arithmetic; it equals that scalar code bit for bit.  Against
+    ``scipy.special.ndtri`` the difference in z stays below 1e-14 *
+    max(1, |z|) for p in [1e-300, 1 - 2**-53] (at most 2.7e-15 over 10**7
+    points of the (k + 1/2) 2**-53 draw grid), and against a 30-digit
+    mpmath quantile below 1e-12 * max(1, |z|).  Like ndtri, it is monotone
+    only up to reversals of one or two ulp between some adjacent floats.
+    scipy.special is not used: importing it loads scipy's array-API layer,
+    about 0.35 s of a 0.5 s package import that every command would pay.
     """
     arr = np.asarray(p, dtype=np.float64)
     if arr.size == 0:
         return arr.copy()
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    # a NaN makes min and max NaN, which fails both comparisons
+    if not (arr.min() > 0.0 and arr.max() < 1.0):
         raise DomainError("probability must lie strictly inside (0, 1)")
-    z = special.ndtri(arr)
+    z = _as241(arr)
     return float(z) if arr.ndim == 0 else z
 
 

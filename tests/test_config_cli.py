@@ -492,6 +492,51 @@ m_terms = 20
         with open(os.path.join(PRESETS, "membrane.cfg"), "rb") as fh:
             assert manifest["config_sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
+    def test_import_and_light_commands_load_no_scipy_submodule(self, tmp_path):
+        # scipy.special and scipy.sparse each load scipy's array-API layer, a
+        # third of a second; only a model that builds sparse matrices may
+        # load scipy.sparse, and it does so in prepare
+        gauss = write_cfg(tmp_path, GAUSS_SMALL, name="gauss.cfg")
+        wave = TestPointSnapping._wave_point(tmp_path, 41, 41)
+        code = """if True:
+            import json, sys
+            from randset_pde import cli
+            from randset_pde.fem import build_mesh
+            from randset_pde.models import EllipticModel
+            from randset_pde.propagation import ParameterGrid
+            from randset_pde.randomsets import Interval
+
+            def loaded():
+                return sorted(m for m in ("scipy.special", "scipy.sparse") if m in sys.modules)
+
+            stages = {"import": loaded()}
+            assert cli.main(["compare", "--config", sys.argv[1], "--out-dir", "g"]) == 0
+            assert cli.main(["propagate", "--config", sys.argv[2], "--out-dir", "w"]) == 0
+            stages["commands"] = loaded()
+            model = EllipticModel(mesh=build_mesh("l_shape", 6, 6), m_pairs=4, slice_x2=0.3333)
+            model.prepare(ParameterGrid.regular([Interval(0.5, 1.5)], [3]))
+            stages["prepare"] = loaded()
+            print(json.dumps(stages))
+        """
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run([sys.executable, "-c", code, gauss, wave], cwd=tmp_path,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        stages = json.loads(done.stdout.splitlines()[-1])
+        assert stages["import"] == [] and stages["commands"] == []
+        assert "scipy.sparse" in stages["prepare"]
+
+    def test_manifest_records_the_package_import_time(self, tmp_path):
+        seconds = []
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert main(["kl-table", "--config", "membrane", "--ell", "1.0",
+                         "--out-dir", str(out)]) == 0
+            seconds.append(json.loads((out / "manifest.json").read_text())["import_seconds"])
+        # paid once per process: repeat calls report the same value
+        assert seconds[0] >= 0.0 and seconds[0] == seconds[1]
+
     @pytest.mark.parametrize("command", ["elliptic", "sample-field"])
     def test_membrane_without_ell_uses_the_midpoint(self, tmp_path, command):
         out = tmp_path / command

@@ -1,11 +1,13 @@
 """Random-set core: intervals, set functionals, p-boxes, imprecise Gaussians."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 import _oracles as oracle
 from randset_pde.errors import DomainError
@@ -74,12 +76,48 @@ class TestInverseNormalCdf:
             ref = oracle.mp_inverse_normal(p)
             assert abs(inverse_normal_cdf(float(p)) - ref) <= 1e-12 * max(1.0, abs(ref)), p
 
-    def test_vectorized_matches_scalar(self):
-        ps = np.array([0.01, 0.3, 0.5, 0.77, 0.999])
+    @pytest.mark.parametrize("ps", [[0.01, 0.3, 0.5, 0.77, 0.999],
+                                    [[0.01, 0.5], [1e-20, 1 - 1e-12]]])
+    def test_vectorized_matches_scalar(self, ps):
+        ps = np.array(ps)
         zs = inverse_normal_cdf(ps)
         assert zs.shape == ps.shape
-        for p, z in zip(ps, zs):
+        for p, z in zip(ps.ravel(), zs.ravel()):
             assert z == inverse_normal_cdf(float(p))
+
+    @staticmethod
+    def _assert_near_ndtri(ps):
+        z, ref = inverse_normal_cdf(ps), ndtri(ps)
+        excess = np.abs(z - ref) - 1e-14 * np.maximum(1.0, np.abs(ref))
+        worst = int(np.argmax(excess))
+        assert excess[worst] <= 0.0, (ps[worst], z[worst], ref[worst])
+
+    def test_near_ndtri_on_the_draw_grid(self):
+        # the uniforms the draws map: (k + 1/2) 2**-53 for 53-bit integers k
+        k = np.random.default_rng(2024).integers(0, 1 << 53, size=10**6, dtype=np.uint64)
+        self._assert_near_ndtri((k.astype(np.float64) + 0.5) * 2.0**-53)
+
+    def test_near_ndtri_in_both_tails(self):
+        lower = np.geomspace(1e-300, 0.075, 20001)
+        self._assert_near_ndtri(np.concatenate([lower, 1.0 - np.geomspace(2.0**-53, 0.075, 20001)]))
+
+    @pytest.mark.parametrize("branch_point", [0.075, 0.925, math.exp(-25.0)])
+    def test_near_ndtri_around_the_branch_points(self, branch_point):
+        # 0.075 and 0.925 bound the central fraction, e**-25 (r = 5) the two tail ones
+        ulps = np.arange(-10**4, 10**4 + 1)
+        self._assert_near_ndtri(branch_point + ulps * np.spacing(branch_point))
+
+    def test_equals_the_stdlib_scalar_algorithm(self):
+        # same AS241 steps as statistics.NormalDist.inv_cdf, element by element
+        ps = np.concatenate([
+            np.linspace(1e-3, 1 - 1e-3, 1001),
+            np.geomspace(1e-300, 0.2, 500),
+            1.0 - np.geomspace(2.0**-53, 0.2, 500),
+            0.075 + np.arange(-50, 51) * np.spacing(0.075),
+            math.exp(-25.0) + np.arange(-50, 51) * np.spacing(math.exp(-25.0)),
+        ])
+        reference = statistics.NormalDist()
+        assert inverse_normal_cdf(ps).tolist() == [reference.inv_cdf(p) for p in ps.tolist()]
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3, math.nan])
     def test_domain_errors(self, bad):
