@@ -43,6 +43,7 @@ from .errors import (
 from .fem import assemble, build_mesh, element_coefficients, extract_slice, solve_cg
 from .fields import (
     ExpCovarianceParams,
+    field_values,
     kl_eigenpairs,
 )
 from .models import EllipticModel
@@ -340,14 +341,14 @@ def _build_qoi(cfg: ScenarioConfig):
 
 def _field_sampler(model, ell, seed, n_paths=3, n_points=201):
     """Closure for field.svg: the model's first KL field of samples 0..n_paths-1
-    at correlation length ell, on the model's field domain."""
+    at correlation length ell, on the model's field domain.  The paths share
+    one basis, so its trig at the abscissae is evaluated once."""
 
     def sampler():
         domain = model.field_domain
         xs = np.linspace(domain.lo, domain.hi, n_points)
         draws = model.draws(seed, range(n_paths))
-        paths = [model.fields(draw, ell)[0].value(xs) for draw in draws]
-        return xs, paths
+        return xs, field_values([model.fields(draw, ell)[0] for draw in draws], xs)
 
     return sampler
 

@@ -119,7 +119,13 @@ class StructuredMesh:
 
     @cached_property
     def reduced_pattern(self) -> "ReducedPattern":
-        """CSR pattern of the free x free stiffness matrix and its element scatter."""
+        """CSR pattern of the free x free stiffness matrix and its element scatter.
+
+        Only element entries with a nonzero unit value are kept, so a slot
+        into which every entry adds exactly 0 (the diagonal edge of each
+        right triangle couples its two ends by 0) is left out: it holds 0
+        for every coefficient, and :func:`assemble` stores it anyway.
+        """
         import scipy.sparse as sp
 
         geo = self.geometry
@@ -127,7 +133,7 @@ class StructuredMesh:
         position = np.full(self.n_nodes, -1)
         position[free] = np.arange(free.size)
         rows, cols = position[geo["rows"]], position[geo["cols"]]
-        kept = np.nonzero((rows >= 0) & (cols >= 0))[0]
+        kept = np.nonzero((rows >= 0) & (cols >= 0) & (geo["k_unit"].reshape(-1) != 0.0))[0]
         keys = rows[kept] * free.size + cols[kept]
         order = np.argsort(keys, kind="stable")
         entries, keys = kept[order], keys[order]
@@ -144,7 +150,8 @@ class StructuredMesh:
 
 @dataclass(frozen=True)
 class ReducedPattern:
-    """Sparsity of the Dirichlet-reduced stiffness matrix, shared by all coefficients.
+    """Sparsity of the Dirichlet-reduced stiffness matrix, shared by all
+    coefficients, without its structurally zero slots.
 
     ``scatter`` is the element-entry to CSR-slot map as an (nnz, n_cells)
     matrix: row k holds, in element order, the unit-coefficient element
@@ -298,10 +305,11 @@ def assemble_block(mesh: StructuredMesh, cell_values: np.ndarray) -> sp.csr_matr
     """Block-diagonal CSR of the reduced stiffness matrices of S coefficients.
 
     ``cell_values`` is (S, n_cells); block s is the free x free matrix that
-    :func:`assemble` builds for row s, with the same sparsity and the same
-    entries up to the order in which each slot's element terms are summed.
-    All S matrices are filled by one product with the precomputed
-    element-entry to CSR-slot map.
+    :func:`assemble` builds for row s, with the same entries up to the order
+    in which each slot's element terms are summed, but without the slots
+    that are 0 for every coefficient (see
+    :attr:`StructuredMesh.reduced_pattern`).  All S matrices are filled by
+    one product with the precomputed element-entry to CSR-slot map.
     """
     import scipy.sparse as sp
 
@@ -398,7 +406,8 @@ def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray,
     residual is at most ``CG_REL_TOL``, or, unconverged, after ``max_iter``
     (default 10 n) iterations.  A stopped system leaves the batch: the
     matrix product still covers all S blocks, but only the running systems'
-    vectors are updated.
+    vectors are updated.  Until the first system stops, the product reads
+    the search directions directly, with no scatter into the full vector.
     """
     rhs = np.asarray(rhs, dtype=float)
     s_count, n = rhs.shape
@@ -434,17 +443,21 @@ def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray,
             converged[done] = ~running[stop]
             keep = ~stop
             live, b_norm, inv_diag = live[keep], b_norm[keep], inv_diag[keep]
-            x, r, p, rz = x[keep], r[keep], p[keep], rz[keep]
+            x, r, z, p, rz = x[keep], r[keep], z[keep], p[keep], rz[keep]
             if not live.size:
                 break
-        p_all[live] = p
-        Ap = (matrix @ p_all.ravel()).reshape(s_count, n)[live]
+        if live.size == s_count:
+            Ap = (matrix @ p.ravel()).reshape(s_count, n)
+        else:
+            p_all[live] = p
+            Ap = (matrix @ p_all.ravel()).reshape(s_count, n)[live]
         alpha = rz / _row_dots(p, Ap)
         x += alpha[:, None] * p
         r -= alpha[:, None] * Ap
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rz_new = _row_dots(r, z)
-        p = z + (rz_new / rz)[:, None] * p
+        p *= (rz_new / rz)[:, None]
+        p += z
         rz = rz_new
         iteration += 1
         res = np.sqrt(_row_dots(r, r)) / b_norm

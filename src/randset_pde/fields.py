@@ -30,7 +30,10 @@ __all__ = [
     "OUPath",
     "solve_characteristic_roots",
     "kl_eigenpairs",
+    "kl_bases",
+    "field_values",
     "field_table",
+    "field_tables",
     "sample_ou_path",
     "sample_ou_paths",
     "coefficient_field_2d",
@@ -60,34 +63,47 @@ class ExpCovarianceParams:
             raise DomainError("spatial domain must have positive length")
 
 
-def _bracketed_newton(g, dg, lo, hi, increasing):
-    """Roots of g, one per bracket (lo, hi) with a single sign change, vectorised.
+def _bracketed_newton(g, dg, lo, hi, c, increasing):
+    """Roots of g(x, c), one per bracket (lo, hi) with a single sign change, vectorised.
 
-    A few bisection steps shrink the brackets; then Newton steps run, each
-    one replaced by a bisection step when it would leave the bracket.  An
-    entry is done once its last step moved it by at most
-    ROOT_RTOL * max(1, x).  ``increasing`` gives the sign change's direction.
+    ``lo`` and ``hi`` are (R, m) brackets and ``c`` an (R, 1) constant of each
+    row, passed to g and dg with the row's points.  A few bisection steps
+    shrink the brackets; then Newton steps run, each one replaced by a
+    bisection step when it would leave the bracket.  An entry is done once
+    its last step moved it by at most ROOT_RTOL * max(1, x).  A row stops,
+    and is frozen, once all of its own entries are done (or after
+    ROOT_MAX_ITER steps): stepping a finished root further can move it by an
+    ulp, so each row's roots equal those of a call with that row alone.
+    ``increasing`` gives the sign change's direction.
     """
     direction = 1.0 if increasing else -1.0
     for _ in range(ROOT_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        right = direction * g(mid) < 0.0      # the root lies right of mid
+        right = direction * g(mid, c) < 0.0      # the root lies right of mid
         lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
     x = 0.5 * (lo + hi)
+    roots = np.empty_like(x)
+    rows = np.arange(x.shape[0])
     for _ in range(ROOT_MAX_ITER):
-        gx = g(x)
+        gx = g(x, c)
         right = direction * gx < 0.0
         lo, hi = np.where(right, x, lo), np.where(right, hi, x)
-        newton = x - gx / dg(x)
+        newton = x - gx / dg(x, c)
         x_new = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
         done = np.abs(x_new - x) <= ROOT_RTOL * np.maximum(1.0, x_new)
         x = x_new
-        if np.all(done):
-            break
-    return x
+        finished = done.all(axis=1)
+        if finished.any():
+            roots[rows[finished]] = x[finished]
+            keep = ~finished
+            rows, x, lo, hi, c = rows[keep], x[keep], lo[keep], hi[keep], c[keep]
+            if not rows.size:
+                return roots
+    roots[rows] = x
+    return roots
 
 
-def solve_characteristic_roots(ell_effective: float, m_pairs: int):
+def solve_characteristic_roots(ell_effective, m_pairs: int):
     """Roots of the two transcendental equations defining the KL spectrum.
 
     On branch k (k = 1..m_pairs) the cosine-family root alpha_k solves
@@ -96,14 +112,22 @@ def solve_characteristic_roots(ell_effective: float, m_pairs: int):
     ((k-1/2)pi, kpi).  Both functions are strictly monotone on their
     branches with analytically known endpoint signs, so a Newton iteration
     safeguarded by the bracket converges even for roots next to a tangent
-    pole.  Returns (alphas, alphas_star).
+    pole.  Returns (alphas, alphas_star), each of shape (m_pairs,) for a
+    scalar ``ell_effective``.  A 1-d array of R lengths is solved in one
+    stacked pass and gives (R, m_pairs) arrays whose row r equals the
+    scalar call at ell_effective[r] bit for bit; a scalar is the one-row
+    call.
     """
-    if not ell_effective > 0.0:
+    ells = np.asarray(ell_effective, dtype=float)
+    if ells.ndim > 1 or ells.size == 0:
+        raise DomainError("ell_effective must be a scalar or a nonempty 1-d array")
+    if not np.all(ells > 0.0):
         raise DomainError("ell_effective must be positive")
     if m_pairs < 1:
         raise DomainError("need at least one eigenpair")
     k = np.arange(m_pairs, dtype=float)
-    inv_ell = 1.0 / ell_effective
+    shape = (ells.size, m_pairs)
+    inv_ell = 1.0 / ells.reshape(-1, 1)
     # Newton runs on g*|cos(a)|, which has the roots and signs of g but no
     # poles; cos(a) has the sign (-1)**k on branch k of the cosine family
     # and (-1)**(k+1) on that of the sine family.
@@ -111,21 +135,27 @@ def solve_characteristic_roots(ell_effective: float, m_pairs: int):
 
     # cosine family: g1 = 1/ell - a*tan(a), decreasing from +1/ell to -inf
     alphas = _bracketed_newton(
-        lambda a: sign * (np.cos(a) * inv_ell - a * np.sin(a)),
-        lambda a: -sign * ((1.0 + inv_ell) * np.sin(a) + a * np.cos(a)),
-        k * np.pi, k * np.pi + 0.5 * np.pi, increasing=False)
+        lambda a, c: sign * (np.cos(a) * c - a * np.sin(a)),
+        lambda a, c: -sign * ((1.0 + c) * np.sin(a) + a * np.cos(a)),
+        np.broadcast_to(k * np.pi, shape), np.broadcast_to(k * np.pi + 0.5 * np.pi, shape),
+        inv_ell, increasing=False)
     # sine family: g2 = a + tan(a)/ell, increasing from -inf to k*pi
     alphas_star = _bracketed_newton(
-        lambda a: -sign * (a * np.cos(a) + np.sin(a) * inv_ell),
-        lambda a: -sign * ((1.0 + inv_ell) * np.cos(a) - a * np.sin(a)),
-        (k + 0.5) * np.pi, (k + 1.0) * np.pi, increasing=True)
+        lambda a, c: -sign * (a * np.cos(a) + np.sin(a) * c),
+        lambda a, c: -sign * ((1.0 + c) * np.cos(a) - a * np.sin(a)),
+        np.broadcast_to((k + 0.5) * np.pi, shape), np.broadcast_to((k + 1.0) * np.pi, shape),
+        inv_ell, increasing=True)
 
-    bad = np.nonzero(
+    bad = np.argwhere(
         (alphas <= k * np.pi) | (alphas >= k * np.pi + 0.5 * np.pi)
         | (alphas_star <= (k + 0.5) * np.pi) | (alphas_star >= (k + 1.0) * np.pi)
-    )[0]
+    )
     if bad.size:
-        raise NumericalError(f"root bracket failure on branch {int(bad[0]) + 1}")
+        row, branch = bad[0]
+        raise NumericalError(f"root bracket failure on branch {int(branch) + 1} "
+                             f"(ell_effective {ells.reshape(-1)[row]:g})")
+    if ells.ndim == 0:
+        return alphas[0], alphas_star[0]
     return alphas, alphas_star
 
 
@@ -182,22 +212,35 @@ def kl_eigenpairs(params: ExpCovarianceParams, m_pairs: int) -> KLBasis:
     family; normalization constants make the eigenfunctions orthonormal on
     the reference interval.
     """
-    ell_eff = 2.0 * params.ell / params.domain.width
+    return kl_bases([params], m_pairs)[0]
+
+
+def kl_bases(params, m_pairs: int) -> list:
+    """The KL bases of several parameter sets, from one stacked root solve.
+
+    ``params`` is a nonempty sequence of ExpCovarianceParams; basis r equals
+    ``kl_eigenpairs(params[r], m_pairs)`` field for field, bit for bit.
+    """
+    ell_eff = np.array([2.0 * p.ell / p.domain.width for p in params])
     alphas, alphas_star = solve_characteristic_roots(ell_eff, m_pairs)
-    eigvals = 2.0 * ell_eff / (1.0 + (ell_eff * alphas) ** 2)
-    eigvals_star = 2.0 * ell_eff / (1.0 + (ell_eff * alphas_star) ** 2)
+    col = ell_eff[:, None]
+    eigvals = 2.0 * col / (1.0 + (col * alphas) ** 2)
+    eigvals_star = 2.0 * col / (1.0 + (col * alphas_star) ** 2)
     norms = np.sqrt(1.0 + np.sin(2.0 * alphas) / (2.0 * alphas))
     norms_star = np.sqrt(1.0 - np.sin(2.0 * alphas_star) / (2.0 * alphas_star))
-    return KLBasis(
-        m_pairs=m_pairs,
-        alphas=alphas,
-        alphas_star=alphas_star,
-        eigvals=eigvals,
-        eigvals_star=eigvals_star,
-        norms=norms,
-        norms_star=norms_star,
-        ell_effective=ell_eff,
-    )
+    return [
+        KLBasis(
+            m_pairs=m_pairs,
+            alphas=alphas[r],
+            alphas_star=alphas_star[r],
+            eigvals=eigvals[r],
+            eigvals_star=eigvals_star[r],
+            norms=norms[r],
+            norms_star=norms_star[r],
+            ell_effective=float(ell_eff[r]),
+        )
+        for r in range(ell_eff.size)
+    ]
 
 
 @dataclass(frozen=True)
@@ -255,11 +298,8 @@ class FieldEvaluator:
         object.__setattr__(self, "_w_star", w_star)
 
     def value(self, x):
-        xhat = _reference_coords(self.params.domain, x)
-        flat = np.atleast_1d(xhat).ravel()
-        out = (np.cos(np.outer(flat, self.basis.alphas)) @ self._w
-               + np.sin(np.outer(flat, self.basis.alphas_star)) @ self._w_star)
-        return float(out[0]) if np.ndim(x) == 0 else out.reshape(xhat.shape)
+        out = field_values([self], x)[0]
+        return float(out) if np.ndim(x) == 0 else out
 
     def derivative(self, x):
         xhat = _reference_coords(self.params.domain, x)
@@ -398,6 +438,26 @@ def _reference_coords(domain: Interval, x):
     return (2.0 * arr - (a + b)) / (b - a)
 
 
+def field_values(fields, x) -> list:
+    """Values at points x of realized fields that share one basis and domain.
+
+    One array per field, of the shape of x; each equals ``field.value(x)``
+    bit for bit, since the basis trig at x is evaluated once and each field
+    is then one product per family.
+    """
+    if not fields:
+        return []
+    first = fields[0]
+    if any(f.basis is not first.basis or f.params.domain != first.params.domain
+           for f in fields):
+        raise DomainError("fields evaluated together must share one basis and domain")
+    xhat = _reference_coords(first.params.domain, x)
+    flat = np.atleast_1d(xhat).ravel()
+    cos = np.cos(np.outer(flat, first.basis.alphas))
+    sin = np.sin(np.outer(flat, first.basis.alphas_star))
+    return [(cos @ f._w + sin @ f._w_star).reshape(xhat.shape) for f in fields]
+
+
 def field_table(basis: KLBasis, params: ExpCovarianceParams, x) -> np.ndarray:
     """(len(x), 2*m_pairs) table T of the scaled eigenfunctions at points x.
 
@@ -405,10 +465,27 @@ def field_table(basis: KLBasis, params: ExpCovarianceParams, x) -> np.ndarray:
     realized field ``FieldEvaluator(basis, GaussianDraw(xi), params).value(x)``
     up to rounding: the table only regroups the products of each term.
     """
-    phi, phi_star = basis.eigenfunctions(np.ravel(_reference_coords(params.domain, x)))
-    table = np.empty((phi.shape[0], 2 * basis.m_pairs))
-    table[:, 0::2] = phi * (params.sigma * np.sqrt(basis.eigvals))
-    table[:, 1::2] = phi_star * (params.sigma * np.sqrt(basis.eigvals_star))
+    return field_tables([basis], [params], x)[0]
+
+
+def field_tables(bases, params, x) -> np.ndarray:
+    """(M, len(x), 2*m_pairs) tables of M bases of one size at points x.
+
+    ``params[r]`` belongs to ``bases[r]``, and all share one domain; each
+    table is computed with one stacked cos and sin, and table r equals
+    ``field_table(bases[r], params[r], x)`` bit for bit.
+    """
+    domain = params[0].domain
+    if any(p.domain != domain for p in params) or len(params) != len(bases):
+        raise DomainError("stacked tables need one domain and one parameter set per basis")
+    xhat = np.ravel(_reference_coords(domain, x))[None, :, None]
+    sigma = np.array([p.sigma for p in params])[:, None, None]
+    alphas, alphas_star, norms, norms_star, eigvals, eigvals_star = (
+        np.stack([getattr(b, name) for b in bases])[:, None, :]
+        for name in ("alphas", "alphas_star", "norms", "norms_star", "eigvals", "eigvals_star"))
+    table = np.empty((len(bases), xhat.size, 2 * bases[0].m_pairs))
+    table[:, :, 0::2] = np.cos(xhat * alphas) / norms * (sigma * np.sqrt(eigvals))
+    table[:, :, 1::2] = np.sin(xhat * alphas_star) / norms_star * (sigma * np.sqrt(eigvals_star))
     return table
 
 

@@ -55,7 +55,8 @@ from .fields import (
     FieldTable,
     GaussianDraw,
     coefficient_field_2d,
-    field_table,
+    field_tables,
+    kl_bases,
     kl_eigenpairs,
 )
 from .propagation import (
@@ -83,7 +84,8 @@ class _KLFieldModel:
     interleaved KL coefficients of one independent 1-d field on
     ``field_domain``.  Subclasses provide ``m_pairs`` and ``sigma`` and call
     ``_init_fields`` from their set-up; the KL eigenpairs are then built
-    once per correlation length, normally all of them in ``prepare``.
+    once per correlation length, normally all of them in ``prepare``, from
+    one stacked root solve.
     """
 
     n_fields = 1
@@ -101,8 +103,10 @@ class _KLFieldModel:
     def prepare(self, grid: ParameterGrid) -> None:
         if grid.ndim != 1:
             raise ConfigError(f"{type(self).__name__} expects a 1-d correlation-length grid")
-        for ell in grid.axes[0]:
-            self._basis(ell)
+        ells = [ell for ell in dict.fromkeys(map(float, grid.axes[0])) if ell not in self._bases]
+        if ells:
+            params = [ExpCovarianceParams(self.sigma, ell, self.field_domain) for ell in ells]
+            self._bases.update(zip(ells, kl_bases(params, self.m_pairs)))
 
     def draw(self, seed: int, index: int) -> np.ndarray:
         return standard_normals(seed, index, self.n_fields * 2 * self.m_pairs)
@@ -188,10 +192,9 @@ class EllipticModel(_KLFieldModel):
         """
         key = tuple(float(ell) for ell in ells)
         if key not in self._tables:
-            bases = [self._basis(ell) for ell in key]
-            self._tables[key] = tuple(
-                np.stack([field_table(basis, params, xs) for params, basis in bases])
-                for xs, _ in self._abscissae)
+            params, bases = zip(*(self._basis(ell) for ell in key))
+            self._tables[key] = tuple(field_tables(bases, params, xs)
+                                      for xs, _ in self._abscissae)
         return self._tables[key]
 
     def evaluate_block(self, draws: np.ndarray, points: np.ndarray):

@@ -19,7 +19,13 @@ from randset_pde.cli import main
 from randset_pde.config import compile_expression, parse_config, require
 from randset_pde.errors import ConfigError
 from randset_pde.fem import build_mesh
-from randset_pde.fields import ExpCovarianceParams, FieldEvaluator, GaussianDraw, kl_eigenpairs
+from randset_pde.fields import (
+    ExpCovarianceParams,
+    FieldEvaluator,
+    GaussianDraw,
+    field_table,
+    kl_eigenpairs,
+)
 from randset_pde.models import EllipticModel
 from randset_pde.propagation import ParameterGrid, QoISpec
 from randset_pde.randomsets import Interval
@@ -150,6 +156,43 @@ class TestParseConfig:
         assert sorted(model._bases) == sorted(grid.points[:, 0])
         # the preset's point is a lattice node, up to the rounding of the grid
         np.testing.assert_allclose(model.solved_point, spec.location, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["membrane", "transport_point", "wave_point"])
+    def test_prepare_builds_every_basis_in_one_stacked_pass(self, name):
+        # each basis from the stacked root solve equals the one-ell kl_eigenpairs
+        spec, grid = cli._build_qoi(parse_config(os.path.join(PRESETS, f"{name}.cfg")))
+        model = spec.build()
+        model.prepare(grid)
+        assert sorted(model._bases) == sorted(grid.points[:, 0])
+        for ell, basis in model._bases.items():
+            params = ExpCovarianceParams(model.sigma, ell, model.field_domain)
+            ref = kl_eigenpairs(params, model.m_pairs)
+            assert (basis.m_pairs, basis.ell_effective) == (ref.m_pairs, ref.ell_effective)
+            for field in ("alphas", "alphas_star", "eigvals", "eigvals_star",
+                          "norms", "norms_star"):
+                np.testing.assert_array_equal(getattr(basis, field), getattr(ref, field))
+
+    def test_elliptic_tables_equal_per_ell_tables(self):
+        spec, grid = cli._build_qoi(parse_config(os.path.join(PRESETS, "membrane.cfg")))
+        model = spec.build()
+        model.prepare(grid)
+        ells = grid.points[:, 0]
+        pairs = [model._basis(ell) for ell in ells]     # (params, basis) per ell
+        for table, (xs, _) in zip(model._field_tables(ells), model._abscissae):
+            per_ell = np.stack([field_table(basis, params, xs) for params, basis in pairs])
+            np.testing.assert_array_equal(table, per_ell)
+
+    @pytest.mark.parametrize("name, ell", [("membrane", 1.0), ("membrane", 0.77),
+                                           ("wave_point", 1.0)])
+    def test_field_sampler_paths_are_the_field_values(self, name, ell):
+        # 0.77 is no grid point of the membrane preset: its basis is built on demand
+        spec, grid = cli._build_qoi(parse_config(os.path.join(PRESETS, f"{name}.cfg")))
+        model = spec.build()
+        model.prepare(grid)
+        xs, paths = cli._field_sampler(model, ell, seed=9, n_paths=4, n_points=57)()
+        assert len(paths) == 4 and xs.size == 57
+        for draw, path in zip(model.draws(9, range(4)), paths):
+            np.testing.assert_array_equal(path, model.fields(draw, ell)[0].value(xs))
 
     def test_missing_seed_named(self, tmp_path):
         path = write_cfg(tmp_path, GAUSS_SMALL.replace("seed = 7\n", ""))

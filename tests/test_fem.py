@@ -202,14 +202,42 @@ def random_systems(mesh, count, seed):
 
 class TestBlockSolve:
     def test_block_assembly_matches_assemble(self):
+        # the block leaves out the slots that are 0 for every coefficient,
+        # which assemble stores; every other slot is one of assemble's
         mesh = build_mesh("l_shape", 10, 10)
         cells, systems = random_systems(mesh, 4, seed=3)
-        block = assemble_block(mesh, cells)
-        reference = sp.block_diag([s.matrix for s in systems], format="csr")
+        block = assemble_block(mesh, cells).tocoo()
+        reference = sp.block_diag([s.matrix for s in systems], format="coo")
         assert block.shape == reference.shape
-        np.testing.assert_array_equal(block.indptr, reference.indptr)
-        np.testing.assert_array_equal(block.indices, reference.indices)
-        np.testing.assert_allclose(block.data, reference.data, rtol=1e-14, atol=0.0)
+        in_block = np.zeros(block.shape, dtype=bool)
+        in_block[block.row, block.col] = True
+        in_reference = np.zeros(block.shape, dtype=bool)
+        in_reference[reference.row, reference.col] = True
+        assert not (in_block & ~in_reference).any()
+        left_out = in_reference & ~in_block
+        assert left_out.any()
+        dense = reference.toarray()
+        assert np.all(dense[left_out] == 0.0)
+        np.testing.assert_allclose(block.data, dense[block.row, block.col], rtol=1e-14, atol=0.0)
+
+    def test_pruned_block_solves_bitwise_like_the_full_pattern(self):
+        # the same block with its always-zero slots stored as explicit zeros
+        mesh = build_mesh("l_shape", 18, 18)
+        cells, systems = random_systems(mesh, 12, seed=11)
+        pruned = assemble_block(mesh, cells)
+        pattern = sp.block_diag([s.matrix for s in systems], format="csr")
+        pattern.sort_indices()
+        rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+        full = sp.csr_matrix((pruned.toarray()[rows, pattern.indices], pattern.indices,
+                              pattern.indptr), shape=pattern.shape)
+        assert full.nnz == pattern.nnz > pruned.nnz
+        rhs = np.stack([s.rhs for s in systems])
+        rhs[3] *= np.linspace(0.5, 2.0, rhs.shape[1])
+        a, b = solve_cg_block(pruned, rhs), solve_cg_block(full, rhs)
+        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.iterations, b.iterations)
+        np.testing.assert_array_equal(a.residuals, b.residuals)
+        assert a.converged.all() and len(set(a.iterations)) > 1
 
     def test_batched_pcg_matches_solve_cg(self):
         mesh = build_mesh("l_shape", 18, 18)

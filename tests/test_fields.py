@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
-from randset_pde.errors import DomainError, StepSizeError
+from randset_pde.errors import DomainError, NumericalError, StepSizeError
 from randset_pde.fields import (
     ROOT_RTOL,
     TABLE_TOL,
@@ -17,6 +17,8 @@ from randset_pde.fields import (
     GaussianDraw,
     coefficient_field_2d,
     field_table,
+    field_tables,
+    field_values,
     kl_eigenpairs,
     sample_ou_path,
     sample_ou_paths,
@@ -84,6 +86,31 @@ class TestCharacteristicRoots:
             solve_characteristic_roots(0.0, 3)
         with pytest.raises(DomainError):
             solve_characteristic_roots(1.0, 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ells=st.lists(st.one_of(st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e),
+                                   st.sampled_from([1e-8, 1e-3, 0.5, 1.0, 2.0, 1e4, 1e8])),
+                         min_size=1, max_size=12),
+           m=st.sampled_from([1, 2, 10, 130]))
+    def test_stacked_rows_equal_scalar_calls(self, ells, m):
+        # extreme lengths need the most Newton steps; each row must stop at
+        # its own last step, not at the slowest row's
+        alphas, alphas_star = solve_characteristic_roots(np.array(ells), m)
+        assert alphas.shape == alphas_star.shape == (len(ells), m)
+        for row, ell in enumerate(ells):
+            ref, ref_star = solve_characteristic_roots(ell, m)
+            np.testing.assert_array_equal(alphas[row], ref)
+            np.testing.assert_array_equal(alphas_star[row], ref_star)
+
+    def test_stacked_bad_inputs(self):
+        for ells in ([1.0, 0.0], [1.0, np.nan], [[1.0, 2.0]], []):
+            with pytest.raises(DomainError):
+                solve_characteristic_roots(np.array(ells), 3)
+        with pytest.raises(DomainError):
+            solve_characteristic_roots(np.array([1.0, 2.0]), 0)
+        # at ell_eff = 1e30 the roots round onto their bracket ends
+        with pytest.raises(NumericalError, match="branch 1 .*1e\\+30"):
+            solve_characteristic_roots(np.array([1.0, 1e30]), 3)
 
 
 class TestKLEigenpairs:
@@ -185,6 +212,16 @@ class TestFieldEvaluator:
                                        rtol=0.0, atol=1e-13)
         with pytest.raises(DomainError):
             field_table(basis, params, [1.5])
+
+    def test_stacked_evaluation_needs_one_basis_and_domain(self):
+        params, other = unit_params(), unit_params(domain=Interval(0.0, 1.0))
+        basis = kl_eigenpairs(params, 4)
+        draw = GaussianDraw.sample(4, 0, 0)
+        with pytest.raises(DomainError):
+            field_values([FieldEvaluator(basis, draw, params),
+                          FieldEvaluator(kl_eigenpairs(params, 4), draw, params)], [0.0])
+        with pytest.raises(DomainError):
+            field_tables([basis, basis], [params, other], [0.5])
 
     def test_outside_domain_raises(self):
         basis = kl_eigenpairs(unit_params(), 4)
