@@ -70,28 +70,41 @@ MEMBER_COLOR = "#7090c0"
 # --- output helpers -----------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+def _csv_body(columns) -> str:
+    """The CSV rows of equal-length columns, from one ``%`` template.
+
+    Integer and boolean columns print as ``%d``, all others as ``%.17g`` of
+    their Python floats, and each row ends in ``\\r\\n``: what ``csv.writer``
+    writes for ``str(int(v))`` and ``format(float(v), ".17g")`` cells, none
+    of which needs quoting.
+    """
+    n_rows, n_cols = len(columns[0]), len(columns)
+    cells = [None] * (n_rows * n_cols)
+    specs = []
+    for j, col in enumerate(columns):
+        integral = col.dtype.kind in "biu"
+        specs.append("%d" if integral else "%.17g")
+        cells[j::n_cols] = col.tolist()     # raises if the column's length differs
+    return (",".join(specs) + "\r\n") * n_rows % tuple(cells)
 
 
-def _write_table(out_dir, name, header, rows, formats):
-    """Write one logical table in each requested format; returns file names."""
+def _write_table(out_dir, name, header, columns, formats):
+    """Write one logical table, given as one array-like per header cell, in
+    each requested format; returns file names."""
     written = []
-    rows = [list(row) for row in rows]
+    columns = [np.asarray(col) for col in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"{name}: {len(header)} header cells but {len(columns)} columns")
     if "csv" in formats:
         path = os.path.join(out_dir, f"{name}.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            csv.writer(fh).writerow(header)
+            fh.write(_csv_body(columns))
         written.append(f"{name}.csv")
     if "json" in formats:
         path = os.path.join(out_dir, f"{name}.json")
         payload = {"columns": list(header),
-                   "rows": [[float(v) for v in row] for row in rows]}
+                   "rows": np.column_stack([col.astype(float) for col in columns]).tolist()}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
@@ -369,13 +382,11 @@ def _cmd_kl_table(args, out_dir, stages, manifest):
         raise ConfigError(problems)
     basis = kl_eigenpairs(ExpCovarianceParams(1.0, float(ell), Interval(-1.0, 1.0)), int(terms))
     stages.mark("solve")
-    rows = [
-        (k + 1, basis.alphas[k], basis.eigvals[k], basis.alphas_star[k], basis.eigvals_star[k])
-        for k in range(basis.m_pairs)
-    ]
+    columns = [np.arange(1, basis.m_pairs + 1), basis.alphas, basis.eigvals,
+               basis.alphas_star, basis.eigvals_star]
     files = _write_table(out_dir, "kl_table",
                          ["k", "alpha_k", "c_k", "alpha_star_k", "c_star_k"],
-                         rows, _formats(args, cfg))
+                         columns, _formats(args, cfg))
     stages.mark("report")
     manifest["outputs"] = files
     manifest["seed"] = None
@@ -394,8 +405,7 @@ def _cmd_sample_field(args, out_dir, stages, manifest):
     xs, paths = _field_sampler(model, ell, seed, args.paths, args.grid_points)()
     stages.mark("solve")
     header = ["x"] + [f"q_{k}" for k in range(args.paths)]
-    rows = [(x, *[p[i] for p in paths]) for i, x in enumerate(xs)]
-    files = _write_table(out_dir, "field", header, rows, _formats(args, cfg))
+    files = _write_table(out_dir, "field", header, [xs, *paths], _formats(args, cfg))
     try:
         svg = line_plot([{"x": xs, "y": p, "width": 1.2} for p in paths],
                         title=f"field trajectories (ell={ell:g})",
@@ -420,12 +430,11 @@ def _cmd_elliptic(args, out_dir, stages, manifest):
     solution = solve_cg(assemble(mesh, coeffs, model.load))
     stages.mark("solve")
 
-    rows = [(mesh.nodes[i, 0], mesh.nodes[i, 1], solution.values[i])
-            for i in range(mesh.n_nodes)]
-    files = _write_table(out_dir, "nodal", ["x1", "x2", "u"], rows, _formats(args, cfg))
+    nodal = [mesh.nodes[:, 0], mesh.nodes[:, 1], solution.values]
+    files = _write_table(out_dir, "nodal", ["x1", "x2", "u"], nodal, _formats(args, cfg))
     sl = extract_slice(solution, x2)
-    files += _write_table(out_dir, "slice", ["x1", "value"],
-                          list(zip(sl.x1, sl.values)), _formats(args, cfg))
+    files += _write_table(out_dir, "slice", ["x1", "value"], [sl.x1, sl.values],
+                          _formats(args, cfg))
     try:
         svg = line_plot([{"x": sl.x1, "y": sl.values, "width": 2.0}],
                         title=f"displacement slice at x2={sl.x2:.4f}",
@@ -456,11 +465,9 @@ def _cmd_transport(args, out_dir, stages, manifest):
     )
     sol = solve_transport(coeffs, region, xs, ts)
     stages.mark("solve")
-    rows = []
-    for j in range(ts.size):
-        for i in np.nonzero(sol.inside[j])[0]:
-            rows.append((xs[i], ts[j], sol.values[j, i]))
-    files = _write_table(out_dir, "solution", ["x", "t", "u"], rows, _formats(args, cfg))
+    jj, ii = np.nonzero(sol.inside)     # the cone's nodes, level by level
+    files = _write_table(out_dir, "solution", ["x", "t", "u"],
+                         [xs[ii], ts[jj], sol.values[jj, ii]], _formats(args, cfg))
     stages.mark("report")
     manifest.update(outputs=files, seed=None)
     return EXIT_OK
@@ -484,13 +491,11 @@ def _cmd_wave(args, out_dir, stages, manifest):
     sol = solve_2x2_system(a, f, g, u01, u02, region, xs, ts)
     displacement = reconstruct_displacement(sol, wc.w)
     stages.mark("solve")
-    rows = []
-    for j in range(ts.size):
-        for i in np.nonzero(sol.inside[j])[0]:
-            rows.append((xs[i], ts[j], sol.values[0, j, i], sol.values[1, j, i],
-                         displacement[j, i]))
+    jj, ii = np.nonzero(sol.inside)     # the cone's nodes, level by level
+    columns = [xs[ii], ts[jj], sol.values[0, jj, ii], sol.values[1, jj, ii],
+               displacement[jj, ii]]
     files = _write_table(out_dir, "solution", ["x", "t", "u1", "u2", "u"],
-                         rows, _formats(args, cfg))
+                         columns, _formats(args, cfg))
     stages.mark("report")
     manifest.update(outputs=files, seed=None)
     return EXIT_OK
@@ -511,19 +516,18 @@ def _point_entry(model) -> dict:
 
 def _propagation_outputs(args, cfg, out_dir, model, rs, stages, manifest):
     formats = _formats(args, cfg)
-    pbox_rows = list(zip(rs.pbox.thresholds, rs.pbox.f_lower, rs.pbox.f_upper))
-    files = _write_table(out_dir, "pbox", ["b", "f_lower", "f_upper"], pbox_rows, formats)
-    interval_rows = zip(rs.sample_indices, rs.intervals.lowers, rs.intervals.uppers)
+    pbox = rs.pbox
+    files = _write_table(out_dir, "pbox", ["b", "f_lower", "f_upper"],
+                         [pbox.thresholds, pbox.f_lower, pbox.f_upper], formats)
     files += _write_table(out_dir, "intervals", ["sample_index", "lower", "upper"],
-                          interval_rows, formats)
+                          [rs.sample_indices, rs.intervals.lowers, rs.intervals.uppers],
+                          formats)
     mf = interval_mean_field(rs)
     m = mf.per_lambda_means.shape[0]
     header = ["x1", "lower", "upper"] + [f"mean_lambda_{i:03d}" for i in range(m)]
-    mean_rows = [
-        (mf.labels[p], mf.aumann[p].lo, mf.aumann[p].hi, *mf.per_lambda_means[:, p])
-        for p in range(len(mf.aumann))
-    ]
-    files += _write_table(out_dir, "mean_field", header, mean_rows, formats)
+    columns = [mf.labels, [iv.lo for iv in mf.aumann], [iv.hi for iv in mf.aumann],
+               *mf.per_lambda_means]
+    files += _write_table(out_dir, "mean_field", header, columns, formats)
     sampler = None
     if hasattr(model, "fields"):
         sampler = _field_sampler(model, rs.grid.dims[0].mid, rs.seed)
@@ -559,14 +563,11 @@ def _cmd_compare(args, out_dir, stages, manifest):
     pm = parametric_from_random_set(rs)
     cb = compare_bounds(rs, pm)
     stages.mark("solve")
-    rows = [
-        (b, lo, fl, fu, up, int(lo <= fl <= fu <= up))
-        for b, lo, fl, fu, up in zip(cb.thresholds, cb.f_lower, cb.f_low,
-                                     cb.f_upp, cb.f_upper)
-    ]
+    lo, fl, fu, up = cb.f_lower, cb.f_low, cb.f_upp, cb.f_upper
+    chain_ok = ((lo <= fl) & (fl <= fu) & (fu <= up)).astype(int)
     files = _write_table(out_dir, "compare",
                          ["b", "f_lower", "f_low", "f_upp", "f_upper", "chain_ok"],
-                         rows, _formats(args, cfg))
+                         [cb.thresholds, lo, fl, fu, up, chain_ok], _formats(args, cfg))
     stages.mark("report")
     manifest.update(outputs=files, seed=seed, violations=cb.violations, **_run_counts(rs),
                     **_point_entry(model))

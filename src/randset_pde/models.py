@@ -188,13 +188,16 @@ class EllipticModel(_KLFieldModel):
         """(M, n_x, 2m) KL tables of q1 and of q2 at the correlation lengths ells.
 
         The mesh has only nx+1 (ny+1) distinct abscissae per axis, so a field
-        at every node is a table product followed by a gather.
+        at every node is a table product followed by a gather.  When both
+        axes have the same abscissae, both fields share one table.
         """
         key = tuple(float(ell) for ell in ells)
         if key not in self._tables:
             params, bases = zip(*(self._basis(ell) for ell in key))
-            self._tables[key] = tuple(field_tables(bases, params, xs)
-                                      for xs, _ in self._abscissae)
+            (xs1, _), (xs2, _) = self._abscissae
+            table1 = field_tables(bases, params, xs1)
+            table2 = table1 if np.array_equal(xs1, xs2) else field_tables(bases, params, xs2)
+            self._tables[key] = (table1, table2)
         return self._tables[key]
 
     def evaluate_block(self, draws: np.ndarray, points: np.ndarray):

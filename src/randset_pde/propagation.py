@@ -328,6 +328,10 @@ def _run_samples(model, grid, n_samples, seed, point=None):
             samples = drawn[start:start + BLOCK_SIZE]
             block, failed = model.evaluate_block(draws[start:start + BLOCK_SIZE], points)
             block = np.asarray(block, dtype=float)
+            if not failed and np.isfinite(block).all():
+                values.append(block)            # a clean block: every sample survives
+                kept.append(samples)
+                continue
             ok = np.ones(samples.size, dtype=bool)
             for b, (i, message) in sorted(_first_failures(block, failed).items()):
                 failures.append(SampleFailure(int(samples[b]), first + int(i), message))

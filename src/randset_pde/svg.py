@@ -121,10 +121,10 @@ def line_plot(series, title="", xlabel="", ylabel=""):
         for seg in segments:
             if seg.size < 2:
                 continue
-            # the segment's pixel coordinates in one array pass each, formatted
-            # as Python floats (numpy scalars format the same, but slowly)
-            pts = " ".join(map("{:.2f},{:.2f}".format, sx(x[seg]).tolist(),
-                               sy(y[seg]).tolist()))
+            # the segment's pixel coordinates, interleaved x, y, as Python
+            # floats through one template (numpy scalars format the same, slowly)
+            xy = np.column_stack((sx(x[seg]), sy(y[seg]))).ravel().tolist()
+            pts = " ".join(("%.2f,%.2f",) * seg.size) % tuple(xy)
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{dash} '
                 f'points="{pts}"/>'

@@ -1,8 +1,10 @@
 """Configuration parsing and the command-line front end."""
 
+import csv
 import hashlib
 import json
 import os
+import pathlib
 import re
 import runpy
 import shlex
@@ -179,6 +181,19 @@ class TestParseConfig:
         ells = grid.points[:, 0]
         pairs = [model._basis(ell) for ell in ells]     # (params, basis) per ell
         for table, (xs, _) in zip(model._field_tables(ells), model._abscissae):
+            per_ell = np.stack([field_table(basis, params, xs) for params, basis in pairs])
+            np.testing.assert_array_equal(table, per_ell)
+
+    @pytest.mark.parametrize("shape, nx, ny", [("l_shape", 18, 18), ("rectangle", 6, 4)])
+    def test_elliptic_axes_share_a_table_only_with_equal_abscissae(self, shape, nx, ny):
+        model = EllipticModel(mesh=build_mesh(shape, nx, ny), m_pairs=7, slice_x2=0.5)
+        grid = ParameterGrid.regular([Interval(0.5, 1.5)], [3])
+        model.prepare(grid)
+        ells = grid.points[:, 0]
+        tables = model._field_tables(ells)
+        assert (tables[0] is tables[1]) == (nx == ny)
+        pairs = [model._basis(ell) for ell in ells]
+        for table, xs in zip(tables, (np.linspace(0, 1, nx + 1), np.linspace(0, 1, ny + 1))):
             per_ell = np.stack([field_table(basis, params, xs) for params, basis in pairs])
             np.testing.assert_array_equal(table, per_ell)
 
@@ -691,3 +706,88 @@ m_terms = 20
         path = write_cfg(tmp_path, text)
         assert main(["propagate", "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
         assert "outside the l_shape domain" in capsys.readouterr().err
+
+
+def _row_fmt(v) -> str:
+    """A CSV cell as the row-by-row writer formatted it."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def row_by_row_table(out_dir, name, header, rows):
+    """CSV and JSON bytes of one table written a row at a time through
+    csv.writer, the writer that cli._write_table's templates replace."""
+    rows = [list(row) for row in rows]
+    with open(os.path.join(out_dir, f"{name}.csv"), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_row_fmt(v) for v in row])
+    with open(os.path.join(out_dir, f"{name}.json"), "w", encoding="utf-8") as fh:
+        json.dump({"columns": list(header),
+                   "rows": [[float(v) for v in row] for row in rows]}, fh, indent=1)
+        fh.write("\n")
+    return [pathlib.Path(out_dir, f"{name}.{ext}").read_bytes() for ext in ("csv", "json")]
+
+
+class TestWriteTable:
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e16, 1e16 + 2.0, 0.1, 1 / 3,
+               -2.5e-300, 1.7976931348623157e308, 123456789.125, -7.0]
+
+    def _both(self, tmp_path, header, columns, rows):
+        new_dir, old_dir = tmp_path / "new", tmp_path / "old"
+        new_dir.mkdir()
+        old_dir.mkdir()
+        files = cli._write_table(str(new_dir), "t", header, columns, ("csv", "json"))
+        assert files == ["t.csv", "t.json"]
+        new = [(new_dir / f).read_bytes() for f in files]
+        return new, row_by_row_table(str(old_dir), "t", header, rows)
+
+    def test_bytes_equal_the_row_by_row_writer(self, tmp_path):
+        n = len(self.SPECIAL)
+        floats = np.array(self.SPECIAL)
+        int64s = np.arange(n, dtype=np.int64) * (2**40 + 3) - 5
+        ints = list(range(-3, n - 3))                   # Python ints
+        lo = np.linspace(0.0, 1.0, n)
+        fl = lo + np.where(np.arange(n) % 3 == 0, -0.1, 0.1)   # breaks the chain at i % 3 == 0
+        fu, up = fl + 0.05, fl + 0.05
+        up[[2, 5]] = np.nan                                  # and where a value is NaN
+        chain_ok = ((lo <= fl) & (fl <= fu) & (fu <= up)).astype(int)
+        singles = (np.arange(n) / 7 - 0.5).astype(np.float32)
+        columns = [floats, int64s, ints, chain_ok, singles]
+        rows = [(a, b, c, int(w <= x <= y <= z), e)
+                for a, b, c, w, x, y, z, e in zip(floats, int64s, ints, lo, fl, fu, up,
+                                                 singles)]
+        assert 0 < chain_ok.sum() < n
+        (new_csv, new_json), (old_csv, old_json) = self._both(
+            tmp_path, ["f", "i64", "int", "chain_ok", "f32"], columns, rows)
+        assert new_csv == old_csv
+        assert new_json == old_json
+        assert b"nan,-5,-3," in new_csv and b"\r\n" in new_csv and b"NaN" in new_json
+
+    def test_header_only_table(self, tmp_path):
+        columns = [np.array([], dtype=float), np.array([], dtype=np.int64)]
+        (new_csv, new_json), (old_csv, old_json) = self._both(
+            tmp_path, ["b", "sample_index"], columns, [])
+        assert new_csv == old_csv == b"b,sample_index\r\n"
+        assert new_json == old_json
+
+    def test_columns_must_match_the_header(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_table(str(tmp_path), "t", ["a", "b"], [np.zeros(3)], ("csv",))
+        with pytest.raises(ValueError):
+            cli._write_table(str(tmp_path), "t", ["a", "b"], [np.zeros(3), np.zeros(2)],
+                             ("csv",))
+
+    def test_compare_json_matches_its_csv(self, tmp_path):
+        path = write_cfg(tmp_path, GAUSS_SMALL)
+        for fmt in ("csv", "json"):
+            assert main(["compare", "--config", path, "--format", fmt,
+                         "--out-dir", str(tmp_path / fmt)]) == 0
+        with open(tmp_path / "csv" / "compare.csv", newline="") as fh:
+            lines = list(csv.reader(fh))
+        payload = json.loads((tmp_path / "json" / "compare.json").read_text())
+        assert payload["columns"] == lines[0]
+        assert payload["rows"] == [[float(v) for v in line] for line in lines[1:]]
+        assert {row[-1] for row in payload["rows"]} == {1.0}

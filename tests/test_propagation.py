@@ -31,13 +31,14 @@ from randset_pde.propagation import (
     ParameterGrid,
     PointwiseBlocks,
     QoISpec,
+    SampleFailure,
     compare_bounds,
     interval_mean_field,
     parametric_from_random_set,
     propagate_parametric,
     propagate_random_set,
 )
-from randset_pde.randomsets import Interval
+from randset_pde.randomsets import Interval, RandomIntervalSample, empirical_pbox
 from randset_pde.sampling import standard_normals
 
 FIG1_DIMS = [Interval(-1.0, 1.0), Interval(1.0, 2.0)]
@@ -233,6 +234,39 @@ class TestBlocks:
                 np.testing.assert_array_equal(got_pbox.thresholds, pbox.thresholds)
                 np.testing.assert_array_equal(got_pbox.f_lower, pbox.f_lower)
                 np.testing.assert_array_equal(got_pbox.f_upper, pbox.f_upper)
+
+    @pytest.mark.parametrize("block_size", [1, 16, N])
+    def test_unrecorded_infinity_fails_its_sample(self, block_size):
+        # sample 5 of the first 16-block turns +inf at grid index 2 of 3, and
+        # evaluate_block records no failure for it
+        class InfAtLaterPoint(GaussianFamilyModel):
+            def draws(self, seed, indices):
+                return np.asarray(indices, dtype=float)[:, None]
+
+            def evaluate_block(self, draws, points):
+                values = draws[:, None, :] * 0.01 + points[None, :, :1]
+                values[draws[:, 0] == 5.0, 2] = np.inf
+                return values, {}
+
+        grid = ParameterGrid.regular([Interval(0.0, 1.0), Interval(1.0, 2.0)], [3, 1])
+        real_first_failures = propagation._first_failures
+        with mock.patch.object(propagation, "_first_failures",
+                               side_effect=real_first_failures) as spy, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagation, "BLOCK_SIZE", block_size)
+            mp.setattr(propagation, "DRAW_BLOCK", block_size)
+            values, samples, failures, pbox = self._run(InfAtLaterPoint(), grid, seed=0)
+        # only the block that holds sample 5 takes the failure pass
+        assert spy.call_count == 1
+        assert failures == (SampleFailure(5, 2, "model returned non-finite values"),)
+        survivors = np.delete(np.arange(self.N), 5)
+        np.testing.assert_array_equal(samples, survivors)
+        np.testing.assert_array_equal(
+            values, survivors[:, None, None] * 0.01 + grid.points[None, :, :1])
+        reference = empirical_pbox(
+            RandomIntervalSample(survivors * 0.01, survivors * 0.01 + 1.0), pbox.thresholds)
+        np.testing.assert_array_equal(pbox.f_lower, reference.f_lower)
+        np.testing.assert_array_equal(pbox.f_upper, reference.f_upper)
 
     def test_gauss_block_is_the_per_point_path(self):
         model, grid = GaussianFamilyModel(), ParameterGrid.regular(FIG1_DIMS, [5, 4])
