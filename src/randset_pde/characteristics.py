@@ -11,8 +11,9 @@ fixed space-time grid.  Characteristic curves are traced once with a classic
 fourth-order Runge-Kutta method and cached.  Where the speed ignores t and
 the levels are evenly spaced, the curve through (x, t) is the one through
 (x, t') shifted in time, so one curve per abscissa, family and side of
-t = 0 gives the feet of every node above that abscissa; otherwise each node
-is traced on a curve of its own.
+t = 0 gives the feet of every node above that abscissa, and, where f and g
+ignore t as well, their values at those feet; otherwise each node is traced
+on a curve of its own.
 
 The discrete problem is lower-triangular in |t|: a node's last foot is the
 node itself, and every other foot lies on a level nearer t = 0.  So one
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -74,8 +75,8 @@ __all__ = [
 
 BOUND_SLACK = 1e-9
 INSIDE_TOL = 1e-12
-# Feet per lattice in one call of f and g; 1.4 MB of points for 11
-# stacked lattices, and the whole lattice of a 41x41 point solve.
+# Feet (or curve points) per lattice in one call of f and g; 1.4 MB of
+# points for 11 stacked lattices, and the whole lattice of a 41x41 point solve.
 PRECOMPUTE_FEET = 1 << 14
 
 
@@ -90,9 +91,13 @@ def _eval_x(fn, x):
 
 def _shaped(out, x):
     """``out`` as a float array of x's shape; a broadcast view only where needed,
-    since the RK4 stages call this several times each."""
+    and ``out`` itself when it already is one, since the RK4 stages call this
+    several times each."""
+    shape = np.shape(x)
+    if type(out) is np.ndarray and out.dtype == float and out.shape == shape:
+        return out
     out = np.asarray(out, dtype=float)
-    return out if out.shape == np.shape(x) else np.broadcast_to(out, np.shape(x))
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 @dataclass(frozen=True)
@@ -304,12 +309,15 @@ class _Lattice:
     family, abscissa) and side is traced, from the outermost level on which
     the abscissa has a node, and a node m levels from t = 0 takes its feet
     from the curve's first m level steps.  Otherwise every node is traced on
-    a curve of its own.
+    a curve of its own.  ``curve_sides`` keeps each side's curves until
+    :meth:`precompute`: (curves, start, direction, indices of its groups).
 
     ``groups`` run from the outermost level inwards, so reversed they are a
     causal order; ``queries[s]`` lists the ``(group index, m, slice)`` of the
     earlier groups whose feet land on level s, in order: the slices tile the
-    feet on level s, and hand their values back.
+    feet on level s, and hand their values back.  ``rows[s]`` is the
+    :class:`_RowLayout` of those feet on level s's interpolation row, its
+    nodes with one ghost node per side.
     """
 
     def __init__(self, a, signs, xs, ts, cone, i0, targets, n_lattices, shared):
@@ -317,6 +325,8 @@ class _Lattice:
         self.solved = np.zeros_like(cone)
         self.groups = []
         self.queries = {}
+        self.rows = {}
+        self.curve_sides = []
         self.n_lattices, self.n_families, self.shared = n_lattices, len(signs), shared
         signs = np.asarray(signs, dtype=float)[:, None]
 
@@ -324,9 +334,10 @@ class _Lattice:
             return signs * _eval_xt(a, x, t)
 
         max_step = _max_step(xs, ts)
-        plus, plus_slices = self._trace_side(range(ts.size - 1, i0, -1), slope, max_step,
+        plus, plus_slices = self._trace_side(1, range(ts.size - 1, i0, -1), slope, max_step,
                                              cone, targets)
-        minus, minus_slices = self._trace_side(range(0, i0), slope, max_step, cone, targets)
+        minus, minus_slices = self._trace_side(-1, range(0, i0), slope, max_step, cone,
+                                               targets)
         shift = plus.shape[2]
         slices = plus_slices + [(gi, m, slice(sl.start + shift, sl.stop + shift))
                                 for gi, m, sl in minus_slices]
@@ -336,9 +347,10 @@ class _Lattice:
         if ids.size:
             self._start(i0, ids)
 
-    def _trace_side(self, levels, slope, max_step, cone, targets):
-        """Trace one side of t = 0 from its outermost level inwards; return
-        the feet that land on t = 0 and their slices.
+    def _trace_side(self, direction, levels, slope, max_step, cone, targets):
+        """Trace one side of t = 0 (``direction`` +1 above, -1 below) from its
+        outermost level inwards; return the feet that land on t = 0 and their
+        slices.
 
         ``pos`` holds the feet on the current level of every node started on
         an earlier one, in the order of their groups.  Per-node curves march
@@ -352,6 +364,7 @@ class _Lattice:
             curves = np.empty((S, K, nx, len(levels) + 1))
             start = np.full(nx, -1)          # level distance at which a curve starts
             node_x = node_d = np.empty(0, dtype=np.intp)
+            first = len(self.groups)
         for prev, s in zip([None, *levels], [*levels, self.i0]):
             d = abs(s - self.i0)
             if active and self.shared:
@@ -364,6 +377,9 @@ class _Lattice:
                 pos = _rk4_march(slope, pos, self.ts[prev], self.ts[s], max_step)
             slices = self._land(s, pos, active)
             if s == self.i0:
+                if self.shared:
+                    self.curve_sides.append((curves, start, direction,
+                                             range(first, len(self.groups))))
                 return pos, slices
             self.queries[s] = slices
             ids = self._dependence(s, pos, cone, targets)
@@ -392,15 +408,31 @@ class _Lattice:
         return slices
 
     def _dependence(self, s, feet, cone, targets):
-        """Level s's targets plus the cone nodes np.interp reads at the feet."""
+        """Level s's targets plus the cone nodes np.interp reads at the feet.
+
+        The same search places each foot in the level's interpolation row
+        (``rows[s]``): the interval ``np.searchsorted(xe, feet, side="right")
+        - 1`` of its abscissae xe follows from the foot's interval among the
+        cone nodes, whose ends are nodes of the row.
+        """
         take = targets[s].copy()
         row = np.nonzero(cone[s])[0]
-        if feet.size and row.size:
-            j = np.searchsorted(self.xs[row], feet.ravel(), side="right") - 1
-            j = np.clip(j, 0, max(row.size - 2, 0))
-            take[row[j]] = True
-            take[row[np.minimum(j + 1, row.size - 1)]] = True
-        return np.nonzero(take)[0]
+        if not (feet.size and row.size):
+            return np.nonzero(take)[0]
+        q = feet.reshape(feet.shape[0], -1)
+        j = np.searchsorted(self.xs[row], q, side="right") - 1
+        jc = np.clip(j, 0, max(row.size - 2, 0))
+        take[row[jc]] = True
+        take[row[np.minimum(jc + 1, row.size - 1)]] = True
+        ids = np.nonzero(take)[0]
+        xe = _row_abscissae(self.xs, ids)
+        # xe[k] is node ids[k - 1], and cumsum(take) counts the nodes up to each
+        interval = np.cumsum(take)[row[jc]]
+        below, above = j < 0, j == row.size - 1     # beside the row's first or last node
+        interval[below] = np.where(q[below] < xe[0], -1, 0)
+        interval[above] = np.where(q[above] < xe[-1], ids.size, ids.size + 1)
+        self.rows[s] = _row_layout(xe, q, interval)
+        return ids
 
     def _start(self, s, ids):
         direction = 1 if s >= self.i0 else -1
@@ -410,15 +442,36 @@ class _Lattice:
         self.groups.append(group)
         self.solved[s, ids] = True
 
-    def precompute(self, f, g, u0s):
+    def precompute(self, f, g, u0s, fg_time_dependent=True):
         """f and g at every foot, and family k's u0s[k] at its feet on t = 0;
         lattice l's values are read at the points' index l on their leading
-        axis.  f and g are called once per run of groups holding up to
-        PRECOMPUTE_FEET feet per lattice, which bounds the size of their
-        temporaries; u0 once over the whole lattice."""
+        axis.  u0 is called once over the whole lattice.
+
+        With shared curves and f and g that ignore t (``fg_time_dependent``
+        False), every foot of a side's groups is a point of its abscissa's
+        curve, so f and g are called on the curves' points
+        (:meth:`_curve_values`) and each group gathers its feet's values
+        from there; the t = 0 level's group, and every group otherwise,
+        calls them at its own feet.  Either way f and g see at most
+        PRECOMPUTE_FEET points per lattice at once, which bounds the size of
+        their temporaries.
+        """
         S, groups = self.n_lattices, self.groups
+        per_foot = list(groups)
+        if self.shared and not fg_time_dependent:
+            for curves, start, direction, members in self.curve_sides:
+                Fc, Gc = self._curve_values(f, g, curves, start, direction)
+                for gi in members:
+                    group = groups[gi]
+                    d = group.taus.size - 1
+                    feet = (slice(None), slice(None), group.node_ids[:, None],
+                            d - np.arange(d + 1))
+                    group.F, group.G = Fc[feet], Gc[feet]
+            on_curves = {gi for *_, members in self.curve_sides for gi in members}
+            per_foot = [group for gi, group in enumerate(groups) if gi not in on_curves]
+        self.curve_sides = []       # every foot's position is in its group
         chunks, size = [[]], 0
-        for group in groups:
+        for group in per_foot:
             if size and size + group.pos[0].size > PRECOMPUTE_FEET:
                 chunks.append([])
                 size = 0
@@ -444,6 +497,27 @@ class _Lattice:
         for group in groups:
             group.U0 = U0[:, :, off:off + group.node_ids.size]
             off += group.node_ids.size
+
+    def _curve_values(self, f, g, curves, start, direction):
+        """f and g at every point of one side's curves that some foot is:
+        steps 0..start[i] of abscissa i's curve, which its outermost node
+        reaches on the levels start[i], ..., 0 from t = 0, at those levels'
+        times.  Other entries of the returned (S, K, nx, steps) arrays are
+        never read."""
+        live = np.nonzero(start >= 0)[0]
+        counts = start[live] + 1
+        curve = np.repeat(live, counts)
+        step = np.arange(curve.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        taus = self.ts[self.i0 + direction * (start[curve] - step)]
+        Fc, Gc = np.empty(curves.shape), np.empty(curves.shape)
+        per_call = max(1, PRECOMPUTE_FEET // self.n_families)
+        for lo in range(0, curve.size, per_call):
+            at = (slice(None), slice(None), curve[lo:lo + per_call], step[lo:lo + per_call])
+            pos, tau = curves[at], taus[lo:lo + per_call]
+            F, G = _eval_xt(f, pos, tau), _eval_xt(g, pos, tau)
+            _check_finite(("f", F), ("g", G))
+            Fc[at], Gc[at] = F, G
+        return Fc, Gc
 
 
 def _check_finite(*named):
@@ -475,22 +549,93 @@ def _zero_level(ts):
     return i0
 
 
-def _row_table(xs, ids, vrow):
-    """One level's 1-d interpolation table with one ghost node per side.
-
-    The ghosts extrapolate linearly from the outermost inside values, so
-    queries up to the slanted cone boundary stay well-defined without ever
-    consulting nodes outside the cone.
-    """
+def _row_abscissae(xs, ids):
+    """A level's interpolation abscissae: its nodes ``ids`` and one ghost node
+    per side, so queries up to the slanted cone boundary stay well-defined
+    without ever consulting nodes outside the cone."""
     xrow = xs[ids]
     if ids.size >= 2:
-        xe = np.concatenate(([2 * xrow[0] - xrow[1]], xrow, [2 * xrow[-1] - xrow[-2]]))
-        ve = np.concatenate(([2 * vrow[0] - vrow[1]], vrow, [2 * vrow[-1] - vrow[-2]]))
+        return np.concatenate(([2 * xrow[0] - xrow[1]], xrow, [2 * xrow[-1] - xrow[-2]]))
+    dx_typ = float(np.mean(np.diff(xs))) if xs.size > 1 else 1.0
+    return np.array([xrow[0] - dx_typ, xrow[0], xrow[0] + dx_typ])
+
+
+def _row_values(vrows):
+    """The (C, S, n + 2) values on :func:`_row_abscissae` of the (S, C, n)
+    values at a level's n nodes, one row per component and lattice: the
+    ghosts extrapolate linearly from the outermost inside values (a single
+    node's value is constant)."""
+    rows = vrows.transpose(1, 0, 2)
+    ve = np.empty(rows.shape[:2] + (rows.shape[2] + 2,))
+    if rows.shape[2] >= 2:
+        ve[..., 1:-1] = rows
+        ve[..., 0] = 2 * rows[..., 0] - rows[..., 1]
+        ve[..., -1] = 2 * rows[..., -1] - rows[..., -2]
     else:
-        dx_typ = float(np.mean(np.diff(xs))) if xs.size > 1 else 1.0
-        xe = np.array([xrow[0] - dx_typ, xrow[0], xrow[0] + dx_typ])
-        ve = np.array([vrow[0], vrow[0], vrow[0]])
-    return xe, ve
+        ve[...] = rows[..., :1]
+    return ve
+
+
+class _RowLayout(NamedTuple):
+    """Where S rows of queries fall on one interpolation row ``xe`` (P,).
+
+    ``jl`` (S, Q) is the interval j of each query, clipped to [0, P - 2],
+    in the smallest unsigned type that holds P.  ``ends`` lists the flat
+    (S, Q) indices of the queries np.interp gives a node's value (below
+    xe[0], at or beyond xe[-1], on a node, or NaN), and ``nodes`` that node.
+    """
+
+    xe: np.ndarray
+    jl: np.ndarray
+    ends: np.ndarray
+    nodes: np.ndarray
+
+
+def _row_layout(xe, q, j) -> _RowLayout:
+    """The layout of queries ``q`` (S, Q) on ``xe``, given
+    ``j = np.searchsorted(xe, q, side="right") - 1``."""
+    jl = np.clip(j, 0, xe.size - 2)
+    ends = np.flatnonzero((j < 0) | (j == xe.size - 1) | (xe[jl] == q))
+    return _RowLayout(xe, jl.astype(np.min_scalar_type(xe.size)), ends,
+                      np.maximum(j.reshape(-1)[ends], 0))
+
+
+def _interp_rows(layout, ve, q):
+    """``np.interp(q[l], xe, ve[c, l])`` for every c and l, in one pass.
+
+    ``layout`` is the queries' :class:`_RowLayout` on ``xe``, ``ve`` (C, S,
+    P) and ``q`` (S, Q); the result is (C, S, Q).  It follows np.interp's
+    own arithmetic, so it equals it bit for bit: below xe[0] the first
+    value, at or beyond xe[-1] the last, on a node that node's value, a NaN
+    query NaN, and otherwise slope * (x - xe[j]) + ve[j] with
+    slope = (ve[j+1] - ve[j]) / (xe[j+1] - xe[j]), which np.interp retries
+    from the right end, then takes as ve[j], where it gives NaN.  That can
+    only happen with a non-finite value in ``ve``, so only then is the
+    retry looked for.
+    """
+    n_comp, n_lat, size = ve.shape
+    at = layout.jl + size * np.arange(n_lat)[:, None]     # into S stacked rows, as intp
+    xe = np.tile(layout.xe, n_lat)
+    d = q - xe.take(at)
+    dx = np.diff(layout.xe)
+    slopes = np.empty_like(ve)
+    np.divide(ve[..., 1:] - ve[..., :-1], dx, out=slopes[..., :-1])
+    out = np.empty((n_comp,) + q.shape)
+    for vc, sc, oc in zip(ve, slopes, out):
+        np.multiply(sc.reshape(-1).take(at), d, out=oc)
+        oc += vc.reshape(-1).take(at)
+    if not np.isfinite(ve).all():
+        c, l, k = np.nonzero(np.isnan(out))
+        a = at[l, k]
+        flat = ve.reshape(n_comp, -1)
+        x1, y0, y1 = xe[a + 1], flat[c, a], flat[c, a + 1]
+        retry = slopes.reshape(n_comp, -1)[c, a] * (q[l, k] - x1) + y1
+        out[c, l, k] = np.where(np.isnan(retry) & (y0 == y1), y0, retry)
+    if layout.ends.size:
+        node = ve[:, layout.ends // q.shape[1], layout.nodes]
+        node[:, np.isnan(q.reshape(-1)[layout.ends])] = np.nan
+        out.reshape(n_comp, -1)[:, layout.ends] = node
+    return out
 
 
 def _verify_speed_bound(a, bound, region, xs, ts, time_dependent, n_lattices):
@@ -558,8 +703,8 @@ def _march(lattice, coupling_weights) -> np.ndarray:
 
     Each node stores ``U0 + (F * c(feet) + G) @ weights`` with its own foot
     set to that c; its finished level is then interpolated at every foot on
-    it, one lattice at a time.  Returns the (S, components, nt, nx) values,
-    NaN off the lattice.
+    it, every lattice and component in one pass (:func:`_interp_rows`).
+    Returns the (S, components, nt, nx) values, NaN off the lattice.
     """
     xs, ts, groups = lattice.xs, lattice.ts, lattice.groups
     sum_c = sum(coupling_weights)
@@ -587,10 +732,9 @@ def _march(lattice, coupling_weights) -> np.ndarray:
         if not slices:
             continue
         qpos = np.concatenate([groups[gj].pos[:, :, :, m] for gj, m, _ in slices], axis=2)
-        coupled = np.empty_like(qpos)
-        for ul, ql, out in zip(u, qpos, coupled):
-            out[...] = sum(ck * np.interp(ql, *_row_table(xs, ids, uk[s, ids]))
-                           for ck, uk in zip(coupling_weights, ul))
+        rows = _interp_rows(lattice.rows[s], _row_values(u[:, :, s, ids]),
+                            qpos.reshape(qpos.shape[0], -1))
+        coupled = sum(ck * rk for ck, rk in zip(coupling_weights, rows)).reshape(qpos.shape)
         for gj, m, sl in slices:
             at_feet[gj][:, :, :, m] = coupled[:, :, sl]
     return u
@@ -663,8 +807,10 @@ def wave_to_system(material: WaveMaterial, fd_step: Optional[float] = None):
         raise MaterialError("density must be positive")
 
     def _checked(vals, name):
+        # one min, which NaN turns NaN: only then is each value compared
         vals = np.asarray(vals, dtype=float)
-        if np.any(vals <= 0.0):
+        low = vals.min() if vals.size else 1.0
+        if low <= 0.0 or (low != low and np.any(vals <= 0.0)):
             raise MaterialError(f"{name} must stay positive, got minimum {vals.min():g}")
         return vals
 
@@ -702,7 +848,8 @@ def wave_to_system(material: WaveMaterial, fd_step: Optional[float] = None):
 def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
                      a_time_dependent: bool = True,
                      targets: Optional[np.ndarray] = None,
-                     lattices: Optional[int] = None) -> GridSolution2D:
+                     lattices: Optional[int] = None,
+                     fg_time_dependent: bool = True) -> GridSolution2D:
     """The pair of coupled transport equations
 
         (d_t + a d_x) u1 = f (u2 - u1) + g,   u1(.,0) = u01,
@@ -712,36 +859,47 @@ def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
     characteristics, component 2 along -a; both families are traced in one
     pass.  A node's own terms cancel in u2 - u1, so the march divides by
     exactly 1.  ``targets`` restricts the solve and ``lattices`` stacks S
-    problems as in :func:`solve_transport`.
+    problems as in :func:`solve_transport`.  Set ``fg_time_dependent=False``
+    when f and g ignore t: where the speed ignores t too, they are then
+    evaluated once per point of the shared characteristic curves rather
+    than at every foot, to the same values.
     """
     lattice = _lattice(a, (1.0, -1.0), region.c, region, xs, ts, a_time_dependent, targets,
                        lattices)
-    lattice.precompute(f, g, (u01, u02))
+    lattice.precompute(f, g, (u01, u02), fg_time_dependent)
     return _solution(lattice, _march(lattice, (-1.0, 1.0)), lattices)
 
 
-def reconstruct_displacement(solution: GridSolution2D, w) -> np.ndarray:
+def reconstruct_displacement(solution: GridSolution2D, w,
+                             column: Optional[int] = None) -> np.ndarray:
     """Displacement u(x,t) = w(x) + integral_0^t (u1+u2)/2 dtau, per column.
 
     ``solution`` must be a 2-component system solution whose components are
     (d_t - a d_x)u and (d_t + a d_x)u, so their mean is the time derivative
-    of the displacement.  Trapezoid accumulation along each x-column; NaN
-    at every node whose column is not solved all the way from t = 0.  A
-    solution of S lattices gives (S, nt, nx) displacements.
+    of the displacement.  Trapezoid accumulation along each x-column, one
+    level after another; NaN at every node whose column is not solved all
+    the way from t = 0.  A solution of S lattices gives (S, nt, nx)
+    displacements.  With ``column`` = i only column i is integrated, and
+    the result drops the x axis: it equals the whole reconstruction's
+    ``[..., i]`` bit for bit.
     """
     if solution.values.ndim - (solution.lattices is not None) != 3:
         raise DomainError("displacement reconstruction needs a 2-component solution")
-    xs, ts, inside = solution.xs, solution.ts, solution.inside
+    xs, ts = solution.xs, solution.ts
     i0 = _zero_level(ts)
-    v = 0.5 * (solution.values[..., 0, :, :] + solution.values[..., 1, :, :])
-    u = np.full(v.shape, np.nan)
-    u[..., i0, inside[i0]] = _eval_x(w, xs[inside[i0]])
-    for j in range(i0 + 1, ts.size):
-        step = 0.5 * (ts[j] - ts[j - 1])
-        sel = inside[j]
-        u[..., j, sel] = u[..., j - 1, sel] + step * (v[..., j - 1, sel] + v[..., j, sel])
-    for j in range(i0 - 1, -1, -1):
-        step = 0.5 * (ts[j] - ts[j + 1])
-        sel = inside[j]
-        u[..., j, sel] = u[..., j + 1, sel] + step * (v[..., j + 1, sel] + v[..., j, sel])
-    return u
+    cols = slice(None) if column is None else slice(column, column + 1)
+    inside = solution.inside[:, cols]
+    values = solution.values[..., cols]
+    v = np.where(inside, 0.5 * (values[..., 0, :, :] + values[..., 1, :, :]), np.nan)
+    u = np.empty(v.shape)
+    u[..., i0, :] = np.nan
+    u[..., i0, inside[i0]] = _eval_x(w, xs[cols][inside[i0]])
+    # each level adds its trapezoid to the previous one's value, in order
+    # outwards from t = 0; a node off the lattice is NaN, and so is every
+    # node beyond it
+    for levels in (slice(i0, None), slice(i0, None, -1)):
+        half = 0.5 * np.diff(ts[levels])[:, None]
+        inc = half * (v[..., levels, :][..., :-1, :] + v[..., levels, :][..., 1:, :])
+        u[..., levels, :][..., 1:, :] = inc
+        u[..., levels, :] = np.add.accumulate(u[..., levels, :], axis=-2)
+    return u if column is None else u[..., 0]

@@ -352,6 +352,11 @@ def _build_qoi(cfg: ScenarioConfig):
     raise ConfigError([f"qoi.kind: cannot propagate {kind!r}"])
 
 
+def _plot_ell(grid) -> float:
+    """field.svg's correlation length: the middle of the grid's interval."""
+    return grid.dims[0].mid
+
+
 def _field_sampler(model, ell, seed, n_paths=3, n_points=201):
     """Closure for field.svg: the model's first KL field of samples 0..n_paths-1
     at correlation length ell, on the model's field domain.  The paths share
@@ -530,7 +535,7 @@ def _propagation_outputs(args, cfg, out_dir, model, rs, stages, manifest):
     files += _write_table(out_dir, "mean_field", header, columns, formats)
     sampler = None
     if hasattr(model, "fields"):
-        sampler = _field_sampler(model, rs.grid.dims[0].mid, rs.seed)
+        sampler = _field_sampler(model, _plot_ell(rs.grid), rs.seed)
     files += emit_plots(rs, mf, out_dir, field_sampler=sampler)
     stages.mark("report")
     manifest.update(outputs=files, seed=rs.seed, **_run_counts(rs), **_point_entry(model))
@@ -543,7 +548,12 @@ def _cmd_propagate(args, out_dir, stages, manifest):
     seed = _seed(args, cfg, required=True)
     qoi, grid = _build_qoi(cfg)
     model = qoi.build()
+    if hasattr(model, "fields"):     # field.svg's basis joins the grid's root solve
+        model.prepare(grid, extra_ells=(_plot_ell(grid),))
+    else:
+        model.prepare(grid)
     stages.mark("prepare")
+    # prepares the model again, which finds every basis and table built
     rs = propagate_random_set(model, grid, cfg.propagation.samples, seed,
                               threshold_count=cfg.propagation.thresholds)
     stages.mark("solve")
@@ -557,6 +567,7 @@ def _cmd_compare(args, out_dir, stages, manifest):
     seed = _seed(args, cfg, required=True)
     qoi, grid = _build_qoi(cfg)
     model = qoi.build()
+    model.prepare(grid)
     stages.mark("prepare")
     rs = propagate_random_set(model, grid, cfg.propagation.samples, seed,
                               threshold_count=cfg.propagation.thresholds)

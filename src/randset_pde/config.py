@@ -1,9 +1,12 @@
 """Scenario configuration: commented INI files mapped onto dataclasses.
 
 Parsing validates everything that is present (types, signs, orderings) and
-reports ALL violations at once, not just the first.  Which sections a run
-actually needs depends on the subcommand; :func:`require` performs those
-checks with the same all-violations policy.
+reports ALL violations at once, not just the first.  A section or key the
+parser does not read is one of those violations, named with the nearest
+known name, so a misspelt key never falls back silently to its default.
+``propagation.workers`` is read and ignored, since samples run in blocks in
+one thread.  Which sections a run actually needs depends on the subcommand;
+:func:`require` performs those checks with the same all-violations policy.
 """
 
 from __future__ import annotations
@@ -167,15 +170,37 @@ class ScenarioConfig:
     output: OutputConfig
 
 
+def _suggestion(name: str, known) -> str:
+    import difflib     # here, so that a valid config never loads it
+
+    close = difflib.get_close_matches(name, sorted(known), n=1)
+    return f" (did you mean {close[0]!r}?)" if close else ""
+
+
 class _Reader:
-    """configparser access that accumulates every violation."""
+    """configparser access that accumulates every violation, and records
+    every (section, key) it looks up."""
 
     def __init__(self, cp: configparser.ConfigParser):
         self.cp = cp
         self.problems: list = []
+        self.read: dict = {}      # section -> keys looked up
 
     def has(self, section: str, key: str) -> bool:
+        self.read.setdefault(section, set()).add(key)
         return self.cp.has_option(section, key)
+
+    def unread(self) -> list:
+        """One problem per section and key of the file that was never looked up."""
+        problems = []
+        for section in self.cp.sections():
+            keys = self.read.get(section)
+            if keys is None:
+                problems.append(f"[{section}]: unknown section{_suggestion(section, self.read)}")
+                continue
+            problems += [f"{section}.{key}: unknown key{_suggestion(key, keys)}"
+                         for key in self.cp.options(section) if key not in keys]
+        return problems
 
     def _convert(self, section, key, conv, label):
         raw = self.cp.get(section, key)
@@ -333,6 +358,7 @@ def parse_config(path) -> ScenarioConfig:
         sigma_points=r.integer("propagation", "sigma_points", default=11, minimum=1),
         thresholds=r.integer("propagation", "thresholds", default=201, minimum=2),
     )
+    r.integer("propagation", "workers", minimum=1)     # accepted, no effect
     qoi = QoIConfig(
         kind=r.choice("qoi", "kind", QOI_KINDS),
         x1=r.number("qoi", "x1"),
@@ -350,6 +376,7 @@ def parse_config(path) -> ScenarioConfig:
         else:
             formats = tuple(raw) or ("csv",)
 
+    r.problems += r.unread()
     if r.problems:
         raise ConfigError(r.problems)
     return ScenarioConfig(

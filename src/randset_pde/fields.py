@@ -361,25 +361,42 @@ class FieldTable:
             derivative = _hermite_pieces(dq, h * d2q, self._derivative[:, off:off + n])
             derivative *= scale
         self._per_h, self._last, self._offsets = 0.5 * sizes, sizes - 1, offsets
+        self._views = {}      # points' ndim -> (per_h, last, offsets) shaped to them
+
+    def _layout(self, ndim):
+        """(per_h, last, offsets) broadcasting against points of ``ndim`` axes:
+        along the leading axis for a stack, scalars for one field."""
+        views = self._views.get(ndim)
+        if views is None:
+            arrays = (self._per_h, self._last, self._offsets)
+            if self._per_h.size > 1:
+                stacked = (self._per_h.size,) + (1,) * (ndim - 1)
+                views = tuple(a.reshape(stacked) for a in arrays)
+            else:
+                views = tuple(a[0] for a in arrays)
+            self._views[ndim] = views
+        return views
 
     def _lookup(self, x, pieces):
         xhat = _reference_coords(self.domain, x)
-        per_h, last, offsets = self._per_h, self._last, self._offsets
-        if per_h.size > 1:
-            if xhat.ndim == 0 or xhat.shape[0] != per_h.size:
-                raise DomainError(f"a table of {per_h.size} fields needs points with a "
-                                  f"leading axis of {per_h.size}, got shape {xhat.shape}")
-            stacked = (per_h.size,) + (1,) * (xhat.ndim - 1)
-            per_h, last, offsets = (a.reshape(stacked) for a in (per_h, last, offsets))
-        else:
-            per_h, last, offsets = per_h[0], last[0], offsets[0]
+        n_fields = self._per_h.size
+        if n_fields > 1 and (xhat.ndim == 0 or xhat.shape[0] != n_fields):
+            raise DomainError(f"a table of {n_fields} fields needs points with a "
+                              f"leading axis of {n_fields}, got shape {xhat.shape}")
+        per_h, last, offsets = self._layout(xhat.ndim)
         s = (xhat + 1.0) * per_h
         # truncation is the floor for s >= 0, and gives piece 0 for the
         # rounding-sized negative s that _reference_coords lets through
         i = np.minimum(s.astype(np.intp), last)
         t = s - i
-        c = pieces[:, i + offsets]
-        out = c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+        c = pieces.take(i + offsets, axis=1)
+        # c[0] + t * (c[1] + t * (c[2] + t * c[3])), in place
+        out = np.multiply(t, c[3])
+        out += c[2]
+        out *= t
+        out += c[1]
+        out *= t
+        out += c[0]
         return float(out) if np.ndim(x) == 0 else out
 
     def value(self, x):
@@ -426,12 +443,13 @@ def _reference_coords(domain: Interval, x):
     """Affine map of points of ``domain`` onto [-1, 1].
 
     DomainError outside the domain; NumericalError for a NaN point, which
-    fails both range checks as written.
+    makes the minimum and the maximum NaN and so fails both range checks as
+    written.
     """
     arr = np.asarray(x, dtype=float)
     a, b = domain.lo, domain.hi
     tol = 1e-12 * max(1.0, abs(a), abs(b))
-    if not (arr >= a - tol).all() or not (arr <= b + tol).all():
+    if arr.size and not (arr.min() >= a - tol and arr.max() <= b + tol):
         if np.isnan(arr).any():
             raise NumericalError("evaluation point is not finite")
         raise DomainError(f"evaluation point outside field domain [{a}, {b}]")
@@ -511,8 +529,12 @@ class CutoffField:
         return self.shift(x) if callable(self.shift) else self.shift
 
     def value(self, x):
-        raw = np.minimum(np.maximum(self._shift_at(x) + self.base.value(x), self.lo), self.hi)
-        return float(raw) if np.ndim(x) == 0 else raw
+        raw = self._shift_at(x) + self.base.value(x)
+        if np.ndim(x) == 0:
+            return float(np.minimum(np.maximum(raw, self.lo), self.hi))
+        # raw is a new array: clip it in place
+        np.maximum(raw, self.lo, out=raw)
+        return np.minimum(raw, self.hi, out=raw)
 
     def derivative(self, x):
         raw = self._shift_at(x) + self.base.value(x)

@@ -100,10 +100,13 @@ class _KLFieldModel:
             self._bases[params.ell] = kl_eigenpairs(params, self.m_pairs)
         return params, self._bases[params.ell]
 
-    def prepare(self, grid: ParameterGrid) -> None:
+    def prepare(self, grid: ParameterGrid, extra_ells=()) -> None:
+        """The KL bases of the grid's correlation lengths and of ``extra_ells``
+        (such as a plot's), those not built yet, from one stacked root solve."""
         if grid.ndim != 1:
             raise ConfigError(f"{type(self).__name__} expects a 1-d correlation-length grid")
-        ells = [ell for ell in dict.fromkeys(map(float, grid.axes[0])) if ell not in self._bases]
+        ells = [ell for ell in dict.fromkeys(map(float, [*grid.axes[0], *extra_ells]))
+                if ell not in self._bases]
         if ells:
             params = [ExpCovarianceParams(self.sigma, ell, self.field_domain) for ell in ells]
             self._bases.update(zip(ells, kl_bases(params, self.m_pairs)))
@@ -177,10 +180,11 @@ class EllipticModel(_KLFieldModel):
         solution = solve_cg(assemble(self.mesh, coeffs, self.load))
         return solution.values[self._output_ids]
 
-    def prepare(self, grid: ParameterGrid) -> None:
-        """KL eigenpairs and field tables for every correlation length, and
-        the mesh's reduced CSR pattern (the first import of scipy.sparse)."""
-        super().prepare(grid)
+    def prepare(self, grid: ParameterGrid, extra_ells=()) -> None:
+        """KL eigenpairs for every correlation length and ``extra_ells``, field
+        tables for the grid's, and the mesh's reduced CSR pattern (the first
+        import of scipy.sparse)."""
+        super().prepare(grid, extra_ells)
         self._field_tables(grid.points[:, 0])
         self.mesh.reduced_pattern
 
@@ -456,9 +460,9 @@ class WavePointModel(_PointModel):
         u02 = lambda x: a(x) * self.w_prime(x)
         sol = solve_2x2_system(a, f, g, u01, u02, self.region, self._xs, self._ts,
                                a_time_dependent=False, targets=self._targets,
-                               lattices=lattices)
+                               lattices=lattices, fg_time_dependent=False)
         j, i = self._node
-        return reconstruct_displacement(sol, self.w)[..., j, i]
+        return reconstruct_displacement(sol, self.w, column=i)[..., j]
 
 
 def build_model(qoi: QoISpec):

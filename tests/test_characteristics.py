@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 import _oracles as oracle
 from randset_pde.characteristics import (
     TransportCoefficients,
+    _interp_rows,
     _lattice,
+    _row_abscissae,
+    _row_layout,
+    _row_values,
     _max_step,
     _uniform_levels,
     WaveMaterial,
@@ -25,6 +29,7 @@ from randset_pde.errors import (
     DomainError,
     EmptyRegionError,
     MaterialError,
+    NumericalError,
     SpeedBoundError,
 )
 
@@ -412,6 +417,178 @@ class TestLatticeCurves:
                 assert np.array_equal(reconstruct_displacement(stacked, w)[l][done], own[done])
 
 
+def _phase_coefficients(phases):
+    """Speed, f and g of a stack of problems that ignore t; lattice l reads
+    phases[l] at its points x[l]."""
+    def shift(x):
+        return np.reshape(phases, np.shape(phases) + (1,) * (np.ndim(x) - np.ndim(phases)))
+
+    a = lambda x, t: 0.55 + 0.4 * np.sin(3.0 * x + shift(x))
+    f = lambda x, t: 0.5 + 0.8 * np.sin(x - shift(x))
+    g = lambda x, t: 0.3 + np.cos(2.0 * x + shift(x)) + 0.0 * t
+    return a, f, g
+
+
+class TestCurveValues:
+    """f and g once per point of the shared curves, to the per-foot values."""
+
+    @staticmethod
+    def lattices(a, time_dependent, targets, n_lattices, nx=31):
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, nx, nx)
+        return [_lattice(a, (1.0, -1.0), 1.0, region, xs, ts, time_dependent, targets,
+                         n_lattices) for _ in range(2)]
+
+    @pytest.mark.parametrize("column", [False, True])
+    @pytest.mark.parametrize("phases", [np.array([0.0, 2.0, 4.5]), None])
+    def test_per_curve_values_equal_per_foot_values(self, phases, column):
+        a, f, g = _phase_coefficients(0.0 if phases is None else phases)
+        targets = None
+        if column:
+            targets = np.zeros((31, 31), dtype=bool)
+            targets[15:27, 17] = targets[3, 12] = True
+        per_curve, per_foot = self.lattices(a, False, targets,
+                                            None if phases is None else phases.size)
+        assert per_curve.shared and len(per_curve.curve_sides) == 2
+        calls = []
+
+        def counted(fn):
+            def wrapper(x, t):
+                calls.append(np.size(x))
+                return fn(x, t)
+            return wrapper
+
+        u0s = (lambda x: -bump_prime(x), bump_prime)
+        per_curve.precompute(counted(f), g, u0s, fg_time_dependent=False)
+        curve_points = sum(calls)
+        calls.clear()
+        per_foot.precompute(counted(f), g, u0s)
+        assert curve_points < sum(calls) / 3
+        for one, other in zip(per_curve.groups, per_foot.groups):
+            for name in ("F", "G", "U0"):
+                assert getattr(one, name).shape == getattr(other, name).shape
+                np.testing.assert_array_equal(getattr(one, name), getattr(other, name))
+
+    def test_solutions_are_bitwise_equal(self):
+        a, f, g = _phase_coefficients(np.array([0.0, 2.0]))
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, 31, 31)
+        solve = lambda flag: solve_2x2_system(a, f, g, lambda x: -bump_prime(x), bump_prime,
+                                              region, xs, ts, a_time_dependent=False,
+                                              lattices=2, fg_time_dependent=flag)
+        one, other = solve(False), solve(True)
+        np.testing.assert_array_equal(one.inside, other.inside)
+        np.testing.assert_array_equal(one.values, other.values)
+
+    @pytest.mark.parametrize("fg_time_dependent", [True, False])
+    def test_time_dependent_g_or_per_node_curves_keep_the_per_foot_path(self,
+                                                                         fg_time_dependent):
+        # g reads t: by default it is called at each foot's own time; with
+        # per-node curves (a speed that reads t) the flag changes nothing
+        a, f, _ = _phase_coefficients(0.0)
+        g = lambda x, t: np.cos(x) * (1.0 + t)
+        speed_time_dependent = not fg_time_dependent
+        lattice = self.lattices(a, speed_time_dependent, None, None)[0]
+        assert lattice.shared == fg_time_dependent
+        lattice.precompute(f, g, (bump, bump), fg_time_dependent=fg_time_dependent)
+        for group in lattice.groups:
+            expected = g(group.pos, np.broadcast_to(group.taus, group.pos.shape))
+            np.testing.assert_array_equal(group.G, expected)
+
+    def test_non_finite_curve_values_are_named(self):
+        a, _, g = _phase_coefficients(0.0)
+        lattice = self.lattices(a, False, None, None)[0]
+        f = lambda x, t: np.where(x > 0.5, np.nan, 1.0)
+        with pytest.raises(NumericalError, match="coefficient f is not finite"):
+            lattice.precompute(f, g, (bump, bump), fg_time_dependent=False)
+
+
+class TestBatchedInterpolation:
+    """One searchsorted and np.interp's arithmetic for every lattice and component."""
+
+    @staticmethod
+    def check(xs, ids, vrows, q):
+        xe, ve = _row_abscissae(xs, ids), _row_values(vrows)
+        out = _interp_rows(_row_layout(xe, q, np.searchsorted(xe, q, side="right") - 1), ve, q)
+        assert out.shape == vrows.shape[1:2] + q.shape
+        for l in range(vrows.shape[0]):
+            for c in range(vrows.shape[1]):
+                np.testing.assert_array_equal(out[c, l], np.interp(q[l], xe, ve[c, l]))
+        return xe, ve
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_np_interp_on_nodes_ends_and_between(self, seed):
+        rng = np.random.default_rng(seed)
+        xs = np.linspace(-1.0, 1.0, 41)
+        ids = np.arange(7, 30)
+        vrows = rng.normal(size=(3, 2, ids.size))
+        lo, hi = 2 * xs[7] - xs[8], 2 * xs[29] - xs[28]       # the ghost nodes
+        q = np.concatenate([xs[ids], [lo, hi, lo - 0.3, hi + 0.3, np.nextafter(lo, -2)],
+                            rng.uniform(lo - 0.1, hi + 0.1, 200)])
+        q = np.stack([rng.permutation(q) for _ in range(3)])
+        q[1, :4] = np.nan
+        xe, _ = self.check(xs, ids, vrows, q)
+        assert (xe[0], xe[-1]) == (lo, hi)
+
+    def test_single_node_rows(self):
+        xs = np.linspace(-1.0, 1.0, 11)
+        vrows = np.array([[[1.5], [-2.0]], [[0.25], [7.0]]])
+        q = np.array([[0.0, 0.2, -0.2, 0.3, 0.19], [0.2, 0.21, 5.0, -5.0, 0.2]])
+        xe, ve = self.check(xs, np.array([6]), vrows, q)
+        dx = np.mean(np.diff(xs))
+        np.testing.assert_array_equal(xe, [xs[6] - dx, xs[6], xs[6] + dx])
+        np.testing.assert_array_equal(ve, np.repeat(vrows, 3, axis=2).transpose(1, 0, 2))
+
+    def test_non_finite_values_follow_np_interp(self):
+        xs = np.linspace(-1.0, 1.0, 11)
+        ids = np.arange(2, 9)
+        vrows = np.array([[[0.0, 1.0, np.inf, 3.0, np.nan, 5.0, 1e308]]])
+        q = np.array([np.linspace(-1.0, 1.0, 57)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.check(xs, ids, vrows, q)
+
+
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_lattice_places_every_foot_as_searchsorted_does(self, partial):
+        a, _, _ = _phase_coefficients(np.array([0.0, 2.0, 4.5]))
+        targets = None
+        if partial:
+            targets = np.zeros((31, 31), dtype=bool)
+            targets[15:27, 17] = targets[3, 12] = True
+        lattice = TestCurveValues.lattices(a, False, targets, 3)[0]
+        assert set(lattice.rows) == {s for s, slices in lattice.queries.items() if slices}
+        for s, layout in lattice.rows.items():
+            group = next(g for g in lattice.groups if g.level == s)
+            xe = _row_abscissae(lattice.xs, group.node_ids)
+            q = np.concatenate([lattice.groups[gj].pos[:, :, :, m]
+                                for gj, m, _ in lattice.queries[s]], axis=2)
+            q = q.reshape(3, -1)
+            expected = _row_layout(xe, q, np.searchsorted(xe, q, side="right") - 1)
+            for have, want in zip(layout, expected):
+                np.testing.assert_array_equal(have, want)
+
+
+    @pytest.mark.parametrize("nodes", [[5], [3, 4, 5, 6, 7], [2, 8]])
+    def test_feet_beyond_the_ghosts_and_on_single_node_rows(self, nodes):
+        a, _, _ = _phase_coefficients(0.0)
+        lattice = TestCurveValues.lattices(a, False, None, None, nx=11)[0]
+        cone = np.zeros((11, 11), dtype=bool)
+        cone[4, nodes] = True
+        xs = lattice.xs
+        feet = np.concatenate([xs[nodes], [-3.0, 3.0, xs[nodes[0]] - 0.19, xs[nodes[-1]] + 0.19,
+                                           xs[nodes[0]] - 0.21, xs[nodes[-1]] + 0.21,
+                                           0.5 * (xs[nodes[0]] + xs[nodes[-1]]) + 0.01]])
+        ids = lattice._dependence(4, feet.reshape(1, 1, -1), cone, np.zeros_like(cone))
+        np.testing.assert_array_equal(ids, nodes if len(nodes) < 3 else np.arange(3, 8))
+        xe = _row_abscissae(xs, ids)
+        j = np.searchsorted(xe, feet, side="right") - 1
+        assert {-1, xe.size - 1} <= set(j)
+        for have, want in zip(lattice.rows[4], _row_layout(xe, feet[None], j[None])):
+            np.testing.assert_array_equal(have, want)
+        vrows = np.random.default_rng(1).normal(size=(1, 2, ids.size))
+        self.check(xs, ids, vrows, feet[None])
+
+
 class TestWaveToSystem:
     def test_homogeneous_material(self):
         a, f, g = wave_to_system(WaveMaterial(
@@ -500,6 +677,17 @@ class TestWaveToSystem:
                         lambda xv: np.ones_like(np.asarray(xv, float)))))
         with pytest.raises(MaterialError):
             a(np.array([-0.5, 0.5]), 0.0)
+
+    def test_modulus_check_with_nan(self):
+        # a NaN modulus alone passes the check (its speed is NaN); beside a
+        # nonpositive value it does not
+        a, _, _ = wave_to_system(WaveMaterial(
+            rho=1.0, E=(lambda xv: np.asarray(xv, dtype=float),
+                        lambda xv: np.ones_like(np.asarray(xv, float)))))
+        assert np.isnan(a(np.array([0.5, np.nan]), 0.0)[1])
+        with pytest.raises(MaterialError, match="E must stay positive"):
+            a(np.array([np.nan, -0.5, 0.5]), 0.0)
+        assert a(np.empty(0), 0.0).shape == (0,)
 
     def test_nonpositive_density_rejected(self):
         modulus = (lambda xv: np.ones_like(np.asarray(xv, float)),
@@ -596,3 +784,46 @@ class TestReconstruction:
         sol = solve_transport(coeffs, region, xs, ts)
         with pytest.raises(DomainError):
             reconstruct_displacement(sol, lambda x: x)
+
+    @staticmethod
+    def level_by_level(solution, w):
+        """The trapezoid accumulation one level at a time, every column at once."""
+        xs, ts, inside = solution.xs, solution.ts, solution.inside
+        i0 = int(np.argmin(np.abs(ts)))
+        v = 0.5 * (solution.values[..., 0, :, :] + solution.values[..., 1, :, :])
+        u = np.full(v.shape, np.nan)
+        u[..., i0, inside[i0]] = w(xs[inside[i0]])
+        for j in range(i0 + 1, ts.size):
+            sel = inside[j]
+            u[..., j, sel] = u[..., j - 1, sel] + 0.5 * (ts[j] - ts[j - 1]) * (
+                v[..., j - 1, sel] + v[..., j, sel])
+        for j in range(i0 - 1, -1, -1):
+            sel = inside[j]
+            u[..., j, sel] = u[..., j + 1, sel] + 0.5 * (ts[j] - ts[j + 1]) * (
+                v[..., j + 1, sel] + v[..., j, sel])
+        return u
+
+    @pytest.mark.parametrize("lattices", [None, 2])
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_accumulation_and_one_column_are_bitwise_the_level_loop(self, lattices, partial):
+        a, f, g = _phase_coefficients(np.array([0.0, 2.0]) if lattices else 0.0)
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, 31, 31)
+        targets = None
+        if partial:
+            targets = np.zeros((31, 31), dtype=bool)
+            targets[15:27, 17] = targets[3:9, 12] = True
+        sol = solve_2x2_system(a, f, g, lambda x: -bump_prime(x), bump_prime, region, xs, ts,
+                               a_time_dependent=False, targets=targets, lattices=lattices)
+        full = reconstruct_displacement(sol, bump)
+        reference = self.level_by_level(sol, bump)
+        np.testing.assert_array_equal(full, reference)
+        for i in (0, 12, 15, 17, 30):
+            column = reconstruct_displacement(sol, bump, column=i)
+            assert column.shape == full.shape[:-1]
+            np.testing.assert_array_equal(column, full[..., i])
+        if partial:
+            assert np.isfinite(full[..., 15:27, 17]).all()
+            assert np.isfinite(full[..., 9:16, 12]).all()
+            assert np.isnan(full[..., 30]).all()    # no node of that column is solved
+            assert np.isfinite(full[..., 0]).sum() == full[..., 0].size // 31   # t = 0 only

@@ -266,6 +266,45 @@ m_terms = 0
         assert "family.sigma_min: must not exceed family.sigma_max" in err.value.problems
 
 
+class TestUnknownNames:
+    """A section or key the parser does not read is an error, never a default."""
+
+    def test_misspelt_key_and_section_are_named_with_a_suggestion(self, tmp_path):
+        text = GAUSS_SMALL.replace("samples = ", "sampels = ") + "\n[famly]\nmu_min = 0\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert "propagation.sampels: unknown key (did you mean 'samples'?)" in err.value.problems
+        assert "[famly]: unknown section (did you mean 'family'?)" in err.value.problems
+
+    def test_a_name_without_a_close_match_gets_no_suggestion(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, GAUSS_SMALL + "\n[zzz]\nqqq = 1\n"))
+        assert err.value.problems == ["[zzz]: unknown section"]
+
+    def test_every_preset_and_benchmark_scenario_parses(self):
+        scenarios = os.path.join(os.path.dirname(__file__), "..", "perfbench", "scenarios")
+        names = [os.path.join(PRESETS, name) for name in sorted(os.listdir(PRESETS))]
+        names += [os.path.join(scenarios, name) for name in sorted(os.listdir(scenarios))]
+        assert len(names) >= 9
+        for name in names:
+            parse_config(name)
+
+    def test_workers_is_accepted_and_checked(self, tmp_path):
+        text = GAUSS_SMALL.replace("[propagation]\n", "[propagation]\nworkers = 4\n")
+        assert "workers = 4" in text
+        parse_config(write_cfg(tmp_path, text))
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text.replace("workers = 4", "workers = many")))
+        assert err.value.problems == ["propagation.workers: expected an integer, got 'many'"]
+
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
+        text = GAUSS_SMALL.replace("[qoi]\n", "[qoi]\nkindd = x\n")
+        code = main(["propagate", "--config", write_cfg(tmp_path, text),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "qoi.kindd: unknown key (did you mean 'kind'?)" in capsys.readouterr().err
+
+
 class TestPointSnapping:
     """A point model solves at a lattice node, and says which."""
 
@@ -299,6 +338,45 @@ class TestPointSnapping:
         point = json.loads((out / "manifest.json").read_text())["point"]
         assert point["requested"] == [0.0, 0.3]
         np.testing.assert_allclose(point["solved"], [0.0, 0.3], rtol=0, atol=1e-15)
+
+
+class TestPrepareStage:
+    def test_propagate_prepares_every_basis_before_the_prepare_mark(self, tmp_path,
+                                                                     monkeypatch):
+        # the grid's two ell and field.svg's (their midpoint, 1.0) come from
+        # one stacked root solve, finished before the run starts; each basis
+        # equals kl_eigenpairs bit for bit
+        from randset_pde import models
+
+        calls, seen = [], {}
+        stacked, run = models.kl_bases, cli.propagate_random_set
+
+        def counting(params, m_pairs):
+            calls.append([p.ell for p in params])
+            return stacked(params, m_pairs)
+
+        def recording(model, grid, *args, **kwargs):
+            seen.update(model=model, ells=sorted(model._bases), calls=len(calls))
+            return run(model, grid, *args, **kwargs)
+
+        monkeypatch.setattr(models, "kl_bases", counting)
+        monkeypatch.setattr(models, "kl_eigenpairs", None)     # never called
+        monkeypatch.setattr(cli, "propagate_random_set", recording)
+        out = tmp_path / "run"
+        assert main(["propagate", "--config", TestPointSnapping._wave_point(tmp_path, 41, 41),
+                     "--out-dir", str(out)]) == 0
+        assert calls == [[0.5, 1.5, 1.0]] and seen["calls"] == 1
+        assert seen["ells"] == [0.5, 1.0, 1.5]
+        assert (out / "field.svg").is_file()
+        model = seen["model"]
+        for ell, basis in model._bases.items():
+            ref = kl_eigenpairs(ExpCovarianceParams(model.sigma, ell, model.field_domain),
+                                model.m_pairs)
+            for field in ("alphas", "alphas_star", "eigvals", "eigvals_star",
+                          "norms", "norms_star"):
+                np.testing.assert_array_equal(getattr(basis, field), getattr(ref, field))
+        stages = json.loads((out / "manifest.json").read_text())["stage_seconds"]
+        assert sorted(stages) == ["prepare", "report", "solve"]
 
 
 class TestExpressions:

@@ -425,6 +425,33 @@ class TestFieldTable:
         with pytest.raises(DomainError):
             table.derivative(x)
 
+    @pytest.mark.parametrize("x, error", [(np.nan, NumericalError),
+                                          ([0.0, np.nan, 3.0], NumericalError),
+                                          ([[0.5], [np.inf]], DomainError),
+                                          (-np.inf, DomainError)])
+    def test_non_finite_points_keep_their_errors(self, x, error):
+        _, table = table_case(0.7, 10, 0.3, 1.0, 3)
+        for lookup in (table.value, table.derivative):
+            with pytest.raises(error):
+                lookup(x)
+
+    def test_empty_points_give_empty_values(self):
+        _, table = table_case(0.7, 10, 0.3, 1.0, 3)
+        assert table.value(np.empty((0, 3))).shape == (0, 3)
+
+    def test_stacked_lookups_of_any_rank_read_each_fields_table(self):
+        cases = [table_case(ell, 10, 0.3, 1.0, 3) for ell in (0.5, 0.9, 1.4)]
+        stacked = FieldTable(*(exact for exact, _ in cases))
+        rng = np.random.default_rng(0)
+        for shape in ((3,), (3, 5), (3, 2, 4), (3, 5)):
+            x = rng.uniform(-1.0, 1.0, shape)
+            for name in ("value", "derivative"):
+                expected = [getattr(table, name)(x[k]) for k, (_, table) in enumerate(cases)]
+                np.testing.assert_array_equal(getattr(stacked, name)(x), expected)
+        for bad in (0.5, np.zeros(2), np.zeros((4, 3))):
+            with pytest.raises(DomainError, match="a table of 3 fields"):
+                stacked.value(bad)
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_cutoff_over_a_table_is_flat_where_the_exact_field_is_clipped(self, seed):
         exact, table = table_case(0.3, 20, 1.0, 1.0, seed)
