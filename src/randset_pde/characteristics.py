@@ -286,6 +286,13 @@ class _FeetGroup:
                 w[1:-1] = 0.5 * (taus[2:] - taus[:-2])
         self.weights = w                      # signed: negative below t = 0
 
+    def on_curve(self):
+        """(abscissae, steps) of the feet in a side's shared (S, K, nx, steps)
+        curves, an (n, 1) and an (L,) index: node n's foot m levels from t = 0
+        is step L - 1 - m of its abscissa's curve."""
+        d = self.taus.size - 1
+        return self.node_ids[:, None], d - np.arange(d + 1)
+
 
 class _Lattice:
     """The characteristic feet of every node the target nodes depend on, for
@@ -308,8 +315,10 @@ class _Lattice:
     for every level t, shifted in time.  So one RK4 curve per (lattice,
     family, abscissa) and side is traced, from the outermost level on which
     the abscissa has a node, and a node m levels from t = 0 takes its feet
-    from the curve's first m level steps.  Otherwise every node is traced on
-    a curve of its own.  ``curve_sides`` keeps each side's curves until
+    from the curve's first m level steps: once a side is traced, each of its
+    groups gathers all its feet from the curves at once.  Otherwise every
+    node is traced on a curve of its own, and its feet are stored level by
+    level.  ``curve_sides`` keeps each side's curves until
     :meth:`precompute`: (curves, start, direction, indices of its groups).
 
     ``groups`` run from the outermost level inwards, so reversed they are a
@@ -378,8 +387,14 @@ class _Lattice:
             slices = self._land(s, pos, active)
             if s == self.i0:
                 if self.shared:
-                    self.curve_sides.append((curves, start, direction,
-                                             range(first, len(self.groups))))
+                    members = range(first, len(self.groups))
+                    flat = curves.reshape(S, K, -1)
+                    for gi in members:
+                        # one gather into the group's own C-ordered array
+                        at, step = self.groups[gi].on_curve()
+                        np.take(flat, at * curves.shape[3] + step, axis=2,
+                                out=self.groups[gi].pos)
+                    self.curve_sides.append((curves, start, direction, members))
                 return pos, slices
             self.queries[s] = slices
             ids = self._dependence(s, pos, cone, targets)
@@ -397,13 +412,16 @@ class _Lattice:
                     pos = np.concatenate([pos, own], axis=2)
 
     def _land(self, s, pos, active):
-        """Store the feet on level s of the active groups; return their slices."""
+        """The slices of the active groups' feet on level s.  Per-node curves
+        store the feet here; shared curves gather each group's feet from its
+        side's curves once the side is traced."""
         m = abs(s - self.i0)
         slices = []
         for gi, off in active:
             group = self.groups[gi]
             sl = slice(off, off + group.node_ids.size)
-            group.pos[:, :, :, m] = pos[:, :, sl]
+            if not self.shared:
+                group.pos[:, :, :, m] = pos[:, :, sl]
             slices.append((gi, m, sl))
         return slices
 
@@ -438,7 +456,8 @@ class _Lattice:
         direction = 1 if s >= self.i0 else -1
         taus = self.ts[self.i0 + direction * np.arange(abs(s - self.i0) + 1)]
         group = _FeetGroup(s, ids, taus, self.n_lattices, self.n_families)
-        group.pos[..., -1] = self.xs[ids]
+        if not self.shared or s == self.i0:     # shared curves gather the rest
+            group.pos[..., -1] = self.xs[ids]
         self.groups.append(group)
         self.solved[s, ids] = True
 
@@ -462,11 +481,8 @@ class _Lattice:
             for curves, start, direction, members in self.curve_sides:
                 Fc, Gc = self._curve_values(f, g, curves, start, direction)
                 for gi in members:
-                    group = groups[gi]
-                    d = group.taus.size - 1
-                    feet = (slice(None), slice(None), group.node_ids[:, None],
-                            d - np.arange(d + 1))
-                    group.F, group.G = Fc[feet], Gc[feet]
+                    at, step = groups[gi].on_curve()
+                    groups[gi].F, groups[gi].G = Fc[:, :, at, step], Gc[:, :, at, step]
             on_curves = {gi for *_, members in self.curve_sides for gi in members}
             per_foot = [group for gi, group in enumerate(groups) if gi not in on_curves]
         self.curve_sides = []       # every foot's position is in its group

@@ -450,7 +450,7 @@ def _cmd_elliptic(args, out_dir, stages, manifest):
         _warn(f"slice plot failed: {exc}")
     stages.mark("report")
     manifest.update(outputs=files, seed=seed, ell=ell,
-                    cg_iterations=solution.iterations)
+                    cg_iterations=solution.iterations, **_point_entry(model))
     return EXIT_OK
 
 
@@ -512,10 +512,12 @@ def _run_counts(rs):
 
 
 def _point_entry(model) -> dict:
-    """Manifest entry of a point model: the requested (x, t) and the solved node's."""
+    """Manifest entry of a model with an output node: the requested point ((x, t)
+    of a point model, (x1, x2) of an elliptic node, x2 of a slice) and the
+    solved node's."""
     if not hasattr(model, "solved_point"):
         return {}
-    return {"point": {"requested": [float(v) for v in model.point],
+    return {"point": {"requested": list(model.requested_point),
                       "solved": list(model.solved_point)}}
 
 

@@ -316,16 +316,17 @@ class FieldTable:
     """Realized fields tabulated once: FieldEvaluator's interface, no trig sums.
 
     The nodes lie on a uniform grid of spacing h over the reference interval
-    [-1, 1], and the exact q, q' and q'' (in reference coordinates) are
-    computed at each.  ``value`` is the cubic Hermite interpolant on
-    (q, q'), ``derivative`` the one on (q', q'') times the chain-rule scale;
-    each piece is kept as its four power-form coefficients, so a lookup is
-    one gather and a Horner step.  For a field with term weights w and
-    frequencies alpha, the cubic Hermite error bound h**4/384 * max|f^(4)|,
-    with max|q^(4)| <= sum alpha**4 |w| and max|q^(5)| <= sum alpha**5 |w|
-    (times the chain-rule scale for the derivative in x), sets the spacing
-    that keeps both within TABLE_TOL of ``FieldEvaluator``, up to the
-    rounding of either.  Points outside the domain raise DomainError.
+    [-1, 1], and the exact q, q', q'' and q''' (in reference coordinates)
+    are computed at each.  ``value`` is the quintic Hermite interpolant on
+    (q, q', q''), ``derivative`` the one on (q', q'', q''') times the
+    chain-rule scale; each piece is kept as its six power-form coefficients,
+    so a lookup is one gather and a Horner step.  For a field with term
+    weights w and frequencies alpha, the quintic Hermite error bound
+    h**6/46080 * max|f^(6)|, with max|q^(6)| <= sum alpha**6 |w| and
+    max|q^(7)| <= sum alpha**7 |w| (times the chain-rule scale for the
+    derivative in x), sets the spacing that keeps both within TABLE_TOL of
+    ``FieldEvaluator``, up to the rounding of either.  Points outside the
+    domain raise DomainError.
 
     Given M fields on one domain, the table stacks them: the pieces of all M
     lie in one array, written in place, and a lookup at points x whose
@@ -346,19 +347,20 @@ class FieldTable:
             # q(x) = Re sum_j c_j exp(i f_j x); each derivative multiplies c_j by i f_j
             freqs = np.concatenate([basis.alphas, basis.alphas_star])
             c = np.concatenate([field._w, -1j * field._w_star])
-            bound = max(np.sum(freqs**4 * np.abs(c)), scale * np.sum(freqs**5 * np.abs(c)))
+            bound = max(np.sum(freqs**6 * np.abs(c)), scale * np.sum(freqs**7 * np.abs(c)))
             terms.append((freqs, c))
             sizes.append(1 if bound == 0.0 else
-                         int(np.ceil(2.0 * (bound / (384.0 * TABLE_TOL)) ** 0.25)))
+                         int(np.ceil(2.0 * (bound / (46080.0 * TABLE_TOL)) ** (1.0 / 6.0))))
         sizes = np.array(sizes, dtype=np.intp)
         offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        self._value = np.empty((4, int(sizes.sum())))
+        self._value = np.empty((6, int(sizes.sum())))
         self._derivative = np.empty_like(self._value)
         for (freqs, c), n, off in zip(terms, sizes, offsets):
             h = 2.0 / n
-            q, dq, d2q = _node_sums(freqs, c, h, n + 1)
-            _hermite_pieces(q, h * dq, self._value[:, off:off + n])
-            derivative = _hermite_pieces(dq, h * d2q, self._derivative[:, off:off + n])
+            q, dq, d2q, d3q = _node_sums(freqs, c, h, n + 1)
+            _hermite_pieces(q, h * dq, h * h * d2q, self._value[:, off:off + n])
+            derivative = _hermite_pieces(dq, h * d2q, h * h * d3q,
+                                         self._derivative[:, off:off + n])
             derivative *= scale
         self._per_h, self._last, self._offsets = 0.5 * sizes, sizes - 1, offsets
         self._views = {}      # points' ndim -> (per_h, last, offsets) shaped to them
@@ -390,12 +392,11 @@ class FieldTable:
         i = np.minimum(s.astype(np.intp), last)
         t = s - i
         c = pieces.take(i + offsets, axis=1)
-        # c[0] + t * (c[1] + t * (c[2] + t * c[3])), in place
-        out = np.multiply(t, c[3])
-        out += c[2]
-        out *= t
-        out += c[1]
-        out *= t
+        # c[0] + t * (c[1] + t * (... + t * c[5])), in place
+        out = np.multiply(t, c[5])
+        for k in range(4, 0, -1):
+            out += c[k]
+            out *= t
         out += c[0]
         return float(out) if np.ndim(x) == 0 else out
 
@@ -407,35 +408,39 @@ class FieldTable:
 
 
 def _node_sums(freqs, c, h, count):
-    """Re sum_j c_j (i f_j)**r exp(i f_j x) for r = 0, 1, 2 at x = -1 + k*h, k < count.
+    """Re sum_j c_j (i f_j)**r exp(i f_j x) for r = 0..3 at x = -1 + k*h, k < count.
 
     With x = s + t*h for block starts s, exp(i f x) = exp(i f s) exp(i f t h):
     trig runs only at the ~sqrt(count) starts and offsets, and one matrix
-    product per derivative order sums the terms at every node.  The orders
-    are summed one at a time into the real output, so only one complex
-    product is alive at once.
+    product, over the four orders' start columns side by side, sums the
+    terms at every node.
     """
     width = int(np.ceil(np.sqrt(count)))
     n_starts = -(-count // width)
     starts = -1.0 + h * width * np.arange(n_starts)
     offsets = np.exp(1j * np.outer(h * np.arange(width), freqs))
     at_starts = np.exp(1j * np.outer(freqs, starts))
-    out = np.empty((3, n_starts * width))
-    for r, coef in enumerate((c, 1j * freqs * c, -freqs**2 * c)):
-        out[r].reshape(n_starts, width)[...] = (offsets @ (coef[:, None] * at_starts)).real.T
+    orders = np.stack([c, 1j * freqs * c, -freqs**2 * c, -1j * freqs**3 * c], axis=1)
+    # column r * n_starts + b of the product is order r at the nodes of block b
+    sums = offsets @ (orders[:, :, None] * at_starts[:, None, :]).reshape(freqs.size, -1)
+    out = sums.real.reshape(width, 4, n_starts).transpose(1, 2, 0).reshape(4, -1)
     return out[:, :count]
 
 
-def _hermite_pieces(y, hdy, pieces):
-    """Write into ``pieces`` the (4, n) power-form coefficients in t of the cubic
-    Hermite pieces on (y, h*y'), and return it."""
-    dy = np.subtract(y[1:], y[:-1], out=pieces[2])
+def _hermite_pieces(y, hdy, h2d2y, pieces):
+    """Write into ``pieces`` the (6, n) power-form coefficients in t of the
+    quintic Hermite pieces on (y, h*y', h**2*y''), and return it."""
     pieces[0] = y[:-1]
     pieces[1] = hdy[:-1]
-    np.add(hdy[:-1], hdy[1:], out=pieces[3])
-    pieces[3] -= 2.0 * dy
-    dy -= pieces[1]
-    dy -= pieces[3]          # the piece ends at y[1:]
+    pieces[2] = 0.5 * h2d2y[:-1]
+    # what the t**3, t**4 and t**5 terms must add at t = 1 to the value, the
+    # first and the second derivative for the piece to end at the next node
+    a = y[1:] - pieces[0] - pieces[1] - pieces[2]
+    b = hdy[1:] - pieces[1] - h2d2y[:-1]
+    c = h2d2y[1:] - h2d2y[:-1]
+    pieces[3] = 10.0 * a - 4.0 * b + 0.5 * c
+    pieces[4] = -15.0 * a + 7.0 * b - c
+    pieces[5] = 6.0 * a - 3.0 * b + 0.5 * c
     return pieces
 
 

@@ -133,7 +133,9 @@ class EllipticModel(_KLFieldModel):
     independent 1-d KL fields evaluated on the unit interval.  Output is
     either the full slice along the grid row nearest ``slice_x2`` or the
     single nodal value nearest ``node``; the p-box component of a slice is
-    the node nearest ``pbox_x1``.
+    the node nearest ``pbox_x1``.  The row or node must lie within SNAP_TOL
+    of a grid spacing (1/ny in x2, 1/nx in x1) of what was requested;
+    ``requested_point`` and ``solved_point`` hold both.
     """
 
     mesh: StructuredMesh
@@ -159,15 +161,36 @@ class EllipticModel(_KLFieldModel):
                            for d in (0, 1)]
         if self.slice_x2 is not None:
             _, self._output_ids = self.mesh.row_nodes(self.slice_x2)
+            self.requested_point = (float(self.slice_x2),)
+            self.solved_point = (float(self.mesh.nodes[self._output_ids[0], 1]),)
         else:
             x1, x2 = self.node
             if not self.mesh.contains(x1, x2):
                 raise ConfigError(f"node {self.node} outside the {self.mesh.shape} domain")
             d2 = (self.mesh.nodes[:, 0] - x1) ** 2 + (self.mesh.nodes[:, 1] - x2) ** 2
             self._output_ids = np.array([int(np.argmin(d2))])
+            self.requested_point = (float(x1), float(x2))
+            self.solved_point = tuple(float(v) for v in self.mesh.nodes[self._output_ids[0]])
+        self._check_snap()
         self.output_labels = self.mesh.nodes[self._output_ids, 0]
         pbox_x1 = self.pbox_x1 if self.pbox_x1 is not None else 0.5
         self.pbox_component = int(np.argmin(np.abs(self.output_labels - pbox_x1)))
+
+    def _check_snap(self) -> None:
+        """ConfigError when the solved row or node is off the requested point by
+        more than SNAP_TOL of a grid spacing (1/nx in x1, 1/ny in x2)."""
+        mesh = self.mesh
+        per_unit = (mesh.ny,) if self.slice_x2 is not None else (mesh.nx, mesh.ny)
+        gap = max(abs(want - got) * n for want, got, n
+                  in zip(self.requested_point, self.solved_point, per_unit))
+        if gap <= SNAP_TOL:
+            return
+        requested, solved = (", ".join(f"{v:.6g}" for v in point)
+                             for point in (self.requested_point, self.solved_point))
+        raise ConfigError(
+            f"{'slice x2' if self.slice_x2 is not None else 'node'} ({requested}) is not a "
+            f"node of the {mesh.nx}x{mesh.ny} mesh: the nearest node is ({solved}), "
+            f"{gap:.3g} of a spacing away (at most {SNAP_TOL:g} allowed)")
 
     def coefficient(self, draw: np.ndarray, ell: float) -> Callable:
         """The realized coefficient a(x1, x2) of one draw at correlation length ell."""
@@ -314,6 +337,7 @@ class _PointModel(_KLFieldModel, PointwiseBlocks):
         j = int(np.argmin(np.abs(self._ts - t)))
         if not self.region.contains(self._xs[i], self._ts[j]):
             raise ConfigError(f"nearest grid node to ({x}, {t}) lies outside the cone")
+        self.requested_point = (float(x), float(t))
         self.solved_point = (float(self._xs[i]), float(self._ts[j]))
         self._check_snap()
         self._node = (j, i)
@@ -348,10 +372,10 @@ class _PointModel(_KLFieldModel, PointwiseBlocks):
         """The realized clipped coefficient field of one draw at correlation length ell.
 
         The smooth field is tabulated once (:class:`~randset_pde.fields.FieldTable`,
-        within ``fields.TABLE_TOL`` of the exact sums), because tracing the
-        characteristic lattice evaluates it at every RK4 stage point; the
-        shift and the clip act on the interpolated values, so no
-        interpolant ever spans a kink of the clip.
+        quintic Hermite pieces within ``fields.TABLE_TOL`` of the exact
+        sums), because tracing the characteristic lattice evaluates it at
+        every RK4 stage point; the shift and the clip act on the
+        interpolated values, so no interpolant ever spans a kink of the clip.
         """
         return self.coefficients(draw, [ell])
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import _oracles as oracle
 from randset_pde.characteristics import (
     TransportCoefficients,
+    _Lattice,
     _interp_rows,
     _lattice,
     _row_abscissae,
@@ -359,6 +360,38 @@ class TestLatticeCurves:
         lattice = self.lattice(speed, ts, time_dependent=True)
         assert not lattice.shared
         assert self.worst_foot_error(lattice, speed, (1.0, -1.0)) <= self.FOOT_TOL
+
+    @pytest.mark.parametrize("time_dependent", [False, True])
+    def test_gathered_feet_are_the_feet_traced_onto_each_level(self, time_dependent,
+                                                                monkeypatch):
+        # shared curves gather each group's feet once a side is traced;
+        # per-node curves store them level by level.  Either way a group's
+        # feet on level m are, bit for bit, the feet that level's node search saw
+        seen = {}
+        search = _Lattice._dependence
+
+        def recording(lattice, s, feet, cone, targets):
+            seen[s] = feet.copy()
+            return search(lattice, s, feet, cone, targets)
+
+        monkeypatch.setattr(_Lattice, "_dependence", recording)
+        a, _, _ = _phase_coefficients(np.array([0.0, 2.0, 4.5]))
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, 31, 31)
+        targets = np.zeros((31, 31), dtype=bool)
+        targets[15:27, 17] = targets[3, 12] = targets[28, 8] = True
+        lattice = _lattice(a, (1.0, -1.0), 1.0, region, xs, ts, time_dependent, targets, 3)
+        assert lattice.shared != time_dependent
+        filled = [np.zeros(group.taus.size, dtype=bool) for group in lattice.groups]
+        for s, queries in lattice.queries.items():
+            for gi, m, sl in queries:
+                group = lattice.groups[gi]
+                assert np.array_equal(group.pos[:, :, :, m], seen[s][:, :, sl])
+                filled[gi][m] = True
+        for group, levels in zip(lattice.groups, filled):
+            assert np.array_equal(group.pos[..., -1],
+                                  np.broadcast_to(xs[group.node_ids], group.pos.shape[:3]))
+            assert levels[:-1].all()
 
     @pytest.mark.parametrize("nt", [3, 41, 201, 401])
     def test_build_grids_levels_count_as_uniform(self, nt):

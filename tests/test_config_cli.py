@@ -785,6 +785,55 @@ m_terms = 20
         assert main(["propagate", "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
         assert "outside the l_shape domain" in capsys.readouterr().err
 
+    def test_membrane_slice_row_is_accepted_and_recorded(self, tmp_path):
+        # x2 = 0.4444 lies 0.08% of a spacing from row 8 of 18
+        text = (MEMBRANE_SMALL.replace("nx = 6\nny = 6", "nx = 18\nny = 18")
+                .replace("x2 = 0.3333", "x2 = 0.4444"))
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", write_cfg(tmp_path, text),
+                     "--out-dir", str(out)]) == 0
+        point = json.loads((out / "manifest.json").read_text())["point"]
+        assert point["requested"] == [0.4444]
+        np.testing.assert_allclose(point["solved"], [8 / 18], rtol=0, atol=1e-15)
+
+    def test_elliptic_node_is_recorded_in_the_manifest(self, tmp_path):
+        text = MEMBRANE_SMALL.replace("kind = elliptic_slice\nx2 = 0.3333",
+                                      "kind = elliptic_node\nx1 = 0.3333\nx2 = 0.5")
+        out = tmp_path / "o"
+        assert main(["propagate", "--config", write_cfg(tmp_path, text),
+                     "--out-dir", str(out)]) == 0
+        point = json.loads((out / "manifest.json").read_text())["point"]
+        assert point["requested"] == [0.3333, 0.5]
+        np.testing.assert_allclose(point["solved"], [2 / 6, 0.5], rtol=0, atol=1e-15)
+
+    def test_elliptic_command_records_its_slice(self, tmp_path):
+        out = tmp_path / "el"
+        assert main(["elliptic", "--config", write_cfg(tmp_path, ELLIPTIC_SINGLE),
+                     "--out-dir", str(out)]) == 0
+        point = json.loads((out / "manifest.json").read_text())["point"]
+        assert point["requested"] == [0.4]
+        np.testing.assert_allclose(point["solved"], [0.4], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("command, qoi, message", [
+        ("propagate", "kind = elliptic_slice\nx2 = 0.41",
+         "slice x2 (0.41) is not a node of the 6x6 mesh: the nearest node is (0.333333), "
+         "0.46 of a spacing away (at most 0.01 allowed)"),
+        ("compare", "kind = elliptic_node\nx1 = 0.2\nx2 = 0.3333",
+         "node (0.2, 0.3333) is not a node of the 6x6 mesh: the nearest node is "
+         "(0.166667, 0.333333), 0.2 of a spacing away (at most 0.01 allowed)"),
+    ])
+    def test_elliptic_point_off_the_mesh_exits_2(self, tmp_path, capsys, command, qoi,
+                                                 message):
+        text = MEMBRANE_SMALL.replace("kind = elliptic_slice\nx2 = 0.3333", qoi)
+        path = write_cfg(tmp_path, text)
+        assert main([command, "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_elliptic_command_off_the_mesh_exits_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, ELLIPTIC_SINGLE.replace("x2 = 0.4", "x2 = 0.45"))
+        assert main(["elliptic", "--config", path, "--out-dir", str(tmp_path / "el")]) == 2
+        assert "slice x2 (0.45) is not a node of the 10x10 mesh" in capsys.readouterr().err
+
 
 def _row_fmt(v) -> str:
     """A CSV cell as the row-by-row writer formatted it."""

@@ -462,3 +462,56 @@ class TestFieldTable:
         assert clipped.any() and not clipped.all()
         assert np.all(cut.derivative(xs)[clipped] == 0.0)
         np.testing.assert_allclose(cut.value(xs), np.clip(raw, 0.9, 1.1), rtol=0, atol=TABLE_TOL)
+
+
+def reference_derivatives(exact, xhat, orders):
+    """d^r q / dxhat^r of a realized field at reference points, r in ``orders``,
+    from its KL sums."""
+    basis = exact.basis
+    out = []
+    for r in orders:
+        # d^r cos(a x) = a**r cos(a x + r pi/2), d^r sin(a x) = a**r sin(a x + r pi/2)
+        shift = 0.5 * np.pi * r
+        out.append(np.cos(np.outer(xhat, basis.alphas) + shift) @ (basis.alphas**r * exact._w)
+                   + np.sin(np.outer(xhat, basis.alphas_star) + shift)
+                   @ (basis.alphas_star**r * exact._w_star))
+    return out
+
+
+class TestQuinticPieces:
+    def test_each_piece_reproduces_its_node_data(self):
+        kappa = 1.5
+        cases = [table_case(ell, 12, 0.8, kappa, 5)[0] for ell in (0.4, 1.0, 2.5)]
+        table = FieldTable(*cases)
+        scale = 1.0 / kappa
+        for exact, n, off in zip(cases, table._last + 1, table._offsets):
+            h = 2.0 / n
+            xhat = -1.0 + h * np.arange(n + 1)
+            q, d1, d2, d3 = reference_derivatives(exact, xhat, range(4))
+            for pieces, data in ((table._value, (q, h * d1, h * h * d2)),
+                                 (table._derivative, (scale * d1, scale * h * d2,
+                                                      scale * h * h * d3))):
+                c = pieces[:, off:off + n]
+                k = np.arange(6.0)
+                # value, first and second t-derivative of each piece at t = 0 and t = 1
+                at_start = (c[0], c[1], 2.0 * c[2])
+                at_end = (c.sum(axis=0), k @ c, (k * (k - 1.0)) @ c)
+                for start, end, node in zip(at_start, at_end, data):
+                    tol = 1e-13 * np.abs(node).max()
+                    np.testing.assert_allclose(start, node[:-1], rtol=0, atol=tol)
+                    np.testing.assert_allclose(end, node[1:], rtol=0, atol=tol)
+
+    def test_a_tenth_of_the_cubic_nodes_at_the_wave_point_preset(self):
+        # the wave_point preset's fields: sigma = 0.3, 40 pairs on [-1, 1],
+        # eleven correlation lengths over [0.5, 1.5]; one fixed draw
+        params = [ExpCovarianceParams(0.3, ell, REF) for ell in np.linspace(0.5, 1.5, 11)]
+        draw = GaussianDraw.sample(40, 42, 0)
+        fields = [FieldEvaluator(kl_eigenpairs(p, 40), draw, p) for p in params]
+        table = FieldTable(*fields)
+        for field, n in zip(fields, table._last + 1):
+            freqs = np.concatenate([field.basis.alphas, field.basis.alphas_star])
+            terms = np.abs(np.concatenate([field._w, field._w_star]))
+            # the cubic Hermite spacing rule, h**4/384 * max|f^(4)| <= TABLE_TOL
+            bound = max(np.sum(freqs**4 * terms), np.sum(freqs**5 * terms))
+            cubic = int(np.ceil(2.0 * (bound / (384.0 * TABLE_TOL)) ** 0.25))
+            assert n + 1 <= (cubic + 1) / 10

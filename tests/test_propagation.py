@@ -607,6 +607,39 @@ class TestPDEPointModels:
         assert isinstance(model.coefficient(draws[0], 0.5).base, FieldEvaluator)
         np.testing.assert_allclose(tabulated, run(), rtol=0, atol=1e-12)
 
+    # u(0, 0.3) at ell = 0.5 and 1.5 for sample 0 of seeds 0-3, recorded with
+    # cubic Hermite field tables (the same TABLE_TOL)
+    CUBIC_TABLE_VALUES = {
+        "transport": [[-0.09410831331851433, -0.09410831331851433],
+                      [-0.42305733865902806, -0.35296269886367837],
+                      [-0.46530082187838545, -0.4744731135641895],
+                      [-0.7087365077064184, -0.7608287660718764]],
+        "wave": [[0.8659286575954618, 0.8659286575954618],
+                 [0.5664224571117551, 0.6076858238330094],
+                 [0.4176325143542064, 0.4276662156128993],
+                 [0.28687566294136135, 0.251820190115962]],
+    }
+
+    @pytest.mark.parametrize("kind", ["transport", "wave"])
+    def test_values_stay_within_1e_12_of_the_cubic_tables(self, kind):
+        # the wave_point benchmark geometry, as in the test above
+        common = dict(region=domain_of_determinacy(1.0, 0.4, 1.0), nx=41, nt=41,
+                      m_pairs=10, sigma=0.3, point=(0.0, 0.3))
+        if kind == "transport":
+            model = TransportPointModel(a_mean=0.5, a_lo=0.1, a_hi=1.0, f=0.0, g=0.0,
+                                        u0=lambda x: np.sin(np.pi * x), **common)
+        else:
+            model = WavePointModel(e_mean=0.5, e_min=0.1, e_max=1.0,
+                                   w=lambda x: np.exp(-16 * x**2),
+                                   w_prime=lambda x: -32 * x * np.exp(-16 * x**2), **common)
+        grid = ParameterGrid.regular([Interval(0.5, 1.5)], [2])
+        model.prepare(grid)
+        draws = np.stack([model.draws(seed, [0])[0] for seed in range(4)])
+        values, failures = model.evaluate_block(draws, grid.points)
+        assert not failures
+        np.testing.assert_allclose(values[:, :, 0], self.CUBIC_TABLE_VALUES[kind],
+                                   rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("point", [(0.0, 0.3), (0.2, -0.24)])
     @pytest.mark.parametrize("kind", ["transport", "wave"])
     def test_point_models_solve_only_what_their_node_needs(self, kind, point, monkeypatch):
