@@ -46,7 +46,7 @@ from .fields import (
     field_values,
     kl_eigenpairs,
 )
-from .models import EllipticModel
+from .models import PLOT_SAMPLES, EllipticModel
 from .propagation import (
     ParameterGrid,
     QoISpec,
@@ -357,15 +357,16 @@ def _plot_ell(grid) -> float:
     return grid.dims[0].mid
 
 
-def _field_sampler(model, ell, seed, n_paths=3, n_points=201):
+def _field_sampler(model, ell, seed, n_paths=PLOT_SAMPLES, n_points=201):
     """Closure for field.svg: the model's first KL field of samples 0..n_paths-1
-    at correlation length ell, on the model's field domain.  The paths share
-    one basis, so its trig at the abscissae is evaluated once."""
+    at correlation length ell, on the model's field domain.  The draws are
+    the run's own when it drew those samples (``model.first_draws``).  The
+    paths share one basis, so its trig at the abscissae is evaluated once."""
 
     def sampler():
         domain = model.field_domain
         xs = np.linspace(domain.lo, domain.hi, n_points)
-        draws = model.draws(seed, range(n_paths))
+        draws = model.first_draws(seed, n_paths)
         return xs, field_values([model.fields(draw, ell)[0] for draw in draws], xs)
 
     return sampler
@@ -661,7 +662,11 @@ def main(argv=None) -> int:
             path = _resolve_config_path(args.config)
             manifest["config_path"] = str(path)
             manifest["config_sha256"] = _config_sha(path)
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError([f"--out-dir {out_dir!r}: cannot create the output "
+                               f"directory: {exc.strerror or exc}"]) from exc
         code = _COMMANDS[args.command](args, out_dir, stages, manifest)
     except ConfigError as exc:
         for problem in exc.problems:

@@ -274,6 +274,8 @@ def parse_config(path) -> ScenarioConfig:
             cp.read_file(fh)
     except OSError as exc:
         raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"config file {path} is not UTF-8 text: {exc}"]) from exc
     except configparser.Error as exc:
         raise ConfigError([f"config parse error in {path}: {exc}"]) from exc
 

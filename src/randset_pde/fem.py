@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 CG_REL_TOL = 1e-10      # relative residual at which CG stops
+NONPOSITIVE_COEFFICIENTS = "element coefficients must be positive"
 
 
 @dataclass(frozen=True)
@@ -182,44 +183,31 @@ def build_mesh(shape: str, nx: int, ny: int) -> StructuredMesh:
     xs = np.linspace(0.0, 1.0, nx + 1)
     ys = np.linspace(0.0, 1.0, ny + 1)
     half_i, half_j = nx // 2, ny // 2
+    l_shape = shape == "l_shape"
 
+    # nodes and cells in row-major (j, i) order; the L-shape drops the nodes
+    # with i > nx/2 and j > ny/2 and the cells with ci >= nx/2 and cj >= ny/2
+    kept = np.ones((ny + 1, nx + 1), dtype=bool)
+    cells = np.ones((ny, nx), dtype=bool)
+    if l_shape:
+        kept[half_j + 1:, half_i + 1:] = False
+        cells[half_j:, half_i:] = False
+    jj, ii = np.nonzero(kept)
     grid_index = np.full((nx + 1, ny + 1), -1, dtype=int)
-    nodes = []
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            if shape == "l_shape" and i > half_i and j > half_j:
-                continue
-            grid_index[i, j] = len(nodes)
-            nodes.append((xs[i], ys[j]))
-    nodes = np.array(nodes, dtype=float)
+    grid_index[ii, jj] = np.arange(ii.size)
+    nodes = np.column_stack((xs[ii], ys[jj]))
 
-    quads = []
-    for cj in range(ny):
-        for ci in range(nx):
-            if shape == "l_shape" and ci >= half_i and cj >= half_j:
-                continue
-            quads.append((
-                grid_index[ci, cj],
-                grid_index[ci + 1, cj],
-                grid_index[ci + 1, cj + 1],
-                grid_index[ci, cj + 1],
-            ))
-    quads = np.array(quads, dtype=int)
+    cj, ci = np.nonzero(cells)
+    quads = np.column_stack((grid_index[ci, cj], grid_index[ci + 1, cj],
+                             grid_index[ci + 1, cj + 1], grid_index[ci, cj + 1]))
     triangles = np.empty((2 * len(quads), 3), dtype=int)
     triangles[0::2] = quads[:, [0, 1, 2]]
     triangles[1::2] = quads[:, [0, 2, 3]]
     tri_quad = np.repeat(np.arange(len(quads)), 2)
 
-    boundary = np.zeros(len(nodes), dtype=bool)
-    for j in range(ny + 1):
-        for i in range(nx + 1):
-            nid = grid_index[i, j]
-            if nid < 0:
-                continue
-            on = i == 0 or j == 0 or i == nx or j == ny
-            if shape == "l_shape":
-                on = on or (i == half_i and j >= half_j) or (j == half_j and i >= half_i)
-            boundary[nid] = on
+    boundary = (ii == 0) | (jj == 0) | (ii == nx) | (jj == ny)
+    if l_shape:
+        boundary |= ((ii == half_i) & (jj >= half_j)) | ((jj == half_j) & (ii >= half_i))
 
     return StructuredMesh(
         shape=shape,
@@ -245,7 +233,7 @@ class CoefficientSpec:
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if np.any(values <= 0.0):
-            raise CoefficientBoundError("element coefficients must be positive")
+            raise CoefficientBoundError(NONPOSITIVE_COEFFICIENTS)
         if self.alpha_lo is not None:
             if self.alpha_lo <= 0.0:
                 raise CoefficientBoundError("alpha_lo must be positive")
@@ -392,8 +380,9 @@ class BlockSolution:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row dot products, each bitwise equal to the 1-d ``a[s] @ b[s]``."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    """Per-row dot products as an (S, 1) column, each bitwise equal to the
+    1-d ``a[s] @ b[s]``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
 
 
 def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray,
@@ -404,10 +393,12 @@ def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray,
     (S, n).  Every system follows :func:`solve_cg` step for step and stops
     at the iteration at which :func:`solve_cg` would: once its relative
     residual is at most ``CG_REL_TOL``, or, unconverged, after ``max_iter``
-    (default 10 n) iterations.  A stopped system leaves the batch: the
-    matrix product still covers all S blocks, but only the running systems'
-    vectors are updated.  Until the first system stops, the product reads
-    the search directions directly, with no scatter into the full vector.
+    (default 10 n) iterations.  The stop test runs only after a step at
+    which some residual is not above ``CG_REL_TOL`` or the cap is reached.
+    A stopped system leaves the batch: the matrix product still covers all
+    S blocks, but only the running systems' vectors are updated.  Until the
+    first system stops, the product reads the search directions directly,
+    with no scatter into the full vector.
     """
     rhs = np.asarray(rhs, dtype=float)
     s_count, n = rhs.shape
@@ -421,7 +412,7 @@ def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray,
     converged = np.ones(s_count, dtype=bool)
 
     b_norm = np.sqrt(_row_dots(rhs, rhs))
-    live = np.nonzero(b_norm != 0.0)[0]      # a zero load has the zero solution
+    live = np.nonzero(b_norm[:, 0] != 0.0)[0]    # a zero load has the zero solution
     inv_diag = 1.0 / matrix.diagonal().reshape(s_count, n)[live]
     b_norm = b_norm[live]
     x = np.zeros((live.size, n))
@@ -431,36 +422,39 @@ def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray,
     p_all = np.zeros((s_count, n))
     rz = _row_dots(r, z)
     res = np.sqrt(_row_dots(r, r)) / b_norm
-    iteration = 0
+    iteration, check = 0, True
     while live.size:
-        running = res > CG_REL_TOL
-        stop = ~running | (iteration >= max_iter)
-        if stop.any():
-            done = live[stop]
-            values[done] = x[stop]
-            iterations[done] = iteration
-            residuals[done] = res[stop]
-            converged[done] = ~running[stop]
-            keep = ~stop
-            live, b_norm, inv_diag = live[keep], b_norm[keep], inv_diag[keep]
-            x, r, z, p, rz = x[keep], r[keep], z[keep], p[keep], rz[keep]
-            if not live.size:
-                break
+        if check:
+            running = res[:, 0] > CG_REL_TOL
+            stop = ~running | (iteration >= max_iter)
+            if stop.any():
+                done = live[stop]
+                values[done] = x[stop]
+                iterations[done] = iteration
+                residuals[done] = res[stop, 0]
+                converged[done] = ~running[stop]
+                keep = ~stop
+                live, b_norm, inv_diag = live[keep], b_norm[keep], inv_diag[keep]
+                x, r, z, p, rz = x[keep], r[keep], z[keep], p[keep], rz[keep]
+                if not live.size:
+                    break
         if live.size == s_count:
             Ap = (matrix @ p.ravel()).reshape(s_count, n)
         else:
             p_all[live] = p
             Ap = (matrix @ p_all.ravel()).reshape(s_count, n)[live]
         alpha = rz / _row_dots(p, Ap)
-        x += alpha[:, None] * p
-        r -= alpha[:, None] * Ap
+        x += alpha * p
+        r -= alpha * Ap
         np.multiply(inv_diag, r, out=z)
         rz_new = _row_dots(r, z)
-        p *= (rz_new / rz)[:, None]
+        p *= rz_new / rz
         p += z
         rz = rz_new
         iteration += 1
         res = np.sqrt(_row_dots(r, r)) / b_norm
+        # a NaN minimum, like a residual at or below the tolerance, stops its system
+        check = iteration >= max_iter or not res.min() > CG_REL_TOL
     return BlockSolution(values, iterations, residuals, converged, max_iter)
 
 

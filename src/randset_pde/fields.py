@@ -180,16 +180,17 @@ class KLBasis:
     def __post_init__(self):
         for name in ("alphas", "alphas_star", "eigvals", "eigvals_star", "norms", "norms_star"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        k = np.arange(self.m_pairs, dtype=float)
-        if np.any(np.diff(self.alphas) <= 0) or np.any(np.diff(self.alphas_star) <= 0):
-            raise NumericalError("root sequences must be strictly increasing")
-        if np.any(self.alphas <= k * np.pi) or np.any(self.alphas >= k * np.pi + 0.5 * np.pi):
-            raise NumericalError("cosine-family roots left their brackets")
-        if np.any(self.alphas_star <= (k + 0.5) * np.pi) or np.any(self.alphas_star >= (k + 1) * np.pi):
-            raise NumericalError("sine-family roots left their brackets")
-        for ev in (self.eigvals, self.eigvals_star):
-            if np.any(ev <= 0) or np.any(np.diff(ev) >= 0):
-                raise NumericalError("eigenvalues must be positive and strictly decreasing")
+        _check_spectra(self.m_pairs, self.alphas, self.alphas_star,
+                       self.eigvals, self.eigvals_star)
+
+    @classmethod
+    def _checked(cls, **fields) -> "KLBasis":
+        """A basis from float arrays that already passed :func:`_check_spectra`,
+        built without running the checks again."""
+        basis = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(basis, name, value)
+        return basis
 
     def trace(self) -> float:
         """Partial sum of all 2*m_pairs eigenvalues (limit 2 on [-1, 1])."""
@@ -201,6 +202,34 @@ class KLBasis:
         phi = np.cos(np.outer(xhat, self.alphas)) / self.norms
         phi_star = np.sin(np.outer(xhat, self.alphas_star)) / self.norms_star
         return phi, phi_star
+
+
+_SPECTRUM_CHECKS = (
+    "root sequences must be strictly increasing",
+    "cosine-family roots left their brackets",
+    "sine-family roots left their brackets",
+    "eigenvalues must be positive and strictly decreasing",
+)
+
+
+def _check_spectra(m_pairs, alphas, alphas_star, eigvals, eigvals_star) -> None:
+    """KLBasis's checks on one spectrum, or on R stacked as (R, m_pairs) rows.
+
+    Raises NumericalError with the message of the first check that fails on
+    the first failing row, which is what building the rows' bases one by
+    one raises.
+    """
+    k = np.arange(m_pairs, dtype=float)
+    failed = np.stack([
+        (np.diff(alphas) <= 0).any(axis=-1) | (np.diff(alphas_star) <= 0).any(axis=-1),
+        ((alphas <= k * np.pi) | (alphas >= k * np.pi + 0.5 * np.pi)).any(axis=-1),
+        ((alphas_star <= (k + 0.5) * np.pi) | (alphas_star >= (k + 1) * np.pi)).any(axis=-1),
+        ((eigvals <= 0) | (eigvals_star <= 0)).any(axis=-1)
+        | (np.diff(eigvals) >= 0).any(axis=-1) | (np.diff(eigvals_star) >= 0).any(axis=-1),
+    ]).reshape(len(_SPECTRUM_CHECKS), -1)
+    rows = failed.any(axis=0)
+    if rows.any():
+        raise NumericalError(_SPECTRUM_CHECKS[int(np.argmax(failed[:, np.argmax(rows)]))])
 
 
 def kl_eigenpairs(params: ExpCovarianceParams, m_pairs: int) -> KLBasis:
@@ -220,6 +249,7 @@ def kl_bases(params, m_pairs: int) -> list:
 
     ``params`` is a nonempty sequence of ExpCovarianceParams; basis r equals
     ``kl_eigenpairs(params[r], m_pairs)`` field for field, bit for bit.
+    KLBasis's checks run once, on the stacked arrays.
     """
     ell_eff = np.array([2.0 * p.ell / p.domain.width for p in params])
     alphas, alphas_star = solve_characteristic_roots(ell_eff, m_pairs)
@@ -228,8 +258,9 @@ def kl_bases(params, m_pairs: int) -> list:
     eigvals_star = 2.0 * col / (1.0 + (col * alphas_star) ** 2)
     norms = np.sqrt(1.0 + np.sin(2.0 * alphas) / (2.0 * alphas))
     norms_star = np.sqrt(1.0 - np.sin(2.0 * alphas_star) / (2.0 * alphas_star))
+    _check_spectra(m_pairs, alphas, alphas_star, eigvals, eigvals_star)
     return [
-        KLBasis(
+        KLBasis._checked(
             m_pairs=m_pairs,
             alphas=alphas[r],
             alphas_star=alphas_star[r],

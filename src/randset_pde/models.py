@@ -35,10 +35,16 @@ from .characteristics import (
     solve_transport,
     wave_to_system,
 )
-from .errors import BoundViolationError, ConfigError, NonConvergenceError, NumericalError
+from .errors import (
+    BoundViolationError,
+    CoefficientBoundError,
+    ConfigError,
+    NonConvergenceError,
+    NumericalError,
+)
 from .fem import (
     CG_REL_TOL,
-    CoefficientSpec,
+    NONPOSITIVE_COEFFICIENTS,
     StructuredMesh,
     assemble,
     assemble_block,
@@ -77,6 +83,10 @@ __all__ = [
 ]
 
 
+# Samples whose coefficient fields a run's field plot shows (samples 0, 1, 2).
+PLOT_SAMPLES = 3
+
+
 class _KLFieldModel:
     """Draws and realized KL coefficient fields, shared by the PDE models.
 
@@ -93,6 +103,7 @@ class _KLFieldModel:
     def _init_fields(self, domain: Interval) -> None:
         self.field_domain = domain
         self._bases = {}
+        self._plot_draws = None     # (seed, draws of samples 0..PLOT_SAMPLES-1)
 
     def _basis(self, ell: float):
         params = ExpCovarianceParams(self.sigma, float(ell), self.field_domain)
@@ -115,8 +126,23 @@ class _KLFieldModel:
         return standard_normals(seed, index, self.n_fields * 2 * self.m_pairs)
 
     def draws(self, seed: int, indices) -> np.ndarray:
-        """Draws of a block of samples, one row each, row b = draw(seed, indices[b])."""
-        return standard_normals(seed, indices, self.n_fields * 2 * self.m_pairs)
+        """Draws of a block of samples, one row each, row b = draw(seed, indices[b]).
+
+        A block that starts with samples 0..PLOT_SAMPLES-1 leaves a copy of
+        their rows, and only of those, for :meth:`first_draws`.
+        """
+        block = standard_normals(seed, indices, self.n_fields * 2 * self.m_pairs)
+        if np.array_equal(np.asarray(indices[:PLOT_SAMPLES]), np.arange(PLOT_SAMPLES)):
+            self._plot_draws = (seed, block[:PLOT_SAMPLES].copy())
+        return block
+
+    def first_draws(self, seed: int, count: int) -> np.ndarray:
+        """Draws of samples 0..count-1: the rows kept by the last block that
+        drew them with ``seed``, or else a new block."""
+        kept = self._plot_draws
+        if kept is not None and kept[0] == seed and count <= PLOT_SAMPLES:
+            return kept[1][:count]
+        return self.draws(seed, range(count))
 
     def fields(self, draw: np.ndarray, ell: float) -> tuple:
         """The draw's realized 1-d KL fields at correlation length ell."""
@@ -250,13 +276,10 @@ class EllipticModel(_KLFieldModel):
         nodal = np.maximum(mean + nodal, self.a_min)
         cells = nodal[:, :, mesh.quads].mean(axis=3).reshape(n_b * n_m, -1)
 
-        messages = {}
-        for s, values in enumerate(cells):
-            try:
-                CoefficientSpec(values)
-            except BoundViolationError as exc:
-                messages[s] = failure_message(exc)
-        live = np.array([s not in messages for s in range(cells.shape[0])])
+        # CoefficientSpec's positivity check, on every system's cells at once
+        live = ~(cells <= 0.0).any(axis=1)
+        nonpositive = failure_message(CoefficientBoundError(NONPOSITIVE_COEFFICIENTS))
+        messages = dict.fromkeys(np.flatnonzero(~live).tolist(), nonpositive)
         rhs = load_vector(mesh, self.load)[mesh.interior]
         solution = solve_cg_block(assemble_block(mesh, cells[live]),
                                   np.broadcast_to(rhs, (int(live.sum()), rhs.size)))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from randset_pde import cli
+from randset_pde import cli, models
 from randset_pde.cli import main
 from randset_pde.config import compile_expression, parse_config, require
 from randset_pde.errors import ConfigError
@@ -340,6 +340,47 @@ class TestPointSnapping:
         np.testing.assert_allclose(point["solved"], [0.0, 0.3], rtol=0, atol=1e-15)
 
 
+class TestFieldPlotDraws:
+    """field.svg shows samples 0..2, from the run's own draws when it drew them."""
+
+    @pytest.mark.parametrize("samples", [5, 3, 2, 1])
+    def test_field_svg_is_the_plot_of_a_new_draw(self, tmp_path, monkeypatch, samples):
+        path = write_cfg(tmp_path, MEMBRANE_SMALL.replace("samples = 3",
+                                                          f"samples = {samples}"))
+        seen, run = [], cli.propagate_random_set
+        monkeypatch.setattr(cli, "propagate_random_set",
+                            lambda model, *a, **k: seen.append(model) or run(model, *a, **k))
+        draw_calls, normals = [], models.standard_normals
+        monkeypatch.setattr(models, "standard_normals",
+                            lambda *a: draw_calls.append(a[1]) or normals(*a))
+        assert main(["propagate", "--config", path, "--out-dir", str(tmp_path / "run")]) == 0
+        kept = seen[0]._plot_draws
+        if samples >= 3:
+            # one draw call, the run's block, which leaves a copy of rows 0..2
+            assert len(draw_calls) == 1
+            assert kept[0] == 5 and kept[1].shape[0] == 3 and kept[1].base is None
+        else:
+            assert len(draw_calls) == 2 and list(draw_calls[1]) == [0, 1, 2]
+        # the reference: field.svg of samples 0..2 drawn anew
+        monkeypatch.setattr(models._KLFieldModel, "first_draws",
+                            lambda model, seed, count: model.draws(seed, range(count)))
+        assert main(["propagate", "--config", path, "--out-dir", str(tmp_path / "ref")]) == 0
+        assert (tmp_path / "run" / "field.svg").read_bytes() == \
+            (tmp_path / "ref" / "field.svg").read_bytes()
+
+    def test_kept_draws_are_those_of_a_new_block(self):
+        spec, grid = cli._build_qoi(parse_config(os.path.join(PRESETS, "wave_point.cfg")))
+        model = spec.build()
+        block = model.draws(11, np.arange(6))
+        np.testing.assert_array_equal(model.first_draws(11, 3), block[:3])
+        np.testing.assert_array_equal(model.first_draws(11, 2), model.draws(11, range(2)))
+        # another seed, more rows than kept, or a block not starting at sample 0 draw anew
+        np.testing.assert_array_equal(model.first_draws(12, 3), model.draws(12, range(3)))
+        np.testing.assert_array_equal(model.first_draws(11, 4), model.draws(11, range(4)))
+        model.draws(13, np.arange(1, 4))
+        assert model._plot_draws[0] == 11
+
+
 class TestPrepareStage:
     def test_propagate_prepares_every_basis_before_the_prepare_mark(self, tmp_path,
                                                                      monkeypatch):
@@ -576,6 +617,25 @@ m_terms = 20
         manifest = json.loads((tmp_path / "membrane" / "manifest.json").read_text())
         assert manifest["config_path"].endswith(os.path.join("presets", "membrane.cfg"))
         assert (tmp_path / "membrane" / "kl_table.csv").is_file()
+
+    @pytest.mark.parametrize("target", ["afile", os.path.join("afile", "sub")])
+    def test_out_dir_that_cannot_be_a_directory(self, tmp_path, capsys, target):
+        # a file, or a path under a file: a configuration error, not a traceback
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / target)
+        assert main(["compare", "--config", "gauss_family", "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --out-dir {out!r}: cannot create the output directory" in err
+        assert (tmp_path / "afile").read_text() == ""
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"\x00\xff\xfe")
+        with pytest.raises(ConfigError) as err:
+            parse_config(str(path))
+        assert err.value.problems[0].startswith(f"config file {path} is not UTF-8 text")
+        assert main(["compare", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"config error: config file {path} is not UTF-8" in capsys.readouterr().err
 
     def test_directory_is_not_a_config_file(self, tmp_path, capsys):
         folder = tmp_path / "scenario_dir"

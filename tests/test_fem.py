@@ -67,12 +67,63 @@ class TestBuildMesh:
         assert not m.boundary_mask[m.grid_index[1, 1]]
 
     def test_config_errors(self):
-        with pytest.raises(ConfigError):
-            build_mesh("l_shape", 3, 4)
-        with pytest.raises(ConfigError):
-            build_mesh("rectangle", 1, 4)
-        with pytest.raises(ConfigError):
-            build_mesh("hexagon", 4, 4)
+        for args, message in ((("l_shape", 3, 4), "l_shape requires even nx and ny"),
+                              (("rectangle", 1, 4), "need nx, ny >= 2"),
+                              (("rectangle", 4, 1), "need nx, ny >= 2"),
+                              (("hexagon", 4, 4), "unknown domain shape 'hexagon'")):
+            with pytest.raises(ConfigError) as err:
+                build_mesh(*args)
+            assert err.value.problems == [message]
+
+    @pytest.mark.parametrize("shape, nx, ny", [
+        ("rectangle", 2, 2), ("rectangle", 3, 5), ("rectangle", 7, 2), ("rectangle", 18, 18),
+        ("l_shape", 2, 2), ("l_shape", 4, 8), ("l_shape", 10, 6), ("l_shape", 18, 18),
+    ])
+    def test_index_built_mesh_equals_the_loop_built_one(self, shape, nx, ny):
+        mesh, ref = build_mesh(shape, nx, ny), loop_built_mesh(shape, nx, ny)
+        for name, expected in ref.items():
+            got = getattr(mesh, name)
+            assert got.dtype == expected.dtype and got.shape == expected.shape, name
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+def loop_built_mesh(shape, nx, ny):
+    """build_mesh's arrays, built node by node and cell by cell."""
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
+    half_i, half_j = nx // 2, ny // 2
+    grid_index = np.full((nx + 1, ny + 1), -1, dtype=int)
+    nodes = []
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            if shape == "l_shape" and i > half_i and j > half_j:
+                continue
+            grid_index[i, j] = len(nodes)
+            nodes.append((xs[i], ys[j]))
+    quads = []
+    for cj in range(ny):
+        for ci in range(nx):
+            if shape == "l_shape" and ci >= half_i and cj >= half_j:
+                continue
+            quads.append((grid_index[ci, cj], grid_index[ci + 1, cj],
+                          grid_index[ci + 1, cj + 1], grid_index[ci, cj + 1]))
+    quads = np.array(quads, dtype=int)
+    triangles = np.empty((2 * len(quads), 3), dtype=int)
+    triangles[0::2] = quads[:, [0, 1, 2]]
+    triangles[1::2] = quads[:, [0, 2, 3]]
+    boundary = np.zeros(len(nodes), dtype=bool)
+    for j in range(ny + 1):
+        for i in range(nx + 1):
+            nid = grid_index[i, j]
+            if nid < 0:
+                continue
+            on = i == 0 or j == 0 or i == nx or j == ny
+            if shape == "l_shape":
+                on = on or (i == half_i and j >= half_j) or (j == half_j and i >= half_i)
+            boundary[nid] = on
+    return {"nodes": np.array(nodes, dtype=float), "quads": quads, "triangles": triangles,
+            "tri_quad": np.repeat(np.arange(len(quads)), 2), "boundary_mask": boundary,
+            "grid_index": grid_index}
 
 
 class TestElementCoefficients:
@@ -240,6 +291,7 @@ class TestBlockSolve:
         assert a.converged.all() and len(set(a.iterations)) > 1
 
     def test_batched_pcg_matches_solve_cg(self):
+        # bit for bit, while the systems stop at different iterations
         mesh = build_mesh("l_shape", 18, 18)
         _, systems = random_systems(mesh, 12, seed=5)
         rhs = np.stack([s.rhs for s in systems])
@@ -250,25 +302,37 @@ class TestBlockSolve:
             ref = solve_cg(replace(system, rhs=b))
             assert block.iterations[s] == ref.iterations
             assert block.converged[s]
-            np.testing.assert_allclose(block.values[s], ref.values[system.free],
-                                       rtol=0.0, atol=1e-12)
+            assert block.residuals[s] == ref.residual
+            np.testing.assert_array_equal(block.values[s], ref.values[system.free])
         assert block.iterations[4] == 0 and np.all(block.values[4] == 0.0)
+        assert len(set(block.iterations.tolist()) - {0}) > 1
 
     def test_capped_system_is_reported_and_others_finish(self):
         mesh = build_mesh("l_shape", 10, 10)
         _, systems = random_systems(mesh, 6, seed=8)
         counts = [solve_cg(s).iterations for s in systems]
         cap = sorted(counts)[-2]   # only the slowest system(s) exceed it
-        block = solve_cg_block(sp.block_diag([s.matrix for s in systems], format="csr"),
+        matrices = [s.matrix for s in systems]
+        block = solve_cg_block(sp.block_diag(matrices, format="csr"),
                                np.stack([s.rhs for s in systems]), max_iter=cap)
         for s, system in enumerate(systems):
             if counts[s] > cap:
-                with pytest.raises(NonConvergenceError):
+                with pytest.raises(NonConvergenceError) as err:
                     solve_cg(system, max_iter=cap)
                 assert not block.converged[s] and block.iterations[s] == cap
+                assert err.value.iterations == cap and block.residuals[s] == err.value.residual
+                # the capped system's iterate is the one it reaches alone
+                alone = solve_cg_block(sp.csr_matrix(matrices[s]), system.rhs[None],
+                                       max_iter=cap)
+                assert not alone.converged[0] and alone.residuals[0] == block.residuals[s]
+                np.testing.assert_array_equal(alone.values[0], block.values[s])
             else:
+                ref = solve_cg(system)
                 assert block.converged[s] and block.iterations[s] == counts[s]
+                assert block.residuals[s] == ref.residual
+                np.testing.assert_array_equal(block.values[s], ref.values[system.free])
         assert not block.converged.all() and block.converged.any()
+        assert len(set(block.iterations[block.converged].tolist())) > 1
 
 
 class TestExtractSlice:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
+from randset_pde import fields
 from randset_pde.errors import DomainError, NumericalError, StepSizeError
 from randset_pde.fields import (
     ROOT_RTOL,
@@ -15,10 +16,12 @@ from randset_pde.fields import (
     FieldEvaluator,
     FieldTable,
     GaussianDraw,
+    KLBasis,
     coefficient_field_2d,
     field_table,
     field_tables,
     field_values,
+    kl_bases,
     kl_eigenpairs,
     sample_ou_path,
     sample_ou_paths,
@@ -151,6 +154,81 @@ class TestKLEigenpairs:
         target = np.exp(-np.abs(xg[:, None] - xg[None, :]))
         rms = np.sqrt(np.mean((approx - target) ** 2))
         assert rms <= 0.01
+
+
+def _tie_cosine_roots(alphas, alphas_star):
+    alphas[1, 3] = alphas[1, 2]
+
+
+def _drop_sine_root(alphas, alphas_star):
+    alphas_star[2, 1] = 1.5 * np.pi        # the lower end of its bracket
+
+
+def _raise_cosine_root(alphas, alphas_star):
+    alphas[0, 0] = 0.5 * np.pi             # the upper end of its bracket
+
+
+class TestKLBasisChecks:
+    """KLBasis's checks, which kl_bases runs once on its stacked arrays."""
+
+    @staticmethod
+    def _bases(monkeypatch, edit, ells=(0.5, 1.0, 1.5), m_pairs=4):
+        real = fields.solve_characteristic_roots
+
+        def edited(ell_effective, m):
+            alphas, alphas_star = real(ell_effective, m)
+            edit(alphas, alphas_star)
+            return alphas, alphas_star
+
+        monkeypatch.setattr(fields, "solve_characteristic_roots", edited)
+        return kl_bases([unit_params(ell) for ell in ells], m_pairs)
+
+    @pytest.mark.parametrize("edit, message", [
+        (_tie_cosine_roots, "root sequences must be strictly increasing"),
+        (_raise_cosine_root, "cosine-family roots left their brackets"),
+        (_drop_sine_root, "sine-family roots left their brackets"),
+    ])
+    def test_bad_roots_raise_through_kl_bases(self, monkeypatch, edit, message):
+        with pytest.raises(NumericalError) as err:
+            self._bases(monkeypatch, edit)
+        assert str(err.value) == message
+
+    def test_eigenvalues_not_decreasing_raise_through_kl_bases(self, monkeypatch):
+        # the roots of ell_eff = 1 at ell_eff = 1e200: every (ell_eff * alpha)**2
+        # overflows, so all eigenvalues are 0, neither positive nor decreasing
+        real = fields.solve_characteristic_roots
+        monkeypatch.setattr(fields, "solve_characteristic_roots",
+                            lambda ell_effective, m: real(np.ones_like(ell_effective), m))
+        with pytest.raises(NumericalError) as err, np.errstate(over="ignore"):
+            kl_bases([unit_params(1.0), unit_params(1e200)], 4)
+        assert str(err.value) == "eigenvalues must be positive and strictly decreasing"
+
+    def test_the_first_failing_basis_names_the_error(self, monkeypatch):
+        # basis 0 fails only the cosine bracket, basis 1 the earlier
+        # increasing check: built one by one, basis 0 raises first
+        def edit(alphas, alphas_star):
+            _raise_cosine_root(alphas, alphas_star)
+            _tie_cosine_roots(alphas, alphas_star)
+
+        with pytest.raises(NumericalError) as err:
+            self._bases(monkeypatch, edit)
+        assert str(err.value) == "cosine-family roots left their brackets"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("alphas", [1.0, 0.5], "root sequences must be strictly increasing"),
+        ("alphas", [1.6, 3.5], "cosine-family roots left their brackets"),
+        ("alphas_star", [2.0, 7.0], "sine-family roots left their brackets"),
+        ("eigvals", [0.5, 0.5], "eigenvalues must be positive and strictly decreasing"),
+        ("eigvals_star", [0.3, -0.1], "eigenvalues must be positive and strictly decreasing"),
+    ])
+    def test_a_directly_built_basis_checks_itself(self, field, value, message):
+        good = kl_eigenpairs(unit_params(), 2)
+        arrays = {name: getattr(good, name) for name in (
+            "alphas", "alphas_star", "eigvals", "eigvals_star", "norms", "norms_star")}
+        arrays[field] = np.array(value)
+        with pytest.raises(NumericalError) as err:
+            KLBasis(m_pairs=2, ell_effective=good.ell_effective, **arrays)
+        assert str(err.value) == message
 
 
 class TestFieldEvaluator:

@@ -288,6 +288,29 @@ class TestBlocks:
         assert failures == ref_failures == {}
         np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=1e-12)
 
+    def test_nonpositive_cells_fail_their_sample_like_the_per_point_path(self, monkeypatch):
+        # a_min lowered past 0 after the constructor's check, and a per-point
+        # coefficient without its own check, let 1 + q1 q2 reach nonpositive
+        # cell averages in some systems and not in others
+        monkeypatch.setattr(models, "coefficient_field_2d",
+                            lambda mean, q1, q2, a_min, x1, x2:
+                            np.maximum(mean + q1.value(x1) * q2.value(x2), a_min))
+        model = EllipticModel(mesh=build_mesh("l_shape", 10, 10), m_pairs=30, sigma=1.0,
+                              a_min=0.1, slice_x2=0.4)
+        model.a_min = -10.0
+        grid = ParameterGrid.regular([Interval(0.5, 1.5)], [3])
+        draws = model.draws(2, range(8))
+        values, failures = model.evaluate_block(draws, grid.points)
+        ref_values, ref_failures = PointwiseBlocks.evaluate_block(model, draws, grid.points)
+        assert failures == ref_failures
+        assert 0 < len(failures) < len(draws)
+        assert {message for _, message in failures.values()} == {
+            "CoefficientBoundError: element coefficients must be positive"}
+        for b, (i, _) in failures.items():
+            assert np.all(np.isnan(values[b, i]))
+        mates = [b for b in range(len(draws)) if b not in failures]
+        np.testing.assert_allclose(values[mates], ref_values[mates], rtol=0.0, atol=1e-12)
+
     def test_capped_solve_fails_its_sample_like_the_per_point_path(self, monkeypatch):
         # CG takes 29-32 iterations on these 18 systems; a cap of 31 stops
         # samples 0 and 3 at grid index 1 and no other system
