@@ -90,25 +90,29 @@ def _csv_body(columns) -> str:
 
 def _write_table(out_dir, name, header, columns, formats):
     """Write one logical table, given as one array-like per header cell, in
-    each requested format; returns file names."""
+    each requested format; returns file names.  A file that cannot be
+    written is a ConfigError that names it."""
     written = []
     columns = [np.asarray(col) for col in columns]
     if len(columns) != len(header):
         raise ValueError(f"{name}: {len(header)} header cells but {len(columns)} columns")
-    if "csv" in formats:
-        path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(header)
-            fh.write(_csv_body(columns))
-        written.append(f"{name}.csv")
-    if "json" in formats:
-        path = os.path.join(out_dir, f"{name}.json")
-        payload = {"columns": list(header),
-                   "rows": np.column_stack([col.astype(float) for col in columns]).tolist()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-        written.append(f"{name}.json")
+    try:
+        if "csv" in formats:
+            path = os.path.join(out_dir, f"{name}.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerow(header)
+                fh.write(_csv_body(columns))
+            written.append(f"{name}.csv")
+        if "json" in formats:
+            path = os.path.join(out_dir, f"{name}.json")
+            payload = {"columns": list(header),
+                       "rows": np.column_stack([col.astype(float) for col in columns]).tolist()}
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=1)
+                fh.write("\n")
+            written.append(f"{name}.json")
+    except OSError as exc:
+        raise ConfigError([f"cannot write output file {path}: {exc.strerror or exc}"]) from exc
     return written
 
 
@@ -139,13 +143,24 @@ def _warn(msg: str) -> None:
 # --- plotting -----------------------------------------------------------------
 
 
+def _write_plot(out_dir, name, what, make_svg) -> list:
+    """[name] after writing the SVG text make_svg() returns to out_dir/name,
+    or [] after a warning that the ``what`` plot failed."""
+    try:
+        write_svg(os.path.join(out_dir, name), make_svg())
+    except Exception as exc:  # plots must never kill a run
+        _warn(f"{what} plot failed: {exc}")
+        return []
+    return [name]
+
+
 def emit_plots(rs, mean_field, out_dir, field_sampler=None):
     """Write pbox.svg / slice.svg / field.svg; failures downgrade to warnings."""
-    written = []
-    try:
+
+    def pbox():
         bx_lo, by_lo = step_points(rs.pbox.thresholds, rs.pbox.f_lower)
         bx_up, by_up = step_points(rs.pbox.thresholds, rs.pbox.f_upper)
-        svg = line_plot(
+        return line_plot(
             [
                 {"x": bx_up, "y": by_up, "color": ENVELOPE_COLOR, "width": 2.0},
                 {"x": bx_lo, "y": by_lo, "color": "#2050a0", "width": 2.0},
@@ -154,11 +169,8 @@ def emit_plots(rs, mean_field, out_dir, field_sampler=None):
             xlabel="threshold b",
             ylabel="probability",
         )
-        write_svg(os.path.join(out_dir, "pbox.svg"), svg)
-        written.append("pbox.svg")
-    except Exception as exc:  # plots must never kill a run
-        _warn(f"pbox plot failed: {exc}")
-    try:
+
+    def mean_slice():
         series = []
         labels = mean_field.labels
         if labels.size > 1:
@@ -179,22 +191,19 @@ def emit_plots(rs, mean_field, out_dir, field_sampler=None):
                 series.append({"x": idx, "y": np.full(idx.size, bound),
                                "color": ENVELOPE_COLOR, "width": 2.2})
             xlabel = "parameter grid index"
-        svg = line_plot(series, title="interval mean field with per-parameter means",
-                        xlabel=xlabel, ylabel="mean value")
-        write_svg(os.path.join(out_dir, "slice.svg"), svg)
-        written.append("slice.svg")
-    except Exception as exc:
-        _warn(f"slice plot failed: {exc}")
+        return line_plot(series, title="interval mean field with per-parameter means",
+                         xlabel=xlabel, ylabel="mean value")
+
+    def field_paths():
+        xs, paths = field_sampler()
+        return line_plot([{"x": xs, "y": p, "width": 1.2} for p in paths],
+                         title="coefficient field sample trajectories",
+                         xlabel="x", ylabel="q(x)")
+
+    written = _write_plot(out_dir, "pbox.svg", "pbox", pbox)
+    written += _write_plot(out_dir, "slice.svg", "slice", mean_slice)
     if field_sampler is not None:
-        try:
-            xs, paths = field_sampler()
-            series = [{"x": xs, "y": p, "width": 1.2} for p in paths]
-            svg = line_plot(series, title="coefficient field sample trajectories",
-                            xlabel="x", ylabel="q(x)")
-            write_svg(os.path.join(out_dir, "field.svg"), svg)
-            written.append("field.svg")
-        except Exception as exc:
-            _warn(f"field plot failed: {exc}")
+        written += _write_plot(out_dir, "field.svg", "field", field_paths)
     return written
 
 
@@ -325,8 +334,8 @@ def _build_qoi(cfg: ScenarioConfig):
             "a_mean": tc.a_mean,
             "a_lo": tc.a_lo,
             "a_hi": tc.a_hi,
-            "f": tc.f if tc.f is not None else 0.0,
-            "g": tc.g if tc.g is not None else 0.0,
+            "f": tc.f,
+            "g": tc.g,
             "u0": tc.u0 if tc.u0 is not None else 0.0,
         }
         return QoISpec("transport_point", (cfg.qoi.x, cfg.qoi.t), scenario), grid
@@ -412,14 +421,9 @@ def _cmd_sample_field(args, out_dir, stages, manifest):
     stages.mark("solve")
     header = ["x"] + [f"q_{k}" for k in range(args.paths)]
     files = _write_table(out_dir, "field", header, [xs, *paths], _formats(args, cfg))
-    try:
-        svg = line_plot([{"x": xs, "y": p, "width": 1.2} for p in paths],
-                        title=f"field trajectories (ell={ell:g})",
-                        xlabel="x", ylabel="q(x)")
-        write_svg(os.path.join(out_dir, "field.svg"), svg)
-        files.append("field.svg")
-    except Exception as exc:
-        _warn(f"field plot failed: {exc}")
+    files += _write_plot(out_dir, "field.svg", "field", lambda: line_plot(
+        [{"x": xs, "y": p, "width": 1.2} for p in paths],
+        title=f"field trajectories (ell={ell:g})", xlabel="x", ylabel="q(x)"))
     stages.mark("report")
     manifest.update(outputs=files, seed=seed, ell=ell)
     return EXIT_OK
@@ -441,14 +445,9 @@ def _cmd_elliptic(args, out_dir, stages, manifest):
     sl = extract_slice(solution, x2)
     files += _write_table(out_dir, "slice", ["x1", "value"], [sl.x1, sl.values],
                           _formats(args, cfg))
-    try:
-        svg = line_plot([{"x": sl.x1, "y": sl.values, "width": 2.0}],
-                        title=f"displacement slice at x2={sl.x2:.4f}",
-                        xlabel="x1", ylabel="u")
-        write_svg(os.path.join(out_dir, "slice.svg"), svg)
-        files.append("slice.svg")
-    except Exception as exc:
-        _warn(f"slice plot failed: {exc}")
+    files += _write_plot(out_dir, "slice.svg", "slice", lambda: line_plot(
+        [{"x": sl.x1, "y": sl.values, "width": 2.0}],
+        title=f"displacement slice at x2={sl.x2:.4f}", xlabel="x1", ylabel="u"))
     stages.mark("report")
     manifest.update(outputs=files, seed=seed, ell=ell,
                     cg_iterations=solution.iterations, **_point_entry(model))
@@ -464,11 +463,7 @@ def _cmd_transport(args, out_dir, stages, manifest):
         raise ConfigError(["transport.a and transport.u0: required"])
     region = _region_from_config(cfg)
     xs, ts = build_grids(region, cfg.region.nx, cfg.region.nt)
-    coeffs = TransportCoefficients(
-        a=tc.a, f=tc.f if tc.f is not None else 0.0,
-        g=tc.g if tc.g is not None else 0.0,
-        u0=tc.u0, c=region.c,
-    )
+    coeffs = TransportCoefficients(a=tc.a, f=tc.f, g=tc.g, u0=tc.u0, c=region.c)
     sol = solve_transport(coeffs, region, xs, ts)
     stages.mark("solve")
     jj, ii = np.nonzero(sol.inside)     # the cone's nodes, level by level

@@ -1,12 +1,17 @@
-"""Scenario configuration: commented INI files mapped onto dataclasses.
+"""Scenario configuration: commented INI files read through one table.
 
-Parsing validates everything that is present (types, signs, orderings) and
-reports ALL violations at once, not just the first.  A section or key the
-parser does not read is one of those violations, named with the nearest
-known name, so a misspelt key never falls back silently to its default.
-``propagation.workers`` is read and ignored, since samples run in blocks in
-one thread.  Which sections a run actually needs depends on the subcommand;
-:func:`require` performs those checks with the same all-violations policy.
+:data:`SCHEMA` is the one list of sections and keys, with each key's kind,
+default and checks.  Each section becomes a namespace with one attribute
+per key; ``[family]`` and ``[region]`` are optional, and ``None`` when
+absent or invalid.  Parsing validates everything that is present (types,
+signs, orderings) and reports ALL violations at once, not just the first:
+each section's keys in schema order, then that section's cross-key checks.
+A section or key of the file that the schema lacks is one of those
+violations, named with the nearest known name, so a misspelt key never
+falls back silently to its default.  ``propagation.workers`` is checked and
+ignored, since samples run in blocks in one thread.  Which sections a run
+actually needs depends on the subcommand; :func:`require` performs those
+checks with the same all-violations policy.
 """
 
 from __future__ import annotations
@@ -15,28 +20,15 @@ import configparser
 import os
 import pathlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigError
 from .randomsets import Interval
 
-__all__ = [
-    "ScenarioConfig",
-    "FieldConfig",
-    "FamilyConfig",
-    "MeshConfig",
-    "RegionConfig",
-    "TransportConfig",
-    "WaveConfig",
-    "PropagationConfig",
-    "QoIConfig",
-    "OutputConfig",
-    "parse_config",
-    "require",
-    "compile_expression",
-]
+__all__ = ["SCHEMA", "ScenarioConfig", "parse_config", "require", "compile_expression"]
 
 SCHEMA_VERSION = 1
 MODEL_KINDS = ("gauss", "elliptic", "transport", "wave")
@@ -71,103 +63,121 @@ def compile_expression(source: str, variables=("x", "t")) -> Callable:
     return fn
 
 
-@dataclass(frozen=True)
-class FieldConfig:
-    sigma: float
-    ell: Optional[float]
-    ell_min: Optional[float]
-    ell_max: Optional[float]
-    m_terms: Optional[int]
-    a_min: float
-    mean: float
+class Key(NamedTuple):
+    """One row of :data:`SCHEMA`: a key's kind, its default and its checks.
+
+    ``kind`` is "number", "integer", "choice" (one of ``options``),
+    "expression" (over the variables ``options``) or "formats" (a comma
+    separated list of ``options``).  An absent key, or one whose value is
+    invalid, takes ``default``.
+    """
+
+    kind: str
+    default: object = None
+    required: bool = False
+    positive: bool = False
+    nonnegative: bool = False
+    minimum: Optional[int] = None
+    options: tuple = ()
+
+
+_X, _XT = ("x",), ("x", "t")     # the variables of an expression
+
+# Every section and key of a scenario file, in the order they are checked.
+# [family] and [region] are optional: None when absent or invalid, and
+# their required keys are required only when the section is there.
+SCHEMA = {
+    "meta": {"schema_version": Key("integer", required=True)},
+    "model": {"kind": Key("choice", required=True, options=MODEL_KINDS)},
+    "field": {
+        "sigma": Key("number", 1.0, positive=True),
+        "ell": Key("number", positive=True),
+        "ell_min": Key("number", positive=True),
+        "ell_max": Key("number", positive=True),
+        "m_terms": Key("integer", minimum=1),
+        "a_min": Key("number", 0.1, positive=True),
+        "mean": Key("number", 1.0),
+    },
+    "family": {
+        "mu_min": Key("number", required=True),
+        "mu_max": Key("number", required=True),
+        "sigma_min": Key("number", required=True, positive=True),
+        "sigma_max": Key("number", required=True, positive=True),
+    },
+    "mesh": {
+        "shape": Key("choice", "l_shape", options=("rectangle", "l_shape")),
+        "nx": Key("integer", 18, minimum=2),
+        "ny": Key("integer", 18, minimum=2),
+    },
+    "region": {
+        "kappa": Key("number", required=True, positive=True),
+        "horizon": Key("number", required=True, positive=True),
+        "speed_bound": Key("number", required=True, nonnegative=True),
+        "nx": Key("integer", 201, minimum=2),
+        "nt": Key("integer", 201, minimum=3),
+    },
+    "transport": {
+        "a": Key("expression", options=_XT),
+        "f": Key("expression", 0.0, options=_XT),
+        "g": Key("expression", 0.0, options=_XT),
+        "u0": Key("expression", options=_X),
+        "a_mean": Key("number"),
+        "a_lo": Key("number"),
+        "a_hi": Key("number"),
+    },
+    "wave": {
+        "rho": Key("number", 1.0, positive=True),
+        "e": Key("expression", options=_X),
+        "e_prime": Key("expression", options=_X),
+        "w": Key("expression", options=_X),
+        "w_prime": Key("expression", options=_X),
+        "e_mean": Key("number"),
+        "e_min": Key("number", positive=True),
+        "e_max": Key("number", positive=True),
+    },
+    "propagation": {
+        "samples": Key("integer", minimum=1),
+        "seed": Key("integer", minimum=0),
+        "ell_points": Key("integer", 11, minimum=1),
+        "mu_points": Key("integer", 11, minimum=1),
+        "sigma_points": Key("integer", 11, minimum=1),
+        "thresholds": Key("integer", 201, minimum=2),
+        "workers": Key("integer", minimum=1),      # accepted, no effect
+    },
+    "qoi": {
+        "kind": Key("choice", options=QOI_KINDS),
+        "x1": Key("number"),
+        "x2": Key("number"),
+        "pbox_x1": Key("number"),
+        "x": Key("number"),
+        "t": Key("number"),
+    },
+    "output": {"formats": Key("formats", ("csv",), options=("csv", "json"))},
+}
+
+
+class FieldSection(SimpleNamespace):
+    """The [field] section's values."""
 
     def ell_interval(self) -> Interval:
         return Interval(self.ell_min, self.ell_max)
 
 
 @dataclass(frozen=True)
-class FamilyConfig:
-    mu: Interval
-    sigma: Interval
-
-
-@dataclass(frozen=True)
-class MeshConfig:
-    shape: str
-    nx: int
-    ny: int
-
-
-@dataclass(frozen=True)
-class RegionConfig:
-    kappa: float
-    horizon: float
-    speed_bound: float
-    nx: int
-    nt: int
-
-
-@dataclass(frozen=True)
-class TransportConfig:
-    a: Optional[Callable]
-    f: Optional[Callable]
-    g: Optional[Callable]
-    u0: Optional[Callable]
-    a_mean: Optional[float]
-    a_lo: Optional[float]
-    a_hi: Optional[float]
-
-
-@dataclass(frozen=True)
-class WaveConfig:
-    rho: float
-    e: Optional[Callable]
-    e_prime: Optional[Callable]
-    w: Optional[Callable]
-    w_prime: Optional[Callable]
-    e_mean: Optional[float]
-    e_min: Optional[float]
-    e_max: Optional[float]
-
-
-@dataclass(frozen=True)
-class PropagationConfig:
-    samples: Optional[int]
-    seed: Optional[int]
-    ell_points: int
-    mu_points: int
-    sigma_points: int
-    thresholds: int
-
-
-@dataclass(frozen=True)
-class QoIConfig:
-    kind: Optional[str]
-    x1: Optional[float]
-    x2: Optional[float]
-    pbox_x1: Optional[float]
-    x: Optional[float]
-    t: Optional[float]
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    formats: tuple
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
+    """A parsed scenario: each section a namespace with one attribute per key."""
+
     schema_version: int
     kind: str
-    field: FieldConfig
-    family: Optional[FamilyConfig]
-    mesh: MeshConfig
-    region: Optional[RegionConfig]
-    transport: TransportConfig
-    wave: WaveConfig
-    propagation: PropagationConfig
-    qoi: QoIConfig
-    output: OutputConfig
+    field: FieldSection
+    family: Optional[SimpleNamespace]     # mu and sigma, as Intervals
+    mesh: SimpleNamespace
+    region: Optional[SimpleNamespace]
+    transport: SimpleNamespace
+    wave: SimpleNamespace
+    propagation: SimpleNamespace
+    qoi: SimpleNamespace
+    output: SimpleNamespace
 
 
 def _suggestion(name: str, known) -> str:
@@ -177,88 +187,47 @@ def _suggestion(name: str, known) -> str:
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
-class _Reader:
-    """configparser access that accumulates every violation, and records
-    every (section, key) it looks up."""
-
-    def __init__(self, cp: configparser.ConfigParser):
-        self.cp = cp
-        self.problems: list = []
-        self.read: dict = {}      # section -> keys looked up
-
-    def has(self, section: str, key: str) -> bool:
-        self.read.setdefault(section, set()).add(key)
-        return self.cp.has_option(section, key)
-
-    def unread(self) -> list:
-        """One problem per section and key of the file that was never looked up."""
-        problems = []
-        for section in self.cp.sections():
-            keys = self.read.get(section)
-            if keys is None:
-                problems.append(f"[{section}]: unknown section{_suggestion(section, self.read)}")
-                continue
-            problems += [f"{section}.{key}: unknown key{_suggestion(key, keys)}"
-                         for key in self.cp.options(section) if key not in keys]
-        return problems
-
-    def _convert(self, section, key, conv, label):
-        raw = self.cp.get(section, key)
+def _value(cp: configparser.ConfigParser, section: str, key: str, problems: list):
+    """The value of one key by its :data:`SCHEMA` row, appending each
+    violation to ``problems``; the row's default when absent or invalid."""
+    row, name = SCHEMA[section][key], f"{section}.{key}"
+    if not cp.has_option(section, key):
+        if row.required:
+            problems.append(f"{name}: required")
+        return row.default
+    raw = cp.get(section, key)
+    if row.kind == "choice":
+        val = raw.strip()
+        if val in row.options:
+            return val
+        problems.append(f"{name}: must be one of {', '.join(row.options)}, got {val!r}")
+        return row.default
+    if row.kind == "expression":
         try:
-            return conv(raw)
-        except (TypeError, ValueError):
-            self.problems.append(f"{section}.{key}: expected {label}, got {raw!r}")
-            return None
-
-    def number(self, section, key, default=None, required=False,
-               positive=False, nonnegative=False):
-        if not self.has(section, key):
-            if required:
-                self.problems.append(f"{section}.{key}: required")
-            return default
-        val = self._convert(section, key, float, "a number")
-        if val is None:
-            return default
-        if positive and not val > 0:
-            self.problems.append(f"{section}.{key}: must be positive, got {val}")
-        if nonnegative and val < 0:
-            self.problems.append(f"{section}.{key}: must be nonnegative, got {val}")
-        return val
-
-    def integer(self, section, key, default=None, required=False, minimum=None):
-        if not self.has(section, key):
-            if required:
-                self.problems.append(f"{section}.{key}: required")
-            return default
-        val = self._convert(section, key, int, "an integer")
-        if val is None:
-            return default
-        if minimum is not None and val < minimum:
-            self.problems.append(f"{section}.{key}: must be >= {minimum}, got {val}")
-        return val
-
-    def choice(self, section, key, choices, default=None, required=False):
-        if not self.has(section, key):
-            if required:
-                self.problems.append(f"{section}.{key}: required")
-            return default
-        val = self.cp.get(section, key).strip()
-        if val not in choices:
-            self.problems.append(
-                f"{section}.{key}: must be one of {', '.join(choices)}, got {val!r}"
-            )
-            return default
-        return val
-
-    def expression(self, section, key, variables, default=None):
-        if not self.has(section, key):
-            return default
-        src = self.cp.get(section, key).strip()
-        try:
-            return compile_expression(src, variables)
+            return compile_expression(raw.strip(), row.options)
         except ConfigError as exc:
-            self.problems.append(f"{section}.{key}: {exc.problems[0]}")
-            return default
+            problems.append(f"{name}: {exc.problems[0]}")
+            return row.default
+    if row.kind == "formats":
+        tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
+        bad = [tok for tok in tokens if tok not in row.options]
+        if bad:
+            problems.append(f"{name}: unknown format(s) {', '.join(bad)}")
+            return row.default
+        return tuple(tokens) or row.default
+    conv, label = (float, "a number") if row.kind == "number" else (int, "an integer")
+    try:
+        val = conv(raw)
+    except ValueError:
+        problems.append(f"{name}: expected {label}, got {raw!r}")
+        return row.default
+    if row.positive and not val > 0:
+        problems.append(f"{name}: must be positive, got {val}")
+    if row.nonnegative and val < 0:
+        problems.append(f"{name}: must be nonnegative, got {val}")
+    if row.minimum is not None and val < row.minimum:
+        problems.append(f"{name}: must be >= {row.minimum}, got {val}")
+    return val
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -279,121 +248,53 @@ def parse_config(path) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError([f"config parse error in {path}: {exc}"]) from exc
 
-    r = _Reader(cp)
-    version = r.integer("meta", "schema_version", required=True)
-    if version is not None and version != SCHEMA_VERSION:
-        r.problems.append(f"meta.schema_version: unsupported version {version}")
-    kind = r.choice("model", "kind", MODEL_KINDS, required=True)
+    problems = []
 
-    field = FieldConfig(
-        sigma=r.number("field", "sigma", default=1.0, positive=True),
-        ell=r.number("field", "ell", positive=True),
-        ell_min=r.number("field", "ell_min", positive=True),
-        ell_max=r.number("field", "ell_max", positive=True),
-        m_terms=r.integer("field", "m_terms", minimum=1),
-        a_min=r.number("field", "a_min", default=0.1, positive=True),
-        mean=r.number("field", "mean", default=1.0),
-    )
-    if field.ell_min is not None and field.ell_max is not None \
-            and field.ell_min > field.ell_max:
-        r.problems.append("field.ell_min: must not exceed field.ell_max")
+    def section(name, cls=SimpleNamespace):
+        return cls(**{key: _value(cp, name, key, problems) for key in SCHEMA[name]})
+
+    version = section("meta").schema_version
+    if version not in (None, SCHEMA_VERSION):
+        problems.append(f"meta.schema_version: unsupported version {version}")
+    kind = section("model").kind
+    field = section("field", FieldSection)
+    if None not in (field.ell_min, field.ell_max) and field.ell_min > field.ell_max:
+        problems.append("field.ell_min: must not exceed field.ell_max")
 
     family = None
     if cp.has_section("family"):
-        mu_lo = r.number("family", "mu_min", required=True)
-        mu_hi = r.number("family", "mu_max", required=True)
-        s_lo = r.number("family", "sigma_min", required=True, positive=True)
-        s_hi = r.number("family", "sigma_max", required=True, positive=True)
-        if None not in (mu_lo, mu_hi, s_lo, s_hi):
-            if mu_lo > mu_hi:
-                r.problems.append("family.mu_min: must not exceed family.mu_max")
-            if s_lo > s_hi:
-                r.problems.append("family.sigma_min: must not exceed family.sigma_max")
-            if mu_lo <= mu_hi and s_lo <= s_hi:
-                family = FamilyConfig(mu=Interval(mu_lo, mu_hi), sigma=Interval(s_lo, s_hi))
+        fam = section("family")
+        mu, sigma = (fam.mu_min, fam.mu_max), (fam.sigma_min, fam.sigma_max)
+        if None not in mu + sigma:
+            if mu[0] > mu[1]:
+                problems.append("family.mu_min: must not exceed family.mu_max")
+            if sigma[0] > sigma[1]:
+                problems.append("family.sigma_min: must not exceed family.sigma_max")
+            if mu[0] <= mu[1] and sigma[0] <= sigma[1]:
+                family = SimpleNamespace(mu=Interval(*mu), sigma=Interval(*sigma))
 
-    mesh = MeshConfig(
-        shape=r.choice("mesh", "shape", ("rectangle", "l_shape"), default="l_shape"),
-        nx=r.integer("mesh", "nx", default=18, minimum=2),
-        ny=r.integer("mesh", "ny", default=18, minimum=2),
-    )
-
+    mesh = section("mesh")
     region = None
     if cp.has_section("region"):
-        kappa = r.number("region", "kappa", required=True, positive=True)
-        horizon = r.number("region", "horizon", required=True, positive=True)
-        speed_bound = r.number("region", "speed_bound", required=True, nonnegative=True)
-        nx = r.integer("region", "nx", default=201, minimum=2)
-        nt = r.integer("region", "nt", default=201, minimum=3)
-        if nt is not None and nt % 2 == 0:
-            r.problems.append("region.nt: must be odd so t = 0 is a grid level")
-        if None not in (kappa, horizon, speed_bound):
-            if kappa - speed_bound * horizon <= 0:
-                r.problems.append("region: kappa must exceed speed_bound * horizon")
+        reg = section("region")
+        if reg.nt % 2 == 0:
+            problems.append("region.nt: must be odd so t = 0 is a grid level")
+        if None not in (reg.kappa, reg.horizon, reg.speed_bound):
+            if reg.kappa - reg.speed_bound * reg.horizon <= 0:
+                problems.append("region: kappa must exceed speed_bound * horizon")
             else:
-                region = RegionConfig(kappa, horizon, speed_bound, nx, nt)
+                region = reg
+    rest = [section(name) for name in ("transport", "wave", "propagation", "qoi", "output")]
 
-    transport = TransportConfig(
-        a=r.expression("transport", "a", ("x", "t")),
-        f=r.expression("transport", "f", ("x", "t")),
-        g=r.expression("transport", "g", ("x", "t")),
-        u0=r.expression("transport", "u0", ("x",)),
-        a_mean=r.number("transport", "a_mean"),
-        a_lo=r.number("transport", "a_lo"),
-        a_hi=r.number("transport", "a_hi"),
-    )
-    wave = WaveConfig(
-        rho=r.number("wave", "rho", default=1.0, positive=True),
-        e=r.expression("wave", "e", ("x",)),
-        e_prime=r.expression("wave", "e_prime", ("x",)),
-        w=r.expression("wave", "w", ("x",)),
-        w_prime=r.expression("wave", "w_prime", ("x",)),
-        e_mean=r.number("wave", "e_mean"),
-        e_min=r.number("wave", "e_min", positive=True),
-        e_max=r.number("wave", "e_max", positive=True),
-    )
-    propagation = PropagationConfig(
-        samples=r.integer("propagation", "samples", minimum=1),
-        seed=r.integer("propagation", "seed", minimum=0),
-        ell_points=r.integer("propagation", "ell_points", default=11, minimum=1),
-        mu_points=r.integer("propagation", "mu_points", default=11, minimum=1),
-        sigma_points=r.integer("propagation", "sigma_points", default=11, minimum=1),
-        thresholds=r.integer("propagation", "thresholds", default=201, minimum=2),
-    )
-    r.integer("propagation", "workers", minimum=1)     # accepted, no effect
-    qoi = QoIConfig(
-        kind=r.choice("qoi", "kind", QOI_KINDS),
-        x1=r.number("qoi", "x1"),
-        x2=r.number("qoi", "x2"),
-        pbox_x1=r.number("qoi", "pbox_x1"),
-        x=r.number("qoi", "x"),
-        t=r.number("qoi", "t"),
-    )
-    formats = ("csv",)
-    if r.has("output", "formats"):
-        raw = [tok.strip() for tok in cp.get("output", "formats").split(",") if tok.strip()]
-        bad = [tok for tok in raw if tok not in ("csv", "json")]
-        if bad:
-            r.problems.append(f"output.formats: unknown format(s) {', '.join(bad)}")
-        else:
-            formats = tuple(raw) or ("csv",)
-
-    r.problems += r.unread()
-    if r.problems:
-        raise ConfigError(r.problems)
-    return ScenarioConfig(
-        schema_version=version,
-        kind=kind,
-        field=field,
-        family=family,
-        mesh=mesh,
-        region=region,
-        transport=transport,
-        wave=wave,
-        propagation=propagation,
-        qoi=qoi,
-        output=OutputConfig(formats=formats),
-    )
+    for name in cp.sections():
+        if name not in SCHEMA:
+            problems.append(f"[{name}]: unknown section{_suggestion(name, SCHEMA)}")
+            continue
+        problems += [f"{name}.{key}: unknown key{_suggestion(key, SCHEMA[name])}"
+                     for key in cp.options(name) if key not in SCHEMA[name]]
+    if problems:
+        raise ConfigError(problems)
+    return ScenarioConfig(version, kind, field, family, mesh, region, *rest)
 
 
 def require(config: ScenarioConfig, *paths: str) -> None:

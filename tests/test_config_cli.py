@@ -265,6 +265,114 @@ m_terms = 0
         assert "family.mu_min: must not exceed family.mu_max" in err.value.problems
         assert "family.sigma_min: must not exceed family.sigma_max" in err.value.problems
 
+    def test_every_kind_of_violation_in_order(self, tmp_path):
+        # each section's keys in schema order, its cross-key checks right
+        # after them, then the unknown keys and sections in file order
+        text = """
+[meta]
+schema_version = 2
+[model]
+kind = teapot
+[field]
+sigma = abc
+ell = -1
+ell_min = 2.0
+ell_max = 1.0
+m_terms = 0
+sigmaa = 1
+[family]
+mu_min = 1.0
+mu_max = 0.0
+sigma_min = 3.0
+sigma_max = 2.0
+[mesh]
+shape = hexagon
+nx = 1
+[region]
+kappa = -2.0
+horizon = 1.0
+speed_bound = -1.0
+nx = 1
+nt = 4
+[transport]
+a = 2 +* x
+f = open(x)
+a_mean = zz
+[wave]
+rho = 0
+[propagation]
+samples = 0
+seed = 1.5
+workers = 0
+[qoi]
+kind = nope
+[output]
+formats = csv, xml
+[outptu]
+formats = csv
+"""
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert err.value.problems == [
+            "meta.schema_version: unsupported version 2",
+            "model.kind: must be one of gauss, elliptic, transport, wave, got 'teapot'",
+            "field.sigma: expected a number, got 'abc'",
+            "field.ell: must be positive, got -1.0",
+            "field.m_terms: must be >= 1, got 0",
+            "field.ell_min: must not exceed field.ell_max",
+            "family.mu_min: must not exceed family.mu_max",
+            "family.sigma_min: must not exceed family.sigma_max",
+            "mesh.shape: must be one of rectangle, l_shape, got 'hexagon'",
+            "mesh.nx: must be >= 2, got 1",
+            "region.kappa: must be positive, got -2.0",
+            "region.speed_bound: must be nonnegative, got -1.0",
+            "region.nx: must be >= 2, got 1",
+            "region.nt: must be odd so t = 0 is a grid level",
+            "region: kappa must exceed speed_bound * horizon",
+            "transport.a: bad expression '2 +* x': invalid syntax",
+            "transport.f: unknown name(s) open in expression 'open(x)'",
+            "transport.a_mean: expected a number, got 'zz'",
+            "wave.rho: must be positive, got 0.0",
+            "propagation.samples: must be >= 1, got 0",
+            "propagation.seed: expected an integer, got '1.5'",
+            "propagation.workers: must be >= 1, got 0",
+            "qoi.kind: must be one of gauss_identity, elliptic_node, elliptic_slice, "
+            "transport_point, wave_point, got 'nope'",
+            "output.formats: unknown format(s) xml",
+            "field.sigmaa: unknown key (did you mean 'sigma'?)",
+            "[outptu]: unknown section (did you mean 'output'?)",
+        ]
+
+    def test_minimal_config_defaults(self, tmp_path):
+        cfg = parse_config(write_cfg(tmp_path, "[meta]\nschema_version = 1\n"
+                                               "[model]\nkind = gauss\n"))
+        assert (cfg.schema_version, cfg.kind, cfg.family, cfg.region) == (1, "gauss", None, None)
+        f = cfg.field
+        assert (f.sigma, f.ell, f.ell_min, f.ell_max, f.m_terms, f.a_min, f.mean) == \
+            (1.0, None, None, None, None, 0.1, 1.0)
+        assert (cfg.mesh.shape, cfg.mesh.nx, cfg.mesh.ny) == ("l_shape", 18, 18)
+        t = cfg.transport
+        assert t.f == t.g == 0.0
+        assert (t.a, t.u0, t.a_mean, t.a_lo, t.a_hi) == (None,) * 5
+        w = cfg.wave
+        assert w.rho == 1.0
+        assert (w.e, w.e_prime, w.w, w.w_prime, w.e_mean, w.e_min, w.e_max) == (None,) * 7
+        p = cfg.propagation
+        assert (p.samples, p.seed, p.ell_points, p.mu_points, p.sigma_points, p.thresholds) \
+            == (None, None, 11, 11, 11, 201)
+        q = cfg.qoi
+        assert (q.kind, q.x1, q.x2, q.pbox_x1, q.x, q.t) == (None,) * 6
+        assert cfg.output.formats == ("csv",)
+
+    def test_sections_and_intervals(self, tmp_path):
+        cfg = parse_config(write_cfg(tmp_path, MEMBRANE_SMALL + "[region]\nkappa = 1.0\n"
+                                     "horizon = 0.4\nspeed_bound = 1.0\nnx = 41\nnt = 41\n"))
+        assert cfg.field.ell_interval() == Interval(0.5, 1.5)
+        assert (cfg.region.kappa, cfg.region.horizon, cfg.region.speed_bound,
+                cfg.region.nx, cfg.region.nt) == (1.0, 0.4, 1.0, 41, 41)
+        family = parse_config(write_cfg(tmp_path, GAUSS_SMALL)).family
+        assert (family.mu, family.sigma) == (Interval(-1.0, 1.0), Interval(1.0, 2.0))
+
 
 class TestUnknownNames:
     """A section or key the parser does not read is an error, never a default."""
@@ -275,6 +383,16 @@ class TestUnknownNames:
             parse_config(write_cfg(tmp_path, text))
         assert "propagation.sampels: unknown key (did you mean 'samples'?)" in err.value.problems
         assert "[famly]: unknown section (did you mean 'family'?)" in err.value.problems
+
+    @pytest.mark.parametrize("typo, section", [("famly", "family"), ("regoin", "region")])
+    def test_misspelt_optional_section_is_suggested_when_absent(self, tmp_path, typo,
+                                                                 section):
+        # the real section is not in the file: the suggestion comes from the schema
+        text = "[meta]\nschema_version = 1\n[model]\nkind = gauss\n" \
+               f"[{typo}]\nkappa = 1.0\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert err.value.problems == [f"[{typo}]: unknown section (did you mean {section!r}?)"]
 
     def test_a_name_without_a_close_match_gets_no_suggestion(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -627,6 +745,27 @@ m_terms = 20
         err = capsys.readouterr().err
         assert f"config error: --out-dir {out!r}: cannot create the output directory" in err
         assert (tmp_path / "afile").read_text() == ""
+
+    def test_data_file_that_cannot_be_written(self, tmp_path, capsys):
+        # a directory where pbox.csv goes: a configuration error naming the
+        # file, not a traceback, and the manifest is still written
+        out = tmp_path / "fo"
+        (out / "pbox.csv").mkdir(parents=True)
+        path = write_cfg(tmp_path, GAUSS_SMALL)
+        assert main(["propagate", "--config", path, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write output file {out / 'pbox.csv'}: " in err
+        assert "Traceback" not in err
+        assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+
+    def test_plot_that_cannot_be_written_is_a_warning(self, tmp_path, capsys):
+        out = tmp_path / "fo"
+        (out / "pbox.svg").mkdir(parents=True)
+        path = write_cfg(tmp_path, GAUSS_SMALL)
+        assert main(["propagate", "--config", path, "--out-dir", str(out)]) == 0
+        assert "warning: pbox plot failed: " in capsys.readouterr().err
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert "pbox.svg" not in outputs and "slice.svg" in outputs
 
     def test_config_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "binary.cfg"
