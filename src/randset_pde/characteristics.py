@@ -78,6 +78,7 @@ INSIDE_TOL = 1e-12
 # Feet (or curve points) per lattice in one call of f and g; 1.4 MB of
 # points for 11 stacked lattices, and the whole lattice of a 41x41 point solve.
 PRECOMPUTE_FEET = 1 << 14
+_FLOAT64 = np.dtype(float)
 
 
 def _eval_xt(fn, x, t):
@@ -94,7 +95,8 @@ def _shaped(out, x):
     and ``out`` itself when it already is one, since the RK4 stages call this
     several times each."""
     shape = np.shape(x)
-    if type(out) is np.ndarray and out.dtype == float and out.shape == shape:
+    # numpy's float64 dtype is one object: ``is`` skips a dtype comparison
+    if type(out) is np.ndarray and out.dtype is _FLOAT64 and out.shape == shape:
         return out
     out = np.asarray(out, dtype=float)
     return out if out.shape == shape else np.broadcast_to(out, shape)
@@ -439,7 +441,8 @@ class _Lattice:
             return np.nonzero(take)[0]
         q = feet.reshape(feet.shape[0], -1)
         j = np.searchsorted(self.xs[row], q, side="right") - 1
-        jc = np.clip(j, 0, max(row.size - 2, 0))
+        # np.clip of an int array builds np.iinfo twice per call; this is the same
+        jc = np.minimum(np.maximum(j, 0), max(row.size - 2, 0))
         take[row[jc]] = True
         take[row[np.minimum(jc + 1, row.size - 1)]] = True
         ids = np.nonzero(take)[0]
@@ -610,7 +613,7 @@ class _RowLayout(NamedTuple):
 def _row_layout(xe, q, j) -> _RowLayout:
     """The layout of queries ``q`` (S, Q) on ``xe``, given
     ``j = np.searchsorted(xe, q, side="right") - 1``."""
-    jl = np.clip(j, 0, xe.size - 2)
+    jl = np.minimum(np.maximum(j, 0), xe.size - 2)     # np.clip, without its iinfo
     ends = np.flatnonzero((j < 0) | (j == xe.size - 1) | (xe[jl] == q))
     return _RowLayout(xe, jl.astype(np.min_scalar_type(xe.size)), ends,
                       np.maximum(j.reshape(-1)[ends], 0))
@@ -631,8 +634,7 @@ def _interp_rows(layout, ve, q):
     """
     n_comp, n_lat, size = ve.shape
     at = layout.jl + size * np.arange(n_lat)[:, None]     # into S stacked rows, as intp
-    xe = np.tile(layout.xe, n_lat)
-    d = q - xe.take(at)
+    d = q - layout.xe.take(layout.jl)
     dx = np.diff(layout.xe)
     slopes = np.empty_like(ve)
     np.divide(ve[..., 1:] - ve[..., :-1], dx, out=slopes[..., :-1])
@@ -644,7 +646,7 @@ def _interp_rows(layout, ve, q):
         c, l, k = np.nonzero(np.isnan(out))
         a = at[l, k]
         flat = ve.reshape(n_comp, -1)
-        x1, y0, y1 = xe[a + 1], flat[c, a], flat[c, a + 1]
+        x1, y0, y1 = layout.xe[layout.jl[l, k] + 1], flat[c, a], flat[c, a + 1]
         retry = slopes.reshape(n_comp, -1)[c, a] * (q[l, k] - x1) + y1
         out[c, l, k] = np.where(np.isnan(retry) & (y0 == y1), y0, retry)
     if layout.ends.size:
@@ -717,9 +719,12 @@ def _march(lattice, coupling_weights) -> np.ndarray:
 
         c = (C.A + sum(C) w g) / (1 - sum(C) w f).
 
-    Each node stores ``U0 + (F * c(feet) + G) @ weights`` with its own foot
-    set to that c; its finished level is then interpolated at every foot on
-    it, every lattice and component in one pass (:func:`_interp_rows`).
+    Each group forms its trapezoid terms F * c(feet) + G once, for every
+    component: the earlier feet's columns give A, the own foot's column is
+    filled in once c is known, and one ``U0 + terms @ weights`` stores every
+    component's node values.  A finished level is then interpolated at
+    every foot on it, every lattice and component in one pass
+    (:func:`_interp_rows`).
     Returns the (S, components, nt, nx) values, NaN off the lattice.
     """
     xs, ts, groups = lattice.xs, lattice.ts, lattice.groups
@@ -731,8 +736,14 @@ def _march(lattice, coupling_weights) -> np.ndarray:
     for grp, feet in zip(reversed(groups), reversed(at_feet)):
         s, ids = grp.level, grp.node_ids
         F, G, U0 = grp.F, grp.G, grp.U0
-        earlier = [U0[:, k] + (F[:, k, :, :-1] * feet[:, k, :, :-1] + G[:, k, :, :-1])
-                   @ grp.weights[:-1] for k in range(n_comp)]
+        # F * feet + G over the earlier feet, in C order whatever F's (a
+        # gather from the curves' values may order it otherwise), so that
+        # the products below sum in the same order as one component's did;
+        # the own-foot column of ``feet`` is never set, so it is never read
+        terms = np.empty(F.shape)
+        np.multiply(F[..., :-1], feet[..., :-1], out=terms[..., :-1])
+        terms[..., :-1] += G[..., :-1]
+        earlier = U0 + terms[..., :-1] @ grp.weights[:-1]
         w, f, g = grp.weights[-1], F[:, 0, :, -1], G[:, 0, :, -1]
         denom = 1.0 - sum_c * w * f
         if np.any(denom <= 0.0):
@@ -740,10 +751,10 @@ def _march(lattice, coupling_weights) -> np.ndarray:
                 f"transport step at t = {ts[s]:g} has 1 - w*f = {float(denom.min()):g} <= 0 "
                 f"(trapezoid weight w = {w:g}): the time step is too long for the reaction f"
             )
-        c = (sum(ck * ak for ck, ak in zip(coupling_weights, earlier)) + sum_c * w * g) / denom
-        feet[:, :, :, -1] = c[:, None]
-        for k in range(n_comp):
-            u[:, k, s, ids] = U0[:, k] + (F[:, k] * feet[:, k] + G[:, k]) @ grp.weights
+        c = (sum(ck * earlier[:, k] for k, ck in enumerate(coupling_weights))
+             + sum_c * w * g) / denom
+        terms[..., -1] = F[..., -1] * c[:, None] + G[..., -1]
+        u[:, :, s, ids] = U0 + terms @ grp.weights
         slices = lattice.queries[s]
         if not slices:
             continue
@@ -825,7 +836,7 @@ def wave_to_system(material: WaveMaterial, fd_step: Optional[float] = None):
     def _checked(vals, name):
         # one min, which NaN turns NaN: only then is each value compared
         vals = np.asarray(vals, dtype=float)
-        low = vals.min() if vals.size else 1.0
+        low = np.minimum.reduce(vals, axis=None) if vals.size else 1.0
         if low <= 0.0 or (low != low and np.any(vals <= 0.0)):
             raise MaterialError(f"{name} must stay positive, got minimum {vals.min():g}")
         return vals

@@ -4,8 +4,9 @@
 default and checks.  Each section becomes a namespace with one attribute
 per key; ``[family]`` and ``[region]`` are optional, and ``None`` when
 absent or invalid.  Parsing validates everything that is present (types,
-signs, orderings) and reports ALL violations at once, not just the first:
-each section's keys in schema order, then that section's cross-key checks.
+signs, orderings, finite numbers) and reports ALL violations at once, not
+just the first: each section's keys in schema order, then that section's
+cross-key checks.
 A section or key of the file that the schema lacks is one of those
 violations, named with the nearest known name, so a misspelt key never
 falls back silently to its default.  ``propagation.workers`` is checked and
@@ -17,6 +18,7 @@ checks with the same all-violations policy.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import pathlib
 from dataclasses import dataclass
@@ -220,6 +222,9 @@ def _value(cp: configparser.ConfigParser, section: str, key: str, problems: list
         val = conv(raw)
     except ValueError:
         problems.append(f"{name}: expected {label}, got {raw!r}")
+        return row.default
+    if not math.isfinite(val):
+        problems.append(f"{name}: must be finite, got {raw!r}")
         return row.default
     if row.positive and not val > 0:
         problems.append(f"{name}: must be positive, got {val}")

@@ -417,12 +417,17 @@ class FieldTable:
             raise DomainError(f"a table of {n_fields} fields needs points with a "
                               f"leading axis of {n_fields}, got shape {xhat.shape}")
         per_h, last, offsets = self._layout(xhat.ndim)
-        s = (xhat + 1.0) * per_h
+        # s = (xhat + 1) * per_h and then t = s - i, in xhat's own new array
+        s = xhat
+        s += 1.0
+        s *= per_h
         # truncation is the floor for s >= 0, and gives piece 0 for the
         # rounding-sized negative s that _reference_coords lets through
         i = np.minimum(s.astype(np.intp), last)
-        t = s - i
-        c = pieces.take(i + offsets, axis=1)
+        t = s
+        t -= i
+        i += offsets
+        c = pieces.take(i, axis=1)
         # c[0] + t * (c[1] + t * (... + t * c[5])), in place
         out = np.multiply(t, c[5])
         for k in range(4, 0, -1):
@@ -485,11 +490,16 @@ def _reference_coords(domain: Interval, x):
     arr = np.asarray(x, dtype=float)
     a, b = domain.lo, domain.hi
     tol = 1e-12 * max(1.0, abs(a), abs(b))
-    if arr.size and not (arr.min() >= a - tol and arr.max() <= b + tol):
+    if arr.size and not (np.minimum.reduce(arr, axis=None) >= a - tol
+                         and np.maximum.reduce(arr, axis=None) <= b + tol):
         if np.isnan(arr).any():
             raise NumericalError("evaluation point is not finite")
         raise DomainError(f"evaluation point outside field domain [{a}, {b}]")
-    return (2.0 * arr - (a + b)) / (b - a)
+    # (2 x - (a + b)) / (b - a), in one new array
+    xhat = 2.0 * arr
+    xhat -= a + b
+    xhat /= b - a
+    return xhat
 
 
 def field_values(fields, x) -> list:

@@ -6,11 +6,14 @@ block size.  Substream (seed, k) is numpy's ``Philox(key=[seed, k])``
 (Philox4x64-10, Salmon et al., SC'11); its j-th 53-bit integer is the j-th
 64-bit output shifted right by 11, which is what ``Generator.integers(0,
 2**53)`` returns at that range.  Philox is a pure function of (key,
-counter), so :func:`standard_normals` computes a whole block of keys at once
-with one array kernel, :func:`philox_words`.  The per-sample generator
-(:func:`substream`, :func:`open_uniforms`) is kept as the reference the
-kernel is tested against bit for bit.  Standard normal variates are produced
-by inverse-CDF transform of open-interval uniforms.
+counter), so the two ways of computing a substream give the same words.
+:func:`standard_normals` draws a block of at most :data:`PER_KEY_MAX` keys
+through numpy's own per-key generators (:func:`substream`,
+:func:`open_uniforms`), whose set-up costs less than one kernel pass for a
+few keys, and a larger block at once with one array kernel,
+:func:`philox_words`, which the tests hold to the generators bit for bit.
+Standard normal variates are produced by inverse-CDF transform of
+open-interval uniforms.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ _MUL_HI = _MULTIPLIERS >> np.uint64(32)
 _ROUNDS = 10
 # Counter blocks per kernel pass, so that its temporaries stay in cache.
 _PASS_BLOCKS = 1 << 13
+# Blocks of up to this many keys draw through numpy's per-key generators:
+# one kernel pass costs about 225 us, a generator 20-70 us (8 keys of 20
+# normals cost the same either way; 16 keys favour the kernel).
+PER_KEY_MAX = 8
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -126,10 +133,18 @@ def standard_normals(seed: int, index, n: int) -> np.ndarray:
     ``index`` may also be a sequence of B sample indices: the result is then
     a (B, n) array whose row b is exactly ``standard_normals(seed,
     index[b], n)``.  Row b equals ``inverse_normal_cdf(open_uniforms(
-    substream(seed, index[b]), n))`` bit for bit; the block is computed by
-    one :func:`philox_words` call and one quantile map.
+    substream(seed, index[b]), n))`` bit for bit.  A block of at most
+    :data:`PER_KEY_MAX` keys is drawn that way, key by key; a larger one by
+    one :func:`philox_words` call.  Either way one quantile map follows.
     """
     scalar = np.ndim(index) == 0
-    words = philox_words(seed, [index] if scalar else index, n)
-    normals = inverse_normal_cdf(_open_unit(words >> np.uint64(11)))
+    indices = [index] if scalar else index
+    if len(indices) <= PER_KEY_MAX:
+        # Python ints, so that a key outside [0, 2**64) raises as in _keys
+        uniforms = np.empty((len(indices), n))
+        for row, k in zip(uniforms, indices):
+            row[:] = open_uniforms(substream(int(seed), int(k)), n)
+    else:
+        uniforms = _open_unit(philox_words(seed, indices, n) >> np.uint64(11))
+    normals = inverse_normal_cdf(uniforms)
     return normals[0] if scalar else normals

@@ -29,19 +29,14 @@ def step_points(x, y):
     return xs, ys
 
 
-def _data_bounds(series):
-    lo_x = hi_x = lo_y = hi_y = None
-    for s in series:
-        x = np.asarray(s["x"], dtype=float)
-        y = np.asarray(s["y"], dtype=float)
-        good = np.isfinite(x) & np.isfinite(y)
-        if not np.any(good):
-            continue
-        lo_x = min(lo_x, x[good].min()) if lo_x is not None else x[good].min()
-        hi_x = max(hi_x, x[good].max()) if hi_x is not None else x[good].max()
-        lo_y = min(lo_y, y[good].min()) if lo_y is not None else y[good].min()
-        hi_y = max(hi_y, y[good].max()) if hi_y is not None else y[good].max()
-    if lo_x is None:
+def _data_bounds(x, y, good):
+    """Padded plot bounds of the finite points ``good`` of all series, as
+    Python floats (the same doubles as numpy's scalars, and faster to work
+    with in the ticks)."""
+    if good.any():
+        lo_x, hi_x = float(x[good].min()), float(x[good].max())
+        lo_y, hi_y = float(y[good].min()), float(y[good].max())
+    else:
         lo_x, hi_x, lo_y, hi_y = 0.0, 1.0, 0.0, 1.0
     if hi_x == lo_x:
         lo_x, hi_x = lo_x - 0.5, hi_x + 0.5
@@ -51,9 +46,50 @@ def _data_bounds(series):
     return lo_x - pad_x, hi_x + pad_x, lo_y - pad_y, hi_y + pad_y
 
 
+def _polylines(series, good, px, py):
+    """One ``<polyline>`` per run of at least two consecutive finite points
+    of a series, every one filled from a single ``%`` template.
+
+    ``good`` (the finite points) and the pixel coordinates ``px`` and ``py``
+    run over the concatenated series; a run ends at a non-finite point and
+    at the end of its series.
+    """
+    lengths = [len(s["x"]) for s in series]
+    owner = np.repeat(np.arange(len(series)), lengths)
+    idx = np.flatnonzero(good)
+    if idx.size == 0:
+        return []
+    # a segment starts wherever the index skips a point or the series changes
+    steps = np.diff(np.stack((idx, owner[idx])), axis=1)
+    starts = np.flatnonzero((steps != [[1], [0]]).any(axis=0)) + 1
+    bounds = np.concatenate(([0], starts, [idx.size]))
+    sizes = np.diff(bounds)
+    kept = sizes >= 2
+    if not kept.any():
+        return []
+    points = idx[np.repeat(kept, sizes)]
+    templates = []
+    for first, size in zip(bounds[:-1][kept].tolist(), sizes[kept].tolist()):
+        s = series[owner[idx[first]]]
+        dash = f' stroke-dasharray="{s["dash"]}"' if s.get("dash") else ""
+        attrs = (f'stroke="{s.get("color", "#1f5fa8")}" '
+                 f'stroke-width="{s.get("width", 1.5)}"{dash}').replace("%", "%%")
+        templates.append(f'<polyline fill="none" {attrs} points="'
+                         + " ".join(("%.2f,%.2f",) * size) + '"/>')
+    # pixel coordinates interleaved x, y, as Python floats through one
+    # template (numpy scalars format the same, slowly)
+    xy = np.column_stack((px[points], py[points])).ravel().tolist()
+    return ["\n".join(templates) % tuple(xy)]
+
+
 def line_plot(series, title="", xlabel="", ylabel=""):
-    """SVG text for a list of series dicts: x, y[, color, width, dash]."""
-    x0, x1, y0, y1 = _data_bounds(series)
+    """SVG text for a list of series dicts: x, y[, color, width, dash], with
+    x and y of one length.  NaN and inf points are left out, and split a
+    series' polyline."""
+    x = np.concatenate([np.asarray(s["x"], dtype=float) for s in series] or [np.empty(0)])
+    y = np.concatenate([np.asarray(s["y"], dtype=float) for s in series] or [np.empty(0)])
+    good = np.isfinite(x) & np.isfinite(y)
+    x0, x1, y0, y1 = _data_bounds(x, y, good)
     px0, px1 = MARGIN_L, WIDTH - MARGIN_R
     py0, py1 = HEIGHT - MARGIN_B, MARGIN_T
 
@@ -78,20 +114,21 @@ def line_plot(series, title="", xlabel="", ylabel=""):
     for i in range(TICKS + 1):
         fx = x0 + (x1 - x0) * i / TICKS
         fy = y0 + (y1 - y0) * i / TICKS
+        tx, ty = sx(fx), sy(fy)
         parts.append(
-            f'<line x1="{sx(fx):.1f}" y1="{py0}" x2="{sx(fx):.1f}" y2="{py0 + 5}" '
+            f'<line x1="{tx:.1f}" y1="{py0}" x2="{tx:.1f}" y2="{py0 + 5}" '
             'stroke="#404040"/>'
         )
         parts.append(
-            f'<text x="{sx(fx):.1f}" y="{py0 + 18}" text-anchor="middle" '
+            f'<text x="{tx:.1f}" y="{py0 + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{fx:.4g}</text>'
         )
         parts.append(
-            f'<line x1="{px0 - 5}" y1="{sy(fy):.1f}" x2="{px0}" y2="{sy(fy):.1f}" '
+            f'<line x1="{px0 - 5}" y1="{ty:.1f}" x2="{px0}" y2="{ty:.1f}" '
             'stroke="#404040"/>'
         )
         parts.append(
-            f'<text x="{px0 - 8}" y="{sy(fy) + 4:.1f}" text-anchor="end" '
+            f'<text x="{px0 - 8}" y="{ty + 4:.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{fy:.4g}</text>'
         )
     if xlabel:
@@ -105,30 +142,7 @@ def line_plot(series, title="", xlabel="", ylabel=""):
             f'font-family="sans-serif" font-size="13" '
             f'transform="rotate(-90 16 {(py0 + py1) / 2:.1f})">{ylabel}</text>'
         )
-    for s in series:
-        x = np.asarray(s["x"], dtype=float)
-        y = np.asarray(s["y"], dtype=float)
-        color = s.get("color", "#1f5fa8")
-        width = s.get("width", 1.5)
-        dash = f' stroke-dasharray="{s["dash"]}"' if s.get("dash") else ""
-        good = np.isfinite(x) & np.isfinite(y)
-        # split the polyline at gaps so NaNs do not connect across
-        idx = np.nonzero(good)[0]
-        if idx.size == 0:
-            continue
-        breaks = np.nonzero(np.diff(idx) > 1)[0]
-        segments = np.split(idx, breaks + 1)
-        for seg in segments:
-            if seg.size < 2:
-                continue
-            # the segment's pixel coordinates, interleaved x, y, as Python
-            # floats through one template (numpy scalars format the same, slowly)
-            xy = np.column_stack((sx(x[seg]), sy(y[seg]))).ravel().tolist()
-            pts = " ".join(("%.2f,%.2f",) * seg.size) % tuple(xy)
-            parts.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="{width}"{dash} '
-                f'points="{pts}"/>'
-            )
+    parts += _polylines(series, good, sx(x), sy(y))
     parts.append("</svg>")
     return "\n".join(parts)
 

@@ -573,10 +573,15 @@ class TestBatchedInterpolation:
         np.testing.assert_array_equal(ve, np.repeat(vrows, 3, axis=2).transpose(1, 0, 2))
 
     def test_non_finite_values_follow_np_interp(self):
+        # two lattices and two components, each row with its own gaps, so the
+        # retry reads every stacked row's own intervals
         xs = np.linspace(-1.0, 1.0, 11)
         ids = np.arange(2, 9)
-        vrows = np.array([[[0.0, 1.0, np.inf, 3.0, np.nan, 5.0, 1e308]]])
-        q = np.array([np.linspace(-1.0, 1.0, 57)])
+        vrows = np.array([[[0.0, 1.0, np.inf, 3.0, np.nan, 5.0, 1e308],
+                           [2.0, 2.0, 2.0, 1.0, 0.0, -1.0, -2.0]],
+                          [[1.0, -np.inf, -np.inf, 3.0, 4.0, np.nan, 6.0],
+                           [np.nan, 0.5, 1e308, -1e308, 0.0, np.inf, 1.0]]])
+        q = np.array([np.linspace(-1.0, 1.0, 57), np.linspace(1.0, -1.0, 57)])
         with np.errstate(invalid="ignore", over="ignore"):
             self.check(xs, ids, vrows, q)
 

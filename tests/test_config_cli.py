@@ -423,6 +423,36 @@ class TestUnknownNames:
         assert "qoi.kindd: unknown key (did you mean 'kind'?)" in capsys.readouterr().err
 
 
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("raw", ["-inf", "nan", "+Infinity", "1e999"])
+    def test_every_number_key_rejects_nan_and_inf(self, tmp_path, raw):
+        text = GAUSS_SMALL.replace("sigma_max = 2.0", f"sigma_max = {raw}")
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert err.value.problems == [f"family.sigma_max: must be finite, got {raw!r}"]
+
+    def test_infinite_family_bound_is_reported_with_the_other_problems(self, tmp_path,
+                                                                        capsys):
+        text = GAUSS_SMALL.replace("mu_min = -1.0", "mu_min = -inf") + "[mesh]\nnx = 0\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert err.value.problems == ["family.mu_min: must be finite, got '-inf'",
+                                      "mesh.nx: must be >= 2, got 0"]
+        assert main(["compare", "--config", write_cfg(tmp_path, text),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "family.mu_min: must be finite, got '-inf'" in err
+        assert "mesh.nx: must be >= 2, got 0" in err
+
+    def test_nan_speed_bound_exits_2_with_its_key(self, tmp_path, capsys):
+        with open(os.path.join(PRESETS, "transport_demo.cfg"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert "speed_bound = 1.0" in text
+        path = write_cfg(tmp_path, text.replace("speed_bound = 1.0", "speed_bound = nan"))
+        assert main(["transport", "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "region.speed_bound: must be finite, got 'nan'" in capsys.readouterr().err
+
+
 class TestPointSnapping:
     """A point model solves at a lattice node, and says which."""
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randset_pde import sampling
 from randset_pde.randomsets import inverse_normal_cdf
 from randset_pde.sampling import open_uniforms, philox_words, standard_normals, substream
 
@@ -97,6 +98,59 @@ def test_keys_outside_uint64_raise_as_numpy_philox_does(seed, key):
     if key < 0:
         with pytest.raises(reference.type):
             standard_normals(seed, np.array([0, key]), 3)
+
+
+def reference_rows(seed, keys, n):
+    """Each key's normals from its own numpy generator, one row per key."""
+    return [inverse_normal_cdf(open_uniforms(substream(seed, k), n)) for k in keys]
+
+
+@pytest.mark.parametrize("n", [0, 1, 20, 520])
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 16])
+def test_draw_path_follows_the_block_size(size, n, monkeypatch):
+    # blocks of at most PER_KEY_MAX keys draw key by key, larger ones by the
+    # kernel, and both give each key's own generator's rows bit for bit
+    assert sampling.PER_KEY_MAX == 8
+    kernel_calls = []
+
+    def counting(*args):
+        kernel_calls.append(args)
+        return philox_words(*args)
+
+    monkeypatch.setattr(sampling, "philox_words", counting)
+    keys = [3 * k + (k % 2) * 2**40 for k in range(size)]
+    block = standard_normals(5, keys, n)
+    assert block.shape == (size, n)
+    assert len(kernel_calls) == (size > sampling.PER_KEY_MAX)
+    for row, expected in zip(block, reference_rows(5, keys, n)):
+        assert np.array_equal(row, expected)
+
+
+@pytest.mark.parametrize("size", [1, 9])
+def test_scalar_list_and_top_uint64_index_on_either_path(size):
+    top = 2**64 - 1
+    keys = np.arange(size, dtype=np.uint64)
+    keys[-1] = top
+    expected = reference_rows(2**63, keys.tolist(), 20)
+    for index in (keys, keys.tolist()):
+        block = standard_normals(2**63, index, 20)
+        for row, want in zip(block, expected):
+            assert np.array_equal(row, want)
+    assert np.array_equal(standard_normals(2**63, top, 20), expected[-1])
+    assert np.array_equal(standard_normals(2**63, np.uint64(top), 20), expected[-1])
+
+
+@pytest.mark.parametrize("bad", [-1, 2**64])
+@pytest.mark.parametrize("size", [1, 8, 9, 16])
+def test_keys_outside_uint64_raise_overflow_on_either_path(size, bad):
+    keys = list(range(size - 1)) + [bad]
+    with pytest.raises(OverflowError):
+        standard_normals(0, keys, 4)
+    if bad < 0:
+        with pytest.raises(OverflowError):
+            standard_normals(0, np.array(keys), 4)
+        with pytest.raises(OverflowError):
+            standard_normals(0, np.int64(bad), 4)
 
 
 def test_normals_moments():
