@@ -81,13 +81,23 @@ PRECOMPUTE_FEET = 1 << 14
 _FLOAT64 = np.dtype(float)
 
 
+def _variables(fn) -> tuple:
+    """The coefficient rule: which of x and t coefficient fn reads.  A number
+    reads neither, a field object (anything with ``value(x)`` and no
+    ``__call__``) x, and a callable its ``variables`` where it has them, else
+    both.  The solvers give t only to a coefficient that reads it."""
+    if callable(fn):
+        return getattr(fn, "variables", ("x", "t"))
+    return ("x",) if hasattr(fn, "value") else ()
+
+
 def _eval_xt(fn, x, t):
-    """Evaluate an (x, t) coefficient, broadcasting scalars to x's shape."""
-    return _shaped(fn(x, t) if callable(fn) else fn, x)
+    """A coefficient at (x, t), or at x alone where it does not read t."""
+    return _shaped(fn(x, t), x) if "t" in _variables(fn) else _eval_x(fn, x)
 
 
 def _eval_x(fn, x):
-    return _shaped(fn(x) if callable(fn) else fn, x)
+    return _shaped(fn(x) if callable(fn) else fn.value(x) if hasattr(fn, "value") else fn, x)
 
 
 def _shaped(out, x):
@@ -134,8 +144,8 @@ class TransportCoefficients:
     """Coefficient bundle for u_t + a u_x = f u + g, u(.,0) = u0.
 
     ``c`` is the claimed uniform global bound on |a|; it is re-verified on a
-    probe grid before every solve.  Set ``a_time_dependent=False`` when the
-    speed ignores t so the probe can skip the time axis.
+    probe grid before every solve, at t = 0 alone where a does not read t
+    (see :func:`_variables`).
     """
 
     a: Union[float, Callable]
@@ -143,7 +153,6 @@ class TransportCoefficients:
     g: Union[float, Callable]
     u0: Union[float, Callable]
     c: float
-    a_time_dependent: bool = True
 
     def __post_init__(self):
         if not self.c >= 0.0:
@@ -321,7 +330,7 @@ class _Lattice:
     groups gathers all its feet from the curves at once.  Otherwise every
     node is traced on a curve of its own, and its feet are stored level by
     level.  ``curve_sides`` keeps each side's curves until
-    :meth:`precompute`: (curves, start, direction, indices of its groups).
+    :meth:`precompute`: (curves, start, indices of its groups).
 
     ``groups`` run from the outermost level inwards, so reversed they are a
     causal order; ``queries[s]`` lists the ``(group index, m, slice)`` of the
@@ -345,10 +354,9 @@ class _Lattice:
             return signs * _eval_xt(a, x, t)
 
         max_step = _max_step(xs, ts)
-        plus, plus_slices = self._trace_side(1, range(ts.size - 1, i0, -1), slope, max_step,
+        plus, plus_slices = self._trace_side(range(ts.size - 1, i0, -1), slope, max_step,
                                              cone, targets)
-        minus, minus_slices = self._trace_side(-1, range(0, i0), slope, max_step, cone,
-                                               targets)
+        minus, minus_slices = self._trace_side(range(0, i0), slope, max_step, cone, targets)
         shift = plus.shape[2]
         slices = plus_slices + [(gi, m, slice(sl.start + shift, sl.stop + shift))
                                 for gi, m, sl in minus_slices]
@@ -358,10 +366,9 @@ class _Lattice:
         if ids.size:
             self._start(i0, ids)
 
-    def _trace_side(self, direction, levels, slope, max_step, cone, targets):
-        """Trace one side of t = 0 (``direction`` +1 above, -1 below) from its
-        outermost level inwards; return the feet that land on t = 0 and their
-        slices.
+    def _trace_side(self, levels, slope, max_step, cone, targets):
+        """Trace one side of t = 0 over its ``levels``, from the outermost
+        inwards; return the feet that land on t = 0 and their slices.
 
         ``pos`` holds the feet on the current level of every node started on
         an earlier one, in the order of their groups.  Per-node curves march
@@ -396,7 +403,7 @@ class _Lattice:
                         at, step = self.groups[gi].on_curve()
                         np.take(flat, at * curves.shape[3] + step, axis=2,
                                 out=self.groups[gi].pos)
-                    self.curve_sides.append((curves, start, direction, members))
+                    self.curve_sides.append((curves, start, members))
                 return pos, slices
             self.queries[s] = slices
             ids = self._dependence(s, pos, cone, targets)
@@ -464,25 +471,24 @@ class _Lattice:
         self.groups.append(group)
         self.solved[s, ids] = True
 
-    def precompute(self, f, g, u0s, fg_time_dependent=True):
+    def precompute(self, f, g, u0s):
         """f and g at every foot, and family k's u0s[k] at its feet on t = 0;
         lattice l's values are read at the points' index l on their leading
         axis.  u0 is called once over the whole lattice.
 
-        With shared curves and f and g that ignore t (``fg_time_dependent``
-        False), every foot of a side's groups is a point of its abscissa's
-        curve, so f and g are called on the curves' points
-        (:meth:`_curve_values`) and each group gathers its feet's values
-        from there; the t = 0 level's group, and every group otherwise,
-        calls them at its own feet.  Either way f and g see at most
-        PRECOMPUTE_FEET points per lattice at once, which bounds the size of
-        their temporaries.
+        With shared curves and f and g that read x but not t (constants are
+        broadcast to the feet for free), every foot of a side's groups is a
+        point of its abscissa's curve, so f and g are called on the curves'
+        points (:meth:`_curve_values`) and each group gathers its feet's
+        values there; the t = 0 group, and every group otherwise, calls them
+        at its own feet.  Either way f and g see at most PRECOMPUTE_FEET
+        points per lattice at once, which bounds the size of their temporaries.
         """
         S, groups = self.n_lattices, self.groups
         per_foot = list(groups)
-        if self.shared and not fg_time_dependent:
-            for curves, start, direction, members in self.curve_sides:
-                Fc, Gc = self._curve_values(f, g, curves, start, direction)
+        if self.shared and {*_variables(f), *_variables(g)} == {"x"}:
+            for curves, start, members in self.curve_sides:
+                Fc, Gc = self._curve_values(f, g, curves, start)
                 for gi in members:
                     at, step = groups[gi].on_curve()
                     groups[gi].F, groups[gi].G = Fc[:, :, at, step], Gc[:, :, at, step]
@@ -517,23 +523,21 @@ class _Lattice:
             group.U0 = U0[:, :, off:off + group.node_ids.size]
             off += group.node_ids.size
 
-    def _curve_values(self, f, g, curves, start, direction):
-        """f and g at every point of one side's curves that some foot is:
-        steps 0..start[i] of abscissa i's curve, which its outermost node
-        reaches on the levels start[i], ..., 0 from t = 0, at those levels'
-        times.  Other entries of the returned (S, K, nx, steps) arrays are
-        never read."""
+    def _curve_values(self, f, g, curves, start):
+        """f and g, which do not read t, at every point of one side's curves
+        that some foot is: steps 0..start[i] of abscissa i's curve, which its
+        outermost node reaches on the levels start[i], ..., 0 from t = 0.
+        Other entries of the returned (S, K, nx, steps) arrays are never read."""
         live = np.nonzero(start >= 0)[0]
         counts = start[live] + 1
         curve = np.repeat(live, counts)
         step = np.arange(curve.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        taus = self.ts[self.i0 + direction * (start[curve] - step)]
         Fc, Gc = np.empty(curves.shape), np.empty(curves.shape)
         per_call = max(1, PRECOMPUTE_FEET // self.n_families)
         for lo in range(0, curve.size, per_call):
             at = (slice(None), slice(None), curve[lo:lo + per_call], step[lo:lo + per_call])
-            pos, tau = curves[at], taus[lo:lo + per_call]
-            F, G = _eval_xt(f, pos, tau), _eval_xt(g, pos, tau)
+            pos = curves[at]
+            F, G = _eval_x(f, pos), _eval_x(g, pos)
             _check_finite(("f", F), ("g", G))
             Fc[at], Gc[at] = F, G
         return Fc, Gc
@@ -656,14 +660,15 @@ def _interp_rows(layout, ve, q):
     return out
 
 
-def _verify_speed_bound(a, bound, region, xs, ts, time_dependent, n_lattices):
-    """Check |a| <= bound in every lattice on a probe grid ten times finer than (xs, ts)."""
+def _verify_speed_bound(a, bound, region, xs, ts, n_lattices):
+    """Check |a| <= bound in every lattice on a probe grid ten times finer than
+    (xs, ts), on t = 0 alone where a does not read t."""
     xp = np.linspace(-region.kappa, region.kappa, 10 * xs.size + 1)
-    tp = np.linspace(-region.T, region.T, 10 * ts.size + 1) if time_dependent \
-        else np.array([0.0])
+    x_only = "t" not in _variables(a)
+    tp = np.array([0.0]) if x_only else np.linspace(-region.T, region.T, 10 * ts.size + 1)
     X, Tm = np.broadcast_to(xp, (n_lattices, 1, xp.size)), tp[:, None]
     mask = region.contains(xp[None, :], Tm)
-    vals = np.broadcast_to(np.asarray(a(X, Tm) if callable(a) else a, dtype=float),
+    vals = np.broadcast_to(_eval_x(a, X) if x_only else np.asarray(a(X, Tm), dtype=float),
                            (n_lattices, tp.size, xp.size))
     worst = float(np.abs(vals[:, mask]).max())
     if worst > bound * (1.0 + BOUND_SLACK) + BOUND_SLACK * (bound == 0.0):
@@ -672,13 +677,13 @@ def _verify_speed_bound(a, bound, region, xs, ts, time_dependent, n_lattices):
         )
 
 
-def _lattice(a, signs, bound, region, xs, ts, time_dependent, targets, lattices=None):
+def _lattice(a, signs, bound, region, xs, ts, targets, lattices=None):
     """Check the grids, the speed bound and the targets; trace their lattice.
 
     ``targets`` is a boolean (nt, nx) mask of cone nodes, or None for the
     whole cone; ``lattices`` is the solvers' stack size, None for one.  The
-    lattice's curves are shared when the speed ignores t and the level steps
-    are uniform.
+    lattice's curves are shared when the speed does not read t
+    (:func:`_variables`) and the level steps are uniform.
     """
     xs = np.asarray(xs, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -690,7 +695,7 @@ def _lattice(a, signs, bound, region, xs, ts, time_dependent, targets, lattices=
     i0 = _zero_level(ts)
     if bound > region.c + BOUND_SLACK:
         raise DomainError("coefficient speed bound exceeds the region's bound")
-    _verify_speed_bound(a, bound, region, xs, ts, time_dependent, n_lattices)
+    _verify_speed_bound(a, bound, region, xs, ts, n_lattices)
     cone = region.contains(xs[None, :], ts[:, None])
     if targets is None:
         targets = cone
@@ -703,7 +708,7 @@ def _lattice(a, signs, bound, region, xs, ts, time_dependent, targets, lattices=
             raise DomainError("targets select no node")
         if np.any(targets & ~cone):
             raise DomainError("targets select nodes outside the cone")
-    shared = not time_dependent and _uniform_levels(ts, _max_step(xs, ts))
+    shared = "t" not in _variables(a) and _uniform_levels(ts, _max_step(xs, ts))
     return _Lattice(a, signs, xs, ts, cone, i0, targets, n_lattices, shared)
 
 
@@ -794,8 +799,7 @@ def solve_transport(coeffs: TransportCoefficients, region: DeterminacyRegion,
     reaction f have 1 - w*f <= 0: the time step is then too long for the
     discrete problem to have a solution the Picard iteration would reach.
     """
-    lattice = _lattice(coeffs.a, (1.0,), coeffs.c, region, xs, ts, coeffs.a_time_dependent,
-                       targets, lattices)
+    lattice = _lattice(coeffs.a, (1.0,), coeffs.c, region, xs, ts, targets, lattices)
     lattice.precompute(coeffs.f, coeffs.g, (coeffs.u0,))
     return _solution(lattice, _march(lattice, (1.0,)), lattices)
 
@@ -826,6 +830,8 @@ def wave_to_system(material: WaveMaterial, fd_step: Optional[float] = None):
     a = sqrt(E/rho), f = E'/rho - a'/2, g = q/rho.  For constant density the
     wave-speed derivative is evaluated analytically as E'/(2 sqrt(E rho));
     a variable density falls back to central differences with ``fd_step``.
+    a and f are marked as functions of x alone (``variables`` ("x",)), and
+    so is g where q does not read t, so the solvers never give them t.
     """
     e_val, e_der = _diff_pair(material.E, fd_step)
     rho = material.rho
@@ -864,19 +870,19 @@ def wave_to_system(material: WaveMaterial, fd_step: Optional[float] = None):
 
     q = material.q
 
-    def g_coeff(x, t):
+    def g_coeff(x, t=None):
         if q is None:
             return np.zeros_like(np.asarray(x, dtype=float))
         return _eval_xt(q, x, t) / rho_at(x)
 
+    speed.variables = f_coeff.variables = ("x",)
+    g_coeff.variables = ("x", "t") if "t" in _variables(q) else ("x",)
     return speed, f_coeff, g_coeff
 
 
 def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
-                     a_time_dependent: bool = True,
                      targets: Optional[np.ndarray] = None,
-                     lattices: Optional[int] = None,
-                     fg_time_dependent: bool = True) -> GridSolution2D:
+                     lattices: Optional[int] = None) -> GridSolution2D:
     """The pair of coupled transport equations
 
         (d_t + a d_x) u1 = f (u2 - u1) + g,   u1(.,0) = u01,
@@ -886,14 +892,10 @@ def solve_2x2_system(a, f, g, u01, u02, region: DeterminacyRegion, xs, ts,
     characteristics, component 2 along -a; both families are traced in one
     pass.  A node's own terms cancel in u2 - u1, so the march divides by
     exactly 1.  ``targets`` restricts the solve and ``lattices`` stacks S
-    problems as in :func:`solve_transport`.  Set ``fg_time_dependent=False``
-    when f and g ignore t: where the speed ignores t too, they are then
-    evaluated once per point of the shared characteristic curves rather
-    than at every foot, to the same values.
+    problems as in :func:`solve_transport`.
     """
-    lattice = _lattice(a, (1.0, -1.0), region.c, region, xs, ts, a_time_dependent, targets,
-                       lattices)
-    lattice.precompute(f, g, (u01, u02), fg_time_dependent)
+    lattice = _lattice(a, (1.0, -1.0), region.c, region, xs, ts, targets, lattices)
+    lattice.precompute(f, g, (u01, u02))
     return _solution(lattice, _march(lattice, (-1.0, 1.0)), lattices)
 
 

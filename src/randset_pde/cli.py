@@ -259,8 +259,11 @@ def _config_sha(path) -> str:
 # --- model/grid construction from config ----------------------------------------
 
 
-def _region_from_config(cfg) -> DeterminacyRegion:
+def _region_from_config(cfg, what: str) -> DeterminacyRegion:
+    """The cone of the [region] section, which ``what`` requires."""
     rc = cfg.region
+    if rc is None:
+        raise ConfigError([f"region: section required for {what}"])
     return DeterminacyRegion(rc.kappa, rc.horizon, rc.speed_bound)
 
 
@@ -318,10 +321,8 @@ def _build_qoi(cfg: ScenarioConfig):
         require(cfg, "qoi.x1", "qoi.x2")
         return QoISpec("elliptic_node", (cfg.qoi.x1, cfg.qoi.x2), scenario), grid
 
-    if cfg.region is None:
-        raise ConfigError(["region: section required for hyperbolic models"])
+    region = _region_from_config(cfg, "hyperbolic models")
     require(cfg, "qoi.x", "qoi.t")
-    region = _region_from_config(cfg)
     if kind == "transport_point":
         require(cfg, "transport.a_mean", "transport.a_lo", "transport.a_hi")
         tc = cfg.transport
@@ -340,10 +341,8 @@ def _build_qoi(cfg: ScenarioConfig):
         }
         return QoISpec("transport_point", (cfg.qoi.x, cfg.qoi.t), scenario), grid
     if kind == "wave_point":
-        require(cfg, "wave.e_mean", "wave.e_min", "wave.e_max")
+        require(cfg, "wave.e_mean", "wave.e_min", "wave.e_max", "wave.w", "wave.w_prime")
         wc = cfg.wave
-        if wc.w is None or wc.w_prime is None:
-            raise ConfigError(["wave.w and wave.w_prime: required for wave_point"])
         scenario = {
             "region": region,
             "nx": cfg.region.nx,
@@ -391,6 +390,8 @@ def _cmd_kl_table(args, out_dir, stages, manifest):
     problems = []
     if ell is None:
         problems.append("field.ell: required (or pass --ell)")
+    elif not 0.0 < ell < np.inf:     # only --ell can be: parse_config checks field.ell
+        problems.append(f"--ell: must be a finite number > 0, got {ell:g}")
     if terms is None:
         problems.append("field.m_terms: required (or pass --terms)")
     if problems:
@@ -410,6 +411,10 @@ def _cmd_kl_table(args, out_dir, stages, manifest):
 
 def _cmd_sample_field(args, out_dir, stages, manifest):
     """Trajectories of the first KL field of the config's model, on its field domain."""
+    bad = [f"--{flag}: must be >= {low}, got {value}" for flag, value, low in
+           (("paths", args.paths, 1), ("grid-points", args.grid_points, 2)) if value < low]
+    if bad:
+        raise ConfigError(bad)
     cfg = _load_config(args)
     require(cfg, "field.m_terms")
     ell = _single_ell(cfg)
@@ -456,12 +461,9 @@ def _cmd_elliptic(args, out_dir, stages, manifest):
 
 def _cmd_transport(args, out_dir, stages, manifest):
     cfg = _load_config(args)
-    if cfg.region is None:
-        raise ConfigError(["region: section required for transport runs"])
+    region = _region_from_config(cfg, "transport runs")
+    require(cfg, "transport.a", "transport.u0")
     tc = cfg.transport
-    if tc.a is None or tc.u0 is None:
-        raise ConfigError(["transport.a and transport.u0: required"])
-    region = _region_from_config(cfg)
     xs, ts = build_grids(region, cfg.region.nx, cfg.region.nt)
     coeffs = TransportCoefficients(a=tc.a, f=tc.f, g=tc.g, u0=tc.u0, c=region.c)
     sol = solve_transport(coeffs, region, xs, ts)
@@ -476,15 +478,9 @@ def _cmd_transport(args, out_dir, stages, manifest):
 
 def _cmd_wave(args, out_dir, stages, manifest):
     cfg = _load_config(args)
-    if cfg.region is None:
-        raise ConfigError(["region: section required for wave runs"])
+    region = _region_from_config(cfg, "wave runs")
+    require(cfg, "wave.e", "wave.e_prime", "wave.w", "wave.w_prime")
     wc = cfg.wave
-    problems = [f"wave.{k}: required" for k, v in
-                (("e", wc.e), ("e_prime", wc.e_prime), ("w", wc.w), ("w_prime", wc.w_prime))
-                if v is None]
-    if problems:
-        raise ConfigError(problems)
-    region = _region_from_config(cfg)
     xs, ts = build_grids(region, cfg.region.nx, cfg.region.nt)
     a, f, g = wave_to_system(WaveMaterial(rho=wc.rho, E=(wc.e, wc.e_prime), q=None))
     u01 = lambda x: -np.asarray(a(x)) * wc.w_prime(x)

@@ -47,7 +47,9 @@ _SAFE_NAMES = {
 
 
 def compile_expression(source: str, variables=("x", "t")) -> Callable:
-    """Compile a math expression over the given variables (numpy semantics)."""
+    """Compile a math expression over the given variables (numpy semantics).
+    ``fn.variables`` lists those it names: the solvers call it with x alone
+    where that lacks t."""
     try:
         code = compile(source, "<config expression>", "eval")
     except SyntaxError as exc:
@@ -61,7 +63,7 @@ def compile_expression(source: str, variables=("x", "t")) -> Callable:
         env.update(zip(variables, args))
         return eval(code, {"__builtins__": {}}, env)  # names whitelisted above
 
-    fn.source = source
+    fn.source, fn.variables = source, tuple(v for v in variables if v in code.co_names)
     return fn
 
 

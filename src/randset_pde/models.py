@@ -461,11 +461,8 @@ class TransportPointModel(_PointModel):
 
     def _solve(self, speed_field: CutoffField, lattices: Optional[int]) -> np.ndarray:
         """The solution at the point node, one value per lattice."""
-        coeffs = TransportCoefficients(
-            a=lambda x, t: speed_field.value(x),
-            f=self.f, g=self.g, u0=self.u0,
-            c=self._bound, a_time_dependent=False,
-        )
+        coeffs = TransportCoefficients(a=speed_field, f=self.f, g=self.g, u0=self.u0,
+                                       c=self._bound)
         sol = solve_transport(coeffs, self.region, self._xs, self._ts, targets=self._targets,
                               lattices=lattices)
         j, i = self._node
@@ -506,8 +503,7 @@ class WavePointModel(_PointModel):
         u01 = lambda x: -a(x) * self.w_prime(x)   # zero initial velocity
         u02 = lambda x: a(x) * self.w_prime(x)
         sol = solve_2x2_system(a, f, g, u01, u02, self.region, self._xs, self._ts,
-                               a_time_dependent=False, targets=self._targets,
-                               lattices=lattices, fg_time_dependent=False)
+                               targets=self._targets, lattices=lattices)
         j, i = self._node
         return reconstruct_displacement(sol, self.w, column=i)[..., j]
 

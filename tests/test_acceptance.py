@@ -119,9 +119,7 @@ def test_criterion_05_transport_oracle():
     region = domain_of_determinacy(1.0, 0.4, 1.0)
     xs, ts = build_grids(region, 201, 201)
     coeffs = TransportCoefficients(
-        a=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
-        f=0.0, g=0.0, u0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)),
-        c=1.0, a_time_dependent=False)
+        a=1.0, f=0.0, g=0.0, u0=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)), c=1.0)
     sol = solve_transport(coeffs, region, xs, ts)
     X, T = np.meshgrid(xs, ts)
     err = float(np.max(np.abs(sol.values - np.sin(np.pi * (X - T)))[sol.inside]))
@@ -144,8 +142,7 @@ def test_criterion_06_wave_oracle():
     a, f, g = wave_to_system(WaveMaterial(
         rho=1.0, E=(lambda x: np.ones_like(np.asarray(x, float)),
                     lambda x: np.zeros_like(np.asarray(x, float)))))
-    sol = solve_2x2_system(a, f, g, lambda x: -wp(x), lambda x: wp(x),
-                           region, xs, ts, a_time_dependent=False)
+    sol = solve_2x2_system(a, f, g, lambda x: -wp(x), lambda x: wp(x), region, xs, ts)
     displacement = reconstruct_displacement(sol, w)
     X, T = np.meshgrid(xs, ts)
     err = float(np.max(np.abs(displacement - oracle.dalembert(w, X, T))[sol.inside]))

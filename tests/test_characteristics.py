@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
+from randset_pde.config import compile_expression
 from randset_pde.characteristics import (
     TransportCoefficients,
     _Lattice,
@@ -43,8 +44,19 @@ def bump_prime(x):
     return -32.0 * x * np.exp(-16.0 * x**2)
 
 
+def x_only(fn):
+    """fn, marked as a coefficient of x alone: the solvers call it with x only."""
+    fn.variables = ("x",)
+    return fn
+
+
+def with_t(fn):
+    """A coefficient of x alone as a function of (x, t) that ignores t."""
+    return lambda x, t: fn(x)
+
+
 def const(v):
-    return lambda x, t: np.full_like(np.asarray(x, dtype=float), v)
+    return x_only(lambda x, t=None: np.full_like(np.asarray(x, dtype=float), v))
 
 
 def _picard_update(lattice, values, coupling):
@@ -125,8 +137,7 @@ class TestSolveTransport:
         region = domain_of_determinacy(1.0, 0.4, 1.0)
         xs, ts = build_grids(region, 201, 201)
         coeffs = TransportCoefficients(a=const(1.0), f=0.0, g=0.0,
-                                       u0=lambda x: np.sin(np.pi * x), c=1.0,
-                                       a_time_dependent=False)
+                                       u0=lambda x: np.sin(np.pi * x), c=1.0)
         sol = solve_transport(coeffs, region, xs, ts)
         X, T = np.meshgrid(xs, ts)
         exact = np.sin(np.pi * (X - T))
@@ -137,8 +148,7 @@ class TestSolveTransport:
         region = domain_of_determinacy(1.0, 0.2, 0.0)
         xs, ts = build_grids(region, 101, 201)
         coeffs = TransportCoefficients(a=0.0, f=lam, g=0.0,
-                                       u0=lambda x: np.sin(np.pi * x), c=0.0,
-                                       a_time_dependent=False)
+                                       u0=lambda x: np.sin(np.pi * x), c=0.0)
         sol = solve_transport(coeffs, region, xs, ts)
         X, T = np.meshgrid(xs, ts)
         exact = np.sin(np.pi * X) * np.exp(lam * T)
@@ -149,8 +159,7 @@ class TestSolveTransport:
         region = domain_of_determinacy(1.0, 0.2, 0.0)
         xs, ts = build_grids(region, 51, 101)
         coeffs = TransportCoefficients(a=0.0, f=0.0, g=1.0,
-                                       u0=lambda x: np.cos(x), c=0.0,
-                                       a_time_dependent=False)
+                                       u0=lambda x: np.cos(x), c=0.0)
         sol = solve_transport(coeffs, region, xs, ts)
         X, T = np.meshgrid(xs, ts)
         assert np.max(np.abs(sol.values - (np.cos(X) + T))[sol.inside]) == 0.0
@@ -177,8 +186,7 @@ class TestSolveTransport:
             out[inside] = np.exp(-1.0 / (1.0 - (x[inside] / support) ** 2))
             return out
 
-        coeffs = TransportCoefficients(a=const(1.0), f=0.4, g=0.0, u0=u0, c=1.0,
-                                       a_time_dependent=False)
+        coeffs = TransportCoefficients(a=const(1.0), f=0.4, g=0.0, u0=u0, c=1.0)
         sol = solve_transport(coeffs, region, xs, ts)
         dx = xs[1] - xs[0]
         X, T = np.meshgrid(xs, ts)
@@ -206,7 +214,7 @@ class TestSolveTransport:
         region = domain_of_determinacy(1.0, 0.4, 1.0)
         xs, ts = build_grids(region, 41, 41)
         coeffs = TransportCoefficients(a=const(2.0), f=0.0, g=0.0,
-                                       u0=lambda x: x, c=1.0, a_time_dependent=False)
+                                       u0=lambda x: x, c=1.0)
         with pytest.raises(SpeedBoundError):
             solve_transport(coeffs, region, xs, ts)
 
@@ -217,17 +225,15 @@ class TestSolveTransport:
         xs, ts = build_grids(region, 41, 41)
         if solver == "transport":
             ones = lambda x: np.ones_like(np.asarray(x, float))
-            coeffs = TransportCoefficients(a=0.0, f=30.0, g=0.0, u0=ones,
-                                           c=0.0, a_time_dependent=False)
+            coeffs = TransportCoefficients(a=0.0, f=30.0, g=0.0, u0=ones, c=0.0)
             sol = solve_transport(coeffs, region, xs, ts)
-            lattice = _lattice(0.0, (1.0,), 0.0, region, xs, ts, False, None)
+            lattice = _lattice(0.0, (1.0,), 0.0, region, xs, ts, None)
             lattice.precompute(30.0, 0.0, (ones,))
             values, coupling = sol.values[None, None], lambda u: u
         else:
             a, u01, u02 = const(1.0), lambda x: -bump_prime(x), bump_prime
-            sol = solve_2x2_system(a, 30.0, 0.0, u01, u02, region, xs, ts,
-                                   a_time_dependent=False)
-            lattice = _lattice(a, (1.0, -1.0), 1.0, region, xs, ts, False, None)
+            sol = solve_2x2_system(a, 30.0, 0.0, u01, u02, region, xs, ts)
+            lattice = _lattice(a, (1.0, -1.0), 1.0, region, xs, ts, None)
             lattice.precompute(30.0, 0.0, (u01, u02))
             values, coupling = sol.values[None], lambda q1, q2: q2 - q1
         assert sol.sweeps == 1
@@ -250,16 +256,16 @@ class TestTargets:
 
     @staticmethod
     def _solve(solver, region, xs, ts, phase, targets=None):
-        a = lambda x, t: 0.55 + 0.4 * np.sin(3.0 * np.asarray(x, float) + phase)
+        a = x_only(lambda x: 0.55 + 0.4 * np.sin(3.0 * np.asarray(x, float) + phase))
         f = lambda x, t: 0.5 + 0.8 * np.sin(np.asarray(x, float) - phase)
         g = lambda x, t: 0.3 + np.asarray(x, float) * t
         if solver == "transport":
             coeffs = TransportCoefficients(a=a, f=f, g=g,
                                            u0=lambda x: np.sin(np.pi * np.asarray(x, float)),
-                                           c=1.0, a_time_dependent=False)
+                                           c=1.0)
             return solve_transport(coeffs, region, xs, ts, targets=targets)
         return solve_2x2_system(a, f, g, lambda x: -bump_prime(x), bump_prime, region, xs, ts,
-                                a_time_dependent=False, targets=targets)
+                                targets=targets)
 
     # a*dt/dx up to 0.95 * (nx - 1) / (nt - 1) * 0.8 / 2, so the feet skip
     # cells when nx is large against nt
@@ -315,7 +321,8 @@ class TestLatticeCurves:
     FOOT_TOL = 2e-7
 
     @staticmethod
-    def speed(x, t):
+    @x_only
+    def speed(x, t=None):
         return 0.55 + 0.4 * np.sin(3.0 * np.asarray(x, float) + 1.0)
 
     @staticmethod
@@ -331,16 +338,16 @@ class TestLatticeCurves:
                     worst = max(worst, abs(group.pos[0, k, n, 0] - ref))
         return worst
 
-    def lattice(self, speed, ts, time_dependent, signs=(1.0, -1.0)):
+    def lattice(self, speed, ts, signs=(1.0, -1.0)):
         region = domain_of_determinacy(1.0, 0.4, 1.0)
         xs = np.linspace(-1.0, 1.0, 21)
         targets = np.zeros((ts.size, xs.size), dtype=bool)
         targets[-3, 9] = targets[1, 12] = True
-        return _lattice(speed, signs, 1.0, region, xs, ts, time_dependent, targets)
+        return _lattice(speed, signs, 1.0, region, xs, ts, targets)
 
     def test_uniform_levels_share_one_curve_per_abscissa(self):
         _, ts = build_grids(domain_of_determinacy(1.0, 0.4, 1.0), 21, 21)
-        lattice = self.lattice(self.speed, ts, time_dependent=False)
+        lattice = self.lattice(self.speed, ts)
         assert lattice.shared
         assert self.worst_foot_error(lattice, self.speed, (1.0, -1.0)) <= self.FOOT_TOL
 
@@ -348,7 +355,7 @@ class TestLatticeCurves:
         _, ts = build_grids(domain_of_determinacy(1.0, 0.4, 1.0), 21, 21)
         inner = np.r_[1:10, 11:20]
         ts[inner] += 0.3 * 0.04 * np.sin(3.0 * inner)
-        lattice = self.lattice(self.speed, ts, time_dependent=False)
+        lattice = self.lattice(self.speed, ts)
         assert not lattice.shared
         assert self.worst_foot_error(lattice, self.speed, (1.0, -1.0)) <= self.FOOT_TOL
 
@@ -357,12 +364,12 @@ class TestLatticeCurves:
             return 0.55 + 0.4 * np.sin(3.0 * np.asarray(x, float) + 8.0 * t)
 
         _, ts = build_grids(domain_of_determinacy(1.0, 0.4, 1.0), 21, 21)
-        lattice = self.lattice(speed, ts, time_dependent=True)
+        lattice = self.lattice(speed, ts)
         assert not lattice.shared
         assert self.worst_foot_error(lattice, speed, (1.0, -1.0)) <= self.FOOT_TOL
 
-    @pytest.mark.parametrize("time_dependent", [False, True])
-    def test_gathered_feet_are_the_feet_traced_onto_each_level(self, time_dependent,
+    @pytest.mark.parametrize("speed_reads_t", [False, True])
+    def test_gathered_feet_are_the_feet_traced_onto_each_level(self, speed_reads_t,
                                                                 monkeypatch):
         # shared curves gather each group's feet once a side is traced;
         # per-node curves store them level by level.  Either way a group's
@@ -375,13 +382,13 @@ class TestLatticeCurves:
             return search(lattice, s, feet, cone, targets)
 
         monkeypatch.setattr(_Lattice, "_dependence", recording)
-        a, _, _ = _phase_coefficients(np.array([0.0, 2.0, 4.5]))
+        a, _, _ = _phase_coefficients(np.array([0.0, 2.0, 4.5]), given_t=speed_reads_t)
         region = domain_of_determinacy(1.0, 0.4, 1.0)
         xs, ts = build_grids(region, 31, 31)
         targets = np.zeros((31, 31), dtype=bool)
         targets[15:27, 17] = targets[3, 12] = targets[28, 8] = True
-        lattice = _lattice(a, (1.0, -1.0), 1.0, region, xs, ts, time_dependent, targets, 3)
-        assert lattice.shared != time_dependent
+        lattice = _lattice(a, (1.0, -1.0), 1.0, region, xs, ts, targets, 3)
+        assert lattice.shared != speed_reads_t
         filled = [np.zeros(group.taus.size, dtype=bool) for group in lattice.groups]
         for s, queries in lattice.queries.items():
             for gi, m, sl in queries:
@@ -408,9 +415,9 @@ class TestLatticeCurves:
         with pytest.raises(DomainError, match="at least one lattice"):
             solve_transport(coeffs, region, xs, ts, lattices=0)
 
-    @pytest.mark.parametrize("time_dependent", [False, True])
+    @pytest.mark.parametrize("speed_reads_t", [False, True])
     @pytest.mark.parametrize("solver", ["transport", "system"])
-    def test_stacked_lattices_equal_their_single_solves(self, solver, time_dependent):
+    def test_stacked_lattices_equal_their_single_solves(self, solver, speed_reads_t):
         region = domain_of_determinacy(1.0, 0.4, 1.0)
         xs, ts = build_grids(region, 31, 31)
         targets = np.zeros((31, 31), dtype=bool)
@@ -421,16 +428,18 @@ class TestLatticeCurves:
                 # lattice l reads phase[l] at the points x[l]
                 return np.reshape(phase, np.shape(phase) + (1,) * (np.ndim(x) - np.ndim(phase)))
 
-            a = lambda x, t: 0.55 + 0.4 * np.sin(3.0 * x + shift(x))
+            a = x_only(lambda x: 0.55 + 0.4 * np.sin(3.0 * x + shift(x)))
+            if speed_reads_t:
+                a = with_t(a)
             f = lambda x, t: 0.5 + 0.8 * np.sin(x - shift(x))
             g = lambda x, t: 0.3 + x * t
             if solver == "transport":
                 coeffs = TransportCoefficients(a=a, f=f, g=g, u0=lambda x: np.sin(x + shift(x)),
-                                               c=1.0, a_time_dependent=time_dependent)
+                                               c=1.0)
                 return solve_transport(coeffs, region, xs, ts, targets=targets,
                                        lattices=lattices)
             return solve_2x2_system(a, f, g, lambda x: -bump_prime(x - 0.1 * shift(x)),
-                                    bump_prime, region, xs, ts, a_time_dependent=time_dependent,
+                                    bump_prime, region, xs, ts,
                                     targets=targets, lattices=lattices)
 
         phases = np.array([0.0, 2.0, 4.5])
@@ -450,27 +459,28 @@ class TestLatticeCurves:
                 assert np.array_equal(reconstruct_displacement(stacked, w)[l][done], own[done])
 
 
-def _phase_coefficients(phases):
+def _phase_coefficients(phases, given_t=False):
     """Speed, f and g of a stack of problems that ignore t; lattice l reads
-    phases[l] at its points x[l]."""
+    phases[l] at its points x[l].  They are marked as functions of x alone,
+    or with ``given_t`` are functions of (x, t) that ignore t."""
     def shift(x):
         return np.reshape(phases, np.shape(phases) + (1,) * (np.ndim(x) - np.ndim(phases)))
 
-    a = lambda x, t: 0.55 + 0.4 * np.sin(3.0 * x + shift(x))
-    f = lambda x, t: 0.5 + 0.8 * np.sin(x - shift(x))
-    g = lambda x, t: 0.3 + np.cos(2.0 * x + shift(x)) + 0.0 * t
-    return a, f, g
+    a = lambda x: 0.55 + 0.4 * np.sin(3.0 * x + shift(x))
+    f = lambda x: 0.5 + 0.8 * np.sin(x - shift(x))
+    g = lambda x: 0.3 + np.cos(2.0 * x + shift(x))
+    return tuple(with_t(fn) if given_t else x_only(fn) for fn in (a, f, g))
 
 
 class TestCurveValues:
     """f and g once per point of the shared curves, to the per-foot values."""
 
     @staticmethod
-    def lattices(a, time_dependent, targets, n_lattices, nx=31):
+    def lattices(a, targets, n_lattices, nx=31):
         region = domain_of_determinacy(1.0, 0.4, 1.0)
         xs, ts = build_grids(region, nx, nx)
-        return [_lattice(a, (1.0, -1.0), 1.0, region, xs, ts, time_dependent, targets,
-                         n_lattices) for _ in range(2)]
+        return [_lattice(a, (1.0, -1.0), 1.0, region, xs, ts, targets, n_lattices)
+                for _ in range(2)]
 
     @pytest.mark.parametrize("column", [False, True])
     @pytest.mark.parametrize("phases", [np.array([0.0, 2.0, 4.5]), None])
@@ -480,22 +490,24 @@ class TestCurveValues:
         if column:
             targets = np.zeros((31, 31), dtype=bool)
             targets[15:27, 17] = targets[3, 12] = True
-        per_curve, per_foot = self.lattices(a, False, targets,
-                                            None if phases is None else phases.size)
+        per_curve, per_foot = self.lattices(a, targets, None if phases is None else phases.size)
         assert per_curve.shared and len(per_curve.curve_sides) == 2
         calls = []
 
         def counted(fn):
-            def wrapper(x, t):
+            # the same form as fn: marked as x alone, or given (x, t)
+            def wrapper(x, *t):
                 calls.append(np.size(x))
-                return fn(x, t)
+                return fn(x, *t)
+            wrapper.variables = getattr(fn, "variables", ("x", "t"))
             return wrapper
 
         u0s = (lambda x: -bump_prime(x), bump_prime)
-        per_curve.precompute(counted(f), g, u0s, fg_time_dependent=False)
+        per_curve.precompute(counted(f), g, u0s)
         curve_points = sum(calls)
         calls.clear()
-        per_foot.precompute(counted(f), g, u0s)
+        # the same f and g as functions of (x, t): called at every foot
+        per_foot.precompute(counted(with_t(f)), with_t(g), u0s)
         assert curve_points < sum(calls) / 3
         for one, other in zip(per_curve.groups, per_foot.groups):
             for name in ("F", "G", "U0"):
@@ -506,34 +518,108 @@ class TestCurveValues:
         a, f, g = _phase_coefficients(np.array([0.0, 2.0]))
         region = domain_of_determinacy(1.0, 0.4, 1.0)
         xs, ts = build_grids(region, 31, 31)
-        solve = lambda flag: solve_2x2_system(a, f, g, lambda x: -bump_prime(x), bump_prime,
-                                              region, xs, ts, a_time_dependent=False,
-                                              lattices=2, fg_time_dependent=flag)
-        one, other = solve(False), solve(True)
+        solve = lambda f, g: solve_2x2_system(a, f, g, lambda x: -bump_prime(x), bump_prime,
+                                              region, xs, ts, lattices=2)
+        one, other = solve(f, g), solve(with_t(f), with_t(g))
         np.testing.assert_array_equal(one.inside, other.inside)
         np.testing.assert_array_equal(one.values, other.values)
 
-    @pytest.mark.parametrize("fg_time_dependent", [True, False])
-    def test_time_dependent_g_or_per_node_curves_keep_the_per_foot_path(self,
-                                                                         fg_time_dependent):
-        # g reads t: by default it is called at each foot's own time; with
-        # per-node curves (a speed that reads t) the flag changes nothing
+    @pytest.mark.parametrize("speed_reads_t", [False, True])
+    def test_time_dependent_g_or_per_node_curves_keep_the_per_foot_path(self, speed_reads_t,
+                                                                         monkeypatch):
+        # g reads t, so f and g are called at each foot, at its own time,
+        # whether the curves are shared or (a speed that reads t) per node
         a, f, _ = _phase_coefficients(0.0)
         g = lambda x, t: np.cos(x) * (1.0 + t)
-        speed_time_dependent = not fg_time_dependent
-        lattice = self.lattices(a, speed_time_dependent, None, None)[0]
-        assert lattice.shared == fg_time_dependent
-        lattice.precompute(f, g, (bump, bump), fg_time_dependent=fg_time_dependent)
+        lattice = self.lattices(with_t(a) if speed_reads_t else a, None, None)[0]
+        assert lattice.shared != speed_reads_t
+        monkeypatch.delattr(_Lattice, "_curve_values")
+        lattice.precompute(f, g, (bump, bump))
         for group in lattice.groups:
             expected = g(group.pos, np.broadcast_to(group.taus, group.pos.shape))
             np.testing.assert_array_equal(group.G, expected)
+            np.testing.assert_array_equal(group.F, f(group.pos))
 
     def test_non_finite_curve_values_are_named(self):
         a, _, g = _phase_coefficients(0.0)
-        lattice = self.lattices(a, False, None, None)[0]
-        f = lambda x, t: np.where(x > 0.5, np.nan, 1.0)
+        lattice = self.lattices(a, None, None)[0]
+        f = x_only(lambda x: np.where(x > 0.5, np.nan, 1.0))
         with pytest.raises(NumericalError, match="coefficient f is not finite"):
-            lattice.precompute(f, g, (bump, bump), fg_time_dependent=False)
+            lattice.precompute(f, g, (bump, bump))
+
+
+class TestCoefficientRule:
+    """A coefficient's form says whether it reads t: a number, a field object
+    (``value(x)``, no ``__call__``) or a callable whose ``variables`` lack
+    "t" is called with x alone; any other callable with (x, t)."""
+
+    class Field:
+        """A field object: it has value(x) and no __call__, so it can take no t."""
+
+        def __init__(self, fn):
+            self.fn = fn
+
+        def value(self, x):
+            return self.fn(np.asarray(x, dtype=float))
+
+    def test_field_objects_are_never_given_t(self):
+        a, f, g = _phase_coefficients(0.0)
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, 31, 31)
+        fields = [self.Field(fn) for fn in (a, f, g)]
+        u01, u02 = self.Field(lambda x: -bump_prime(x)), self.Field(bump_prime)
+        assert _lattice(fields[0], (1.0, -1.0), 1.0, region, xs, ts, None).shared
+        by_field = solve_2x2_system(*fields, u01, u02, region, xs, ts)
+        by_function = solve_2x2_system(a, f, g, lambda x: -bump_prime(x), bump_prime,
+                                       region, xs, ts)
+        np.testing.assert_array_equal(by_field.values, by_function.values)
+        by_field = solve_transport(TransportCoefficients(*fields, u0=u02, c=1.0), region, xs, ts)
+        by_function = solve_transport(TransportCoefficients(a, f, g, u0=bump_prime, c=1.0),
+                                      region, xs, ts)
+        np.testing.assert_array_equal(by_field.values, by_function.values)
+
+    @pytest.mark.parametrize("names_t", [None, "speed", "f"])
+    def test_compiled_expressions_choose_their_paths(self, names_t, monkeypatch):
+        # without t: one shared curve per abscissa, f and g once per curve
+        # point; a speed that names t: a curve per node; f or g that names t:
+        # f and g at each foot, at its own time
+        sources = {"speed": "0.55 + 0.4*sin(3*x + 1)", "f": "0.5 + 0.8*sin(x)",
+                   "g": "0.3 + cos(2*x)"}
+        a, f, g = (compile_expression(src + (" + 0*t" if name == names_t else ""))
+                   for name, src in sources.items())
+        for name, fn in zip(sources, (a, f, g)):
+            assert fn.variables == (("x", "t") if name == names_t else ("x",))
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, 31, 31)
+        lattice = _lattice(a, (1.0, -1.0), 1.0, region, xs, ts, None)
+        assert lattice.shared == (names_t != "speed")
+        curve_calls = []
+        curve_values = _Lattice._curve_values
+
+        def recording(*args):
+            curve_calls.append(args)
+            return curve_values(*args)
+
+        monkeypatch.setattr(_Lattice, "_curve_values", recording)
+        lattice.precompute(f, g, (bump, bump))
+        assert bool(curve_calls) == (names_t is None)
+        for group in lattice.groups:
+            taus = np.broadcast_to(group.taus, group.pos.shape)
+            np.testing.assert_array_equal(group.F, np.broadcast_to(f(group.pos, taus), taus.shape))
+            np.testing.assert_array_equal(group.G, np.broadcast_to(g(group.pos, taus), taus.shape))
+
+    @pytest.mark.parametrize("form", ["expression", "function"])
+    def test_speed_past_its_bound_only_off_t_zero_is_caught(self, form):
+        # |a| = 0.5 <= c = 1 at t = 0, and 1.3 at |t| = T = 0.4
+        a = compile_expression("0.5 + 5*t**2") if form == "expression" \
+            else lambda x, t: 0.5 + 5.0 * t**2 + 0.0 * x
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, 41, 41)
+        with pytest.raises(SpeedBoundError, match="reaches 1.3"):
+            solve_transport(TransportCoefficients(a=a, f=0.0, g=0.0, u0=bump, c=1.0),
+                            region, xs, ts)
+        with pytest.raises(SpeedBoundError, match="reaches 1.3"):
+            solve_2x2_system(a, 0.0, 0.0, bump, bump, region, xs, ts)
 
 
 class TestBatchedInterpolation:
@@ -593,7 +679,7 @@ class TestBatchedInterpolation:
         if partial:
             targets = np.zeros((31, 31), dtype=bool)
             targets[15:27, 17] = targets[3, 12] = True
-        lattice = TestCurveValues.lattices(a, False, targets, 3)[0]
+        lattice = TestCurveValues.lattices(a, targets, 3)[0]
         assert set(lattice.rows) == {s for s, slices in lattice.queries.items() if slices}
         for s, layout in lattice.rows.items():
             group = next(g for g in lattice.groups if g.level == s)
@@ -609,7 +695,7 @@ class TestBatchedInterpolation:
     @pytest.mark.parametrize("nodes", [[5], [3, 4, 5, 6, 7], [2, 8]])
     def test_feet_beyond_the_ghosts_and_on_single_node_rows(self, nodes):
         a, _, _ = _phase_coefficients(0.0)
-        lattice = TestCurveValues.lattices(a, False, None, None, nx=11)[0]
+        lattice = TestCurveValues.lattices(a, None, None, nx=11)[0]
         cone = np.zeros((11, 11), dtype=bool)
         cone[4, nodes] = True
         xs = lattice.xs
@@ -747,7 +833,7 @@ def _dalembert_setup(nx=201, nt=201):
                     lambda x: np.zeros_like(np.asarray(x, float)))))
     u01 = lambda x: -bump_prime(x)
     u02 = lambda x: bump_prime(x)
-    sol = solve_2x2_system(a, f, g, u01, u02, region, xs, ts, a_time_dependent=False)
+    sol = solve_2x2_system(a, f, g, u01, u02, region, xs, ts)
     return region, xs, ts, sol
 
 
@@ -776,14 +862,10 @@ class TestSolve2x2:
         a = const(1.0)
         u01 = lambda x: np.cos(np.pi * x)
         u02 = lambda x: np.sin(np.pi * x)
-        sol = solve_2x2_system(a, 0.0, 0.0, u01, u02, region, xs, ts,
-                               a_time_dependent=False)
-        t1 = solve_transport(TransportCoefficients(a=a, f=0.0, g=0.0, u0=u01, c=1.0,
-                                                   a_time_dependent=False),
+        sol = solve_2x2_system(a, 0.0, 0.0, u01, u02, region, xs, ts)
+        t1 = solve_transport(TransportCoefficients(a=a, f=0.0, g=0.0, u0=u01, c=1.0),
                              region, xs, ts)
-        t2 = solve_transport(TransportCoefficients(a=lambda x, t: -np.ones_like(np.asarray(x, float)),
-                                                   f=0.0, g=0.0, u0=u02, c=1.0,
-                                                   a_time_dependent=False),
+        t2 = solve_transport(TransportCoefficients(a=const(-1.0), f=0.0, g=0.0, u0=u02, c=1.0),
                              region, xs, ts)
         np.testing.assert_array_equal(sol.values[0][sol.inside], t1.values[t1.inside])
         np.testing.assert_array_equal(sol.values[1][sol.inside], t2.values[t2.inside])
@@ -794,7 +876,7 @@ class TestSolve2x2:
         k = 2.75
         constk = lambda x: np.full_like(np.asarray(x, float), k)
         sol = solve_2x2_system(const(1.0), lambda x, t: np.sin(x * t), 0.0,
-                               constk, constk, region, xs, ts, a_time_dependent=False)
+                               constk, constk, region, xs, ts)
         assert np.all(sol.values[:, sol.inside] == k)
 
     def test_continuous_dependence_on_speed(self):
@@ -803,7 +885,7 @@ class TestSolve2x2:
         def solve_with(a_fn):
             return solve_2x2_system(a_fn, 0.1, 0.0,
                                     lambda x: -bump_prime(x), lambda x: bump_prime(x),
-                                    region, xs, ts, a_time_dependent=False)
+                                    region, xs, ts)
 
         ref = solve_with(const(1.0))
         diffs = []
@@ -817,8 +899,7 @@ class TestReconstruction:
     def test_needs_two_components(self):
         region = domain_of_determinacy(1.0, 0.3, 0.0)
         xs, ts = build_grids(region, 21, 21)
-        coeffs = TransportCoefficients(a=0.0, f=0.0, g=0.0, u0=lambda x: x, c=0.0,
-                                       a_time_dependent=False)
+        coeffs = TransportCoefficients(a=0.0, f=0.0, g=0.0, u0=lambda x: x, c=0.0)
         sol = solve_transport(coeffs, region, xs, ts)
         with pytest.raises(DomainError):
             reconstruct_displacement(sol, lambda x: x)
@@ -852,7 +933,7 @@ class TestReconstruction:
             targets = np.zeros((31, 31), dtype=bool)
             targets[15:27, 17] = targets[3:9, 12] = True
         sol = solve_2x2_system(a, f, g, lambda x: -bump_prime(x), bump_prime, region, xs, ts,
-                               a_time_dependent=False, targets=targets, lattices=lattices)
+                               targets=targets, lattices=lattices)
         full = reconstruct_displacement(sol, bump)
         reference = self.level_by_level(sol, bump)
         np.testing.assert_array_equal(full, reference)

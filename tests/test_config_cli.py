@@ -585,6 +585,17 @@ class TestExpressions:
         with pytest.raises(ConfigError):
             compile_expression("2 +* x", ("x",))
 
+    @pytest.mark.parametrize("source, names", [("sin(pi*x)*exp(-t)", ("x", "t")),
+                                               ("0.5 + 5*t**2", ("t",)),
+                                               ("cos(x) + x", ("x",)), ("0.0", ())])
+    def test_variables_are_the_ones_named(self, source, names):
+        # the characteristic solvers call an expression without t with x alone
+        fn = compile_expression(source, ("x", "t"))
+        assert fn.variables == names and fn.source == source
+        if "t" not in names:
+            xs = np.array([0.0, 0.5])
+            np.testing.assert_array_equal(fn(xs), fn(xs, 0.3))
+
 
 class TestCLI:
     def test_kl_table_values(self, tmp_path):
@@ -630,6 +641,52 @@ a = 2.0
 u0 = sin(pi*x)
 """)
         assert main(["transport", "--config", path, "--out-dir", str(tmp_path / "o")]) == 4
+
+    def test_speed_past_its_bound_only_off_t_zero_exit_code(self, tmp_path, capsys):
+        # a = 0.5 <= speed_bound at t = 0, and 1.3 at |t| = horizon
+        path = write_cfg(tmp_path, """
+[meta]
+schema_version = 1
+[model]
+kind = transport
+[region]
+kappa = 1.0
+horizon = 0.4
+speed_bound = 1.0
+nx = 41
+nt = 41
+[transport]
+a = 0.5 + 5*t**2
+u0 = sin(pi*x)
+""")
+        out = tmp_path / "o"
+        assert main(["transport", "--config", path, "--out-dir", str(out)]) == 4
+        assert "bound violation: |a| reaches 1.3" in capsys.readouterr().err
+        assert not (out / "solution.csv").exists()
+
+    @pytest.mark.parametrize("ell", ["inf", "nan", "0", "-1"])
+    def test_ell_flag_must_be_finite_and_positive(self, tmp_path, capsys, ell):
+        out = tmp_path / "o"
+        assert main(["kl-table", "--ell", ell, "--terms", "3", "--out-dir", str(out)]) == 2
+        assert "config error: --ell: must be a finite number > 0" in capsys.readouterr().err
+        assert not (out / "kl_table.csv").exists()
+
+    @pytest.mark.parametrize("paths", ["0", "-2"])
+    def test_paths_flag_must_be_at_least_one(self, tmp_path, capsys, paths):
+        out = tmp_path / "o"
+        assert main(["sample-field", "--config", "wave_point", "--paths", paths,
+                     "--out-dir", str(out)]) == 2
+        assert f"config error: --paths: must be >= 1, got {paths}" in capsys.readouterr().err
+        assert not (out / "field.csv").exists()
+
+    @pytest.mark.parametrize("points", ["-5", "0", "1"])
+    def test_grid_points_flag_must_be_at_least_two(self, tmp_path, capsys, points):
+        out = tmp_path / "o"
+        assert main(["sample-field", "--config", "wave_point", "--grid-points", points,
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --grid-points: must be >= 2, got {points}" in err
+        assert not (out / "field.csv").exists()
 
     STRONG_REACTION = """
 [meta]
