@@ -85,7 +85,9 @@ def _variables(fn) -> tuple:
     """The coefficient rule: which of x and t coefficient fn reads.  A number
     reads neither, a field object (anything with ``value(x)`` and no
     ``__call__``) x, and a callable its ``variables`` where it has them, else
-    both.  The solvers give t only to a coefficient that reads it."""
+    both.  The solvers give t only to a coefficient that reads it, and
+    where neither f nor g reads x or t they call them at placeholder NaN
+    points of the feet's shape, so that no foot is gathered for them."""
     if callable(fn):
         return getattr(fn, "variables", ("x", "t"))
     return ("x",) if hasattr(fn, "value") else ()
@@ -273,19 +275,23 @@ def trace_characteristic(a, x: float, t: float, tau: float, step: float,
 
 
 class _FeetGroup:
-    """Characteristic feet of the solved nodes of one starting t-level.
+    """The solved nodes of one starting t-level and their characteristic feet.
 
-    ``pos[l, k, n, m]`` is the foot of node n along family k of lattice l on
-    the m-th level from t = 0; m = L - 1 is the node itself.
+    Along each family of each lattice, node n has L feet, one on each level
+    from t = 0 to its own: the m-th on the m-th level from t = 0, and the
+    node itself at m = L - 1.  ``shape`` (S, K, n, L) is that of F, G and
+    :meth:`_Lattice.positions`; ``start`` is node 0's column among the feet
+    that land on each of the levels below (see :class:`_Lattice`).
     """
 
-    __slots__ = ("level", "node_ids", "taus", "pos", "weights", "F", "G", "U0")
+    __slots__ = ("level", "node_ids", "taus", "start", "shape", "weights", "F", "G", "U0")
 
-    def __init__(self, level, node_ids, taus, n_lattices, n_families):
+    def __init__(self, level, node_ids, taus, start, n_lattices, n_families):
         self.level = level
         self.node_ids = node_ids
         self.taus = taus                      # taus[0] ~ 0, taus[-1] = ts[level]
-        self.pos = np.empty((n_lattices, n_families, node_ids.size, taus.size))
+        self.start = start
+        self.shape = (n_lattices, n_families, node_ids.size, taus.size)
         L = taus.size
         w = np.empty(L)
         if L == 1:
@@ -326,17 +332,21 @@ class _Lattice:
     for every level t, shifted in time.  So one RK4 curve per (lattice,
     family, abscissa) and side is traced, from the outermost level on which
     the abscissa has a node, and a node m levels from t = 0 takes its feet
-    from the curve's first m level steps: once a side is traced, each of its
-    groups gathers all its feet from the curves at once.  Otherwise every
-    node is traced on a curve of its own, and its feet are stored level by
-    level.  ``curve_sides`` keeps each side's curves until
+    from the curve's first m level steps.  Otherwise every node is traced on
+    a curve of its own.  ``curve_sides`` keeps each side's curves until
     :meth:`precompute`: (curves, start, indices of its groups).
 
     ``groups`` run from the outermost level inwards, so reversed they are a
-    causal order; ``queries[s]`` lists the ``(group index, m, slice)`` of the
-    earlier groups whose feet land on level s, in order: the slices tile the
-    feet on level s, and hand their values back.  ``rows[s]`` is the
-    :class:`_RowLayout` of those feet on level s's interpolation row, its
+    causal order.  ``landed[s]`` (S, K, Q) holds the Q feet that land on
+    level s, each side's groups in their order: a group of n nodes has the
+    n columns from its ``start`` on, on every level below its own, but on
+    t = 0 the minus side's columns follow all of the plus side's
+    (``minus_shift`` of them).  That is the only copy of the feet: a
+    group's are gathered from there where they are needed
+    (:meth:`positions`).  Laid out level after level, the feet on level s
+    are the ``n_feet`` columns' block from ``first[s]`` on, and
+    :meth:`feet_index` gives a group's columns there.  ``rows[s]`` is the
+    :class:`_RowLayout` of the feet on level s's interpolation row, its
     nodes with one ghost node per side.
     """
 
@@ -344,7 +354,7 @@ class _Lattice:
         self.xs, self.ts, self.i0 = xs, ts, i0
         self.solved = np.zeros_like(cone)
         self.groups = []
-        self.queries = {}
+        self.landed = {}
         self.rows = {}
         self.curve_sides = []
         self.n_lattices, self.n_families, self.shared = n_lattices, len(signs), shared
@@ -354,21 +364,22 @@ class _Lattice:
             return signs * _eval_xt(a, x, t)
 
         max_step = _max_step(xs, ts)
-        plus, plus_slices = self._trace_side(range(ts.size - 1, i0, -1), slope, max_step,
-                                             cone, targets)
-        minus, minus_slices = self._trace_side(range(0, i0), slope, max_step, cone, targets)
-        shift = plus.shape[2]
-        slices = plus_slices + [(gi, m, slice(sl.start + shift, sl.stop + shift))
-                                for gi, m, sl in minus_slices]
-        pos = np.concatenate([plus, minus], axis=2)
-        self.queries[i0] = slices
+        plus = self._trace_side(range(ts.size - 1, i0, -1), slope, max_step, cone, targets)
+        minus = self._trace_side(range(0, i0), slope, max_step, cone, targets)
+        self.minus_shift = plus.shape[2]
+        pos = self.landed[i0] = np.concatenate([plus, minus], axis=2)
         ids = self._dependence(i0, pos, cone, targets)
         if ids.size:
-            self._start(i0, ids)
+            self._start(i0, ids, 0)
+        counts = np.zeros(ts.size, dtype=np.intp)
+        for s, feet in self.landed.items():
+            counts[s] = feet.shape[2]
+        self.first, self.n_feet = np.cumsum(counts) - counts, int(counts.sum())
 
     def _trace_side(self, levels, slope, max_step, cone, targets):
         """Trace one side of t = 0 over its ``levels``, from the outermost
-        inwards; return the feet that land on t = 0 and their slices.
+        inwards, keeping the feet that land on each level but t = 0 in
+        ``landed``; return the feet on t = 0.
 
         ``pos`` holds the feet on the current level of every node started on
         an earlier one, in the order of their groups.  Per-node curves march
@@ -377,7 +388,7 @@ class _Lattice:
         below it off step m of its abscissa's curve.
         """
         S, K, nx = self.n_lattices, self.n_families, self.xs.size
-        pos, active = np.empty((S, K, 0)), []
+        pos, started = np.empty((S, K, 0)), False
         if self.shared:
             curves = np.empty((S, K, nx, len(levels) + 1))
             start = np.full(nx, -1)          # level distance at which a curve starts
@@ -385,31 +396,23 @@ class _Lattice:
             first = len(self.groups)
         for prev, s in zip([None, *levels], [*levels, self.i0]):
             d = abs(s - self.i0)
-            if active and self.shared:
+            if started and self.shared:
                 live = np.nonzero(start >= 0)[0]
                 k = start[live] - d - 1     # steps each curve has taken
                 curves[:, :, live, k + 1] = _rk4_march(slope, curves[:, :, live, k],
                                                        self.ts[prev], self.ts[s], max_step)
                 pos = curves[:, :, node_x, node_d - d]
-            elif active:
+            elif started:
                 pos = _rk4_march(slope, pos, self.ts[prev], self.ts[s], max_step)
-            slices = self._land(s, pos, active)
             if s == self.i0:
                 if self.shared:
-                    members = range(first, len(self.groups))
-                    flat = curves.reshape(S, K, -1)
-                    for gi in members:
-                        # one gather into the group's own C-ordered array
-                        at, step = self.groups[gi].on_curve()
-                        np.take(flat, at * curves.shape[3] + step, axis=2,
-                                out=self.groups[gi].pos)
-                    self.curve_sides.append((curves, start, members))
-                return pos, slices
-            self.queries[s] = slices
+                    self.curve_sides.append((curves, start, range(first, len(self.groups))))
+                return pos
+            self.landed[s] = pos
             ids = self._dependence(s, pos, cone, targets)
             if ids.size:
-                active.append((len(self.groups), pos.shape[2]))
-                self._start(s, ids)
+                started = True
+                self._start(s, ids, pos.shape[2])
                 if self.shared:
                     new = ids[start[ids] < 0]
                     start[new] = d
@@ -419,20 +422,6 @@ class _Lattice:
                 else:
                     own = np.broadcast_to(self.xs[ids], (S, K, ids.size))
                     pos = np.concatenate([pos, own], axis=2)
-
-    def _land(self, s, pos, active):
-        """The slices of the active groups' feet on level s.  Per-node curves
-        store the feet here; shared curves gather each group's feet from its
-        side's curves once the side is traced."""
-        m = abs(s - self.i0)
-        slices = []
-        for gi, off in active:
-            group = self.groups[gi]
-            sl = slice(off, off + group.node_ids.size)
-            if not self.shared:
-                group.pos[:, :, :, m] = pos[:, :, sl]
-            slices.append((gi, m, sl))
-        return slices
 
     def _dependence(self, s, feet, cone, targets):
         """Level s's targets plus the cone nodes np.interp reads at the feet.
@@ -462,14 +451,37 @@ class _Lattice:
         self.rows[s] = _row_layout(xe, q, interval)
         return ids
 
-    def _start(self, s, ids):
+    def _start(self, s, ids, start):
         direction = 1 if s >= self.i0 else -1
         taus = self.ts[self.i0 + direction * np.arange(abs(s - self.i0) + 1)]
-        group = _FeetGroup(s, ids, taus, self.n_lattices, self.n_families)
-        if not self.shared or s == self.i0:     # shared curves gather the rest
-            group.pos[..., -1] = self.xs[ids]
-        self.groups.append(group)
+        self.groups.append(_FeetGroup(s, ids, taus, start, self.n_lattices, self.n_families))
         self.solved[s, ids] = True
+
+    def columns(self, group):
+        """(levels, starts): the levels below the group's own, nearest t = 0
+        first, and node 0's column among the feet that land on each."""
+        direction = 1 if group.level > self.i0 else -1
+        levels = self.i0 + direction * np.arange(group.taus.size - 1)
+        starts = np.full(levels.size, group.start)
+        if direction < 0:
+            starts[:1] += self.minus_shift
+        return levels, starts
+
+    def feet_index(self, group):
+        """(n, L - 1): node n's foot on the m-th level from t = 0 at [n, m],
+        as a column among all the feet, level s's from ``first[s]`` on."""
+        levels, starts = self.columns(group)
+        return self.first[levels] + starts + np.arange(group.node_ids.size)[:, None]
+
+    def positions(self, group):
+        """The group's feet, of its ``shape``: node n's foot along family k of
+        lattice l on the m-th level from t = 0 at [l, k, n, m]."""
+        n = group.node_ids.size
+        out = np.empty(group.shape)
+        for m, (s, at) in enumerate(zip(*(c.tolist() for c in self.columns(group)))):
+            out[..., m] = self.landed[s][:, :, at:at + n]
+        out[..., -1] = self.xs[group.node_ids]
+        return out
 
     def precompute(self, f, g, u0s):
         """f and g at every foot, and family k's u0s[k] at its feet on t = 0;
@@ -481,12 +493,14 @@ class _Lattice:
         point of its abscissa's curve, so f and g are called on the curves'
         points (:meth:`_curve_values`) and each group gathers its feet's
         values there; the t = 0 group, and every group otherwise, calls them
-        at its own feet.  Either way f and g see at most PRECOMPUTE_FEET
-        points per lattice at once, which bounds the size of their temporaries.
+        at its own feet (:meth:`positions`, gathered only where f or g reads
+        x or t).  Either way f and g see at most PRECOMPUTE_FEET points per
+        lattice at once, which bounds the size of their temporaries.
         """
         S, groups = self.n_lattices, self.groups
+        reads = {*_variables(f), *_variables(g)}
         per_foot = list(groups)
-        if self.shared and {*_variables(f), *_variables(g)} == {"x"}:
+        if self.shared and reads == {"x"}:
             for curves, start, members in self.curve_sides:
                 Fc, Gc = self._curve_values(f, g, curves, start)
                 for gi in members:
@@ -494,28 +508,36 @@ class _Lattice:
                     groups[gi].F, groups[gi].G = Fc[:, :, at, step], Gc[:, :, at, step]
             on_curves = {gi for *_, members in self.curve_sides for gi in members}
             per_foot = [group for gi, group in enumerate(groups) if gi not in on_curves]
-        self.curve_sides = []       # every foot's position is in its group
-        chunks, size = [[]], 0
+        self.curve_sides = []
+        chunks, sizes = [], []
         for group in per_foot:
-            if size and size + group.pos[0].size > PRECOMPUTE_FEET:
+            n = math.prod(group.shape[1:])
+            if not chunks or sizes[-1] + n > PRECOMPUTE_FEET:
                 chunks.append([])
-                size = 0
+                sizes.append(0)
             chunks[-1].append(group)
-            size += group.pos[0].size
-        for chunk in chunks:
-            pos = np.concatenate([group.pos.reshape(S, -1) for group in chunk], axis=1)
-            taus = np.concatenate([np.broadcast_to(group.taus, group.pos.shape[1:]).ravel()
+            sizes[-1] += n
+        for chunk, size in zip(chunks, sizes):
+            # f and g that read neither x nor t get placeholder points (_variables)
+            pos = (np.concatenate([self.positions(group).reshape(S, -1) for group in chunk],
+                                  axis=1)
+                   if reads else np.broadcast_to(np.nan, (S, size)))
+            taus = np.concatenate([np.broadcast_to(group.taus, group.shape[1:]).ravel()
                                    for group in chunk])
             F, G = _eval_xt(f, pos, taus), _eval_xt(g, pos, taus)
             _check_finite(("f", F), ("g", G))
             off = 0
             for group in chunk:
-                n = group.pos[0].size
-                group.F = F[:, off:off + n].reshape(group.pos.shape)
-                group.G = G[:, off:off + n].reshape(group.pos.shape)
+                n = math.prod(group.shape[1:])
+                group.F = F[:, off:off + n].reshape(group.shape)
+                group.G = G[:, off:off + n].reshape(group.shape)
                 off += n
-        U0 = np.stack([_eval_x(u0, np.concatenate([group.pos[:, k, :, 0] for group in groups],
-                                                   axis=1))
+        # the feet on t = 0 are those that land there, then the t = 0 group's
+        # own nodes, in the groups' order
+        at_zero = [self.landed[self.i0]]
+        if groups[-1].level == self.i0:
+            at_zero.append(np.broadcast_to(self.xs[groups[-1].node_ids], groups[-1].shape[:3]))
+        U0 = np.stack([_eval_x(u0, np.concatenate([feet[:, k] for feet in at_zero], axis=1))
                        for k, u0 in enumerate(u0s)], axis=1)
         _check_finite(("u0", U0))
         off = 0
@@ -728,25 +750,27 @@ def _march(lattice, coupling_weights) -> np.ndarray:
     component: the earlier feet's columns give A, the own foot's column is
     filled in once c is known, and one ``U0 + terms @ weights`` stores every
     component's node values.  A finished level is then interpolated at
-    every foot on it, every lattice and component in one pass
-    (:func:`_interp_rows`).
+    every foot on it (``landed``), every lattice and component in one pass
+    (:func:`_interp_rows`), and c there fills that level's block of columns
+    in one (S, K, feet) store.  A group reads c at all its earlier feet
+    with one gather from the store, through its :meth:`_Lattice.feet_index`.
     Returns the (S, components, nt, nx) values, NaN off the lattice.
     """
     xs, ts, groups = lattice.xs, lattice.ts, lattice.groups
     sum_c = sum(coupling_weights)
     n_comp = len(coupling_weights)
     u = np.full((lattice.n_lattices, n_comp, ts.size, xs.size), np.nan)
-    # the coupling c at every foot, per group
-    at_feet = [np.empty_like(group.pos) for group in groups]
-    for grp, feet in zip(reversed(groups), reversed(at_feet)):
+    # the coupling c at every foot, in the columns of lattice.feet_index
+    store = np.empty((lattice.n_lattices, lattice.n_families, lattice.n_feet))
+    for grp in reversed(groups):
         s, ids = grp.level, grp.node_ids
         F, G, U0 = grp.F, grp.G, grp.U0
+        feet = store.take(lattice.feet_index(grp), axis=2)
         # F * feet + G over the earlier feet, in C order whatever F's (a
         # gather from the curves' values may order it otherwise), so that
-        # the products below sum in the same order as one component's did;
-        # the own-foot column of ``feet`` is never set, so it is never read
+        # the products below sum in the same order as one component's did
         terms = np.empty(F.shape)
-        np.multiply(F[..., :-1], feet[..., :-1], out=terms[..., :-1])
+        np.multiply(F[..., :-1], feet, out=terms[..., :-1])
         terms[..., :-1] += G[..., :-1]
         earlier = U0 + terms[..., :-1] @ grp.weights[:-1]
         w, f, g = grp.weights[-1], F[:, 0, :, -1], G[:, 0, :, -1]
@@ -760,15 +784,13 @@ def _march(lattice, coupling_weights) -> np.ndarray:
              + sum_c * w * g) / denom
         terms[..., -1] = F[..., -1] * c[:, None] + G[..., -1]
         u[:, :, s, ids] = U0 + terms @ grp.weights
-        slices = lattice.queries[s]
-        if not slices:
-            continue
-        qpos = np.concatenate([groups[gj].pos[:, :, :, m] for gj, m, _ in slices], axis=2)
-        rows = _interp_rows(lattice.rows[s], _row_values(u[:, :, s, ids]),
-                            qpos.reshape(qpos.shape[0], -1))
-        coupled = sum(ck * rk for ck, rk in zip(coupling_weights, rows)).reshape(qpos.shape)
-        for gj, m, sl in slices:
-            at_feet[gj][:, :, :, m] = coupled[:, :, sl]
+        pos = lattice.landed[s]
+        if pos.shape[2]:
+            rows = _interp_rows(lattice.rows[s], _row_values(u[:, :, s, ids]),
+                                pos.reshape(pos.shape[0], -1))
+            at = lattice.first[s]
+            store[:, :, at:at + pos.shape[2]] = \
+                sum(ck * rk for ck, rk in zip(coupling_weights, rows)).reshape(pos.shape)
     return u
 
 

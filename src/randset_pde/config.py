@@ -21,6 +21,7 @@ import configparser
 import math
 import os
 import pathlib
+import types
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional
@@ -46,6 +47,16 @@ _SAFE_NAMES = {
 }
 
 
+def _names(code) -> set:
+    """The names a code object looks up, and those of the code nested in it
+    (a lambda's or a generator expression's)."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
 def compile_expression(source: str, variables=("x", "t")) -> Callable:
     """Compile a math expression over the given variables (numpy semantics).
     ``fn.variables`` lists those it names: the solvers call it with x alone
@@ -54,16 +65,18 @@ def compile_expression(source: str, variables=("x", "t")) -> Callable:
         code = compile(source, "<config expression>", "eval")
     except SyntaxError as exc:
         raise ConfigError([f"bad expression {source!r}: {exc.msg}"]) from exc
-    unknown = sorted(set(code.co_names) - set(_SAFE_NAMES) - set(variables))
+    names = _names(code)
+    unknown = sorted(names - set(_SAFE_NAMES) - set(variables))
     if unknown:
         raise ConfigError([f"unknown name(s) {', '.join(unknown)} in expression {source!r}"])
 
     def fn(*args):
-        env = dict(_SAFE_NAMES)
+        # one globals mapping, which nested scopes see as well as the expression
+        env = {**_SAFE_NAMES, "__builtins__": {}}
         env.update(zip(variables, args))
-        return eval(code, {"__builtins__": {}}, env)  # names whitelisted above
+        return eval(code, env)  # names whitelisted above
 
-    fn.source, fn.variables = source, tuple(v for v in variables if v in code.co_names)
+    fn.source, fn.variables = source, tuple(v for v in variables if v in names)
     return fn
 
 

@@ -495,7 +495,10 @@ def _reference_coords(domain: Interval, x):
         if np.isnan(arr).any():
             raise NumericalError("evaluation point is not finite")
         raise DomainError(f"evaluation point outside field domain [{a}, {b}]")
-    # (2 x - (a + b)) / (b - a), in one new array
+    # (2 x - (a + b)) / (b - a), in one new array; on [-1, 1] that is x
+    # itself, since doubling and halving are exact
+    if a == -1.0 and b == 1.0:
+        return arr.copy()
     xhat = 2.0 * arr
     xhat -= a + b
     xhat /= b - a

@@ -17,16 +17,21 @@ TICKS = 5
 
 
 def step_points(x, y):
-    """Expand (x, y) into the vertices of a right-continuous step curve."""
+    """The corners of the right-continuous step curve through (x, y): its two
+    end points and, where y jumps at x[i], (x[i], y[i-1]) and (x[i], y[i]).
+
+    These are the vertices (x[(v+1)//2], y[v//2]), v = 0, ..., 2n - 2, of
+    the curve's full staircase that the path turns at; every other vertex
+    lies on the level segment between two of them.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xs = np.empty(2 * x.size - 1)
-    ys = np.empty_like(xs)
-    xs[0::2] = x
-    xs[1::2] = x[1:]
-    ys[0::2] = y
-    ys[1::2] = y[:-1]
-    return xs, ys
+    keep = np.empty(2 * x.size - 1, dtype=bool)
+    # a NaN compares unequal, so every vertex beside a gap is kept too
+    keep[1::2] = keep[2::2] = y[1:] != y[:-1]
+    keep[0] = keep[-1] = True
+    v = np.flatnonzero(keep)
+    return x[(v + 1) // 2], y[v // 2]
 
 
 def _data_bounds(x, y, good):

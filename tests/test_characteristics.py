@@ -73,15 +73,16 @@ def _picard_update(lattice, values, coupling):
         for k, uk_next in enumerate(ul_next):
             for group in lattice.groups:
                 direction = 1 if group.level >= lattice.i0 else -1
+                pos = lattice.positions(group)[l, k]
                 at_feet = []
                 for uk in ul:
-                    feet = np.empty_like(group.pos[l, k])
+                    feet = np.empty_like(pos)
                     for m in range(group.taus.size):
                         s = lattice.i0 + direction * m
                         xr, vr = xs[inside[s]], uk[s, inside[s]]
                         xe = np.concatenate(([2 * xr[0] - xr[1]], xr, [2 * xr[-1] - xr[-2]]))
                         ve = np.concatenate(([2 * vr[0] - vr[1]], vr, [2 * vr[-1] - vr[-2]]))
-                        feet[:, m] = np.interp(group.pos[l, k, :, m], xe, ve)
+                        feet[:, m] = np.interp(pos[:, m], xe, ve)
                     at_feet.append(feet)
                 uk_next[group.level, group.node_ids] = (
                     group.U0[l, k]
@@ -335,7 +336,7 @@ class TestLatticeCurves:
                 for k, sign in enumerate(signs):
                     ref = trace_characteristic(lambda y, tau: sign * speed(y, tau), x, t,
                                                group.taus[0], 2e-3).positions[-1]
-                    worst = max(worst, abs(group.pos[0, k, n, 0] - ref))
+                    worst = max(worst, abs(lattice.positions(group)[0, k, n, 0] - ref))
         return worst
 
     def lattice(self, speed, ts, signs=(1.0, -1.0)):
@@ -371,9 +372,11 @@ class TestLatticeCurves:
     @pytest.mark.parametrize("speed_reads_t", [False, True])
     def test_gathered_feet_are_the_feet_traced_onto_each_level(self, speed_reads_t,
                                                                 monkeypatch):
-        # shared curves gather each group's feet once a side is traced;
-        # per-node curves store them level by level.  Either way a group's
-        # feet on level m are, bit for bit, the feet that level's node search saw
+        # shared or per-node curves, a group's feet on level m are, bit for
+        # bit, the feet that level's node search saw, at the group's start
+        # (after the plus side's on t = 0 for a group below it); the groups
+        # tile each level's feet, the last foot is the node itself, and
+        # feet_index reads the earlier feet out of all of them level by level
         seen = {}
         search = _Lattice._dependence
 
@@ -389,16 +392,25 @@ class TestLatticeCurves:
         targets[15:27, 17] = targets[3, 12] = targets[28, 8] = True
         lattice = _lattice(a, (1.0, -1.0), 1.0, region, xs, ts, targets, 3)
         assert lattice.shared != speed_reads_t
-        filled = [np.zeros(group.taus.size, dtype=bool) for group in lattice.groups]
-        for s, queries in lattice.queries.items():
-            for gi, m, sl in queries:
-                group = lattice.groups[gi]
-                assert np.array_equal(group.pos[:, :, :, m], seen[s][:, :, sl])
-                filled[gi][m] = True
-        for group, levels in zip(lattice.groups, filled):
-            assert np.array_equal(group.pos[..., -1],
-                                  np.broadcast_to(xs[group.node_ids], group.pos.shape[:3]))
-            assert levels[:-1].all()
+        assert lattice.landed.keys() == seen.keys()
+        assert all(np.array_equal(lattice.landed[s], feet) for s, feet in seen.items())
+        hits = {s: np.zeros(feet.shape[2], dtype=int) for s, feet in seen.items()}
+        level_major = np.concatenate([seen[s] for s in range(ts.size)], axis=2)
+        assert level_major.shape[2] == lattice.n_feet
+        for group in lattice.groups:
+            direction = 1 if group.level > lattice.i0 else -1
+            pos = lattice.positions(group)
+            assert pos.shape == group.shape
+            assert np.array_equal(level_major.take(lattice.feet_index(group), axis=2),
+                                  pos[..., :-1])
+            for m in range(group.taus.size - 1):
+                s = lattice.i0 + direction * m
+                at = group.start + (lattice.minus_shift if direction < 0 and m == 0 else 0)
+                cols = slice(at, at + group.node_ids.size)
+                assert np.array_equal(pos[:, :, :, m], seen[s][:, :, cols])
+                hits[s][cols] += 1
+            assert np.array_equal(pos[..., -1], np.broadcast_to(xs[group.node_ids], pos.shape[:3]))
+        assert all((count == 1).all() for count in hits.values())
 
     @pytest.mark.parametrize("nt", [3, 41, 201, 401])
     def test_build_grids_levels_count_as_uniform(self, nt):
@@ -536,9 +548,10 @@ class TestCurveValues:
         monkeypatch.delattr(_Lattice, "_curve_values")
         lattice.precompute(f, g, (bump, bump))
         for group in lattice.groups:
-            expected = g(group.pos, np.broadcast_to(group.taus, group.pos.shape))
+            pos = lattice.positions(group)
+            expected = g(pos, np.broadcast_to(group.taus, pos.shape))
             np.testing.assert_array_equal(group.G, expected)
-            np.testing.assert_array_equal(group.F, f(group.pos))
+            np.testing.assert_array_equal(group.F, f(pos))
 
     def test_non_finite_curve_values_are_named(self):
         a, _, g = _phase_coefficients(0.0)
@@ -604,9 +617,10 @@ class TestCoefficientRule:
         lattice.precompute(f, g, (bump, bump))
         assert bool(curve_calls) == (names_t is None)
         for group in lattice.groups:
-            taus = np.broadcast_to(group.taus, group.pos.shape)
-            np.testing.assert_array_equal(group.F, np.broadcast_to(f(group.pos, taus), taus.shape))
-            np.testing.assert_array_equal(group.G, np.broadcast_to(g(group.pos, taus), taus.shape))
+            pos = lattice.positions(group)
+            taus = np.broadcast_to(group.taus, pos.shape)
+            np.testing.assert_array_equal(group.F, np.broadcast_to(f(pos, taus), taus.shape))
+            np.testing.assert_array_equal(group.G, np.broadcast_to(g(pos, taus), taus.shape))
 
     @pytest.mark.parametrize("form", ["expression", "function"])
     def test_speed_past_its_bound_only_off_t_zero_is_caught(self, form):
@@ -680,13 +694,11 @@ class TestBatchedInterpolation:
             targets = np.zeros((31, 31), dtype=bool)
             targets[15:27, 17] = targets[3, 12] = True
         lattice = TestCurveValues.lattices(a, targets, 3)[0]
-        assert set(lattice.rows) == {s for s, slices in lattice.queries.items() if slices}
+        assert set(lattice.rows) == {s for s, feet in lattice.landed.items() if feet.size}
         for s, layout in lattice.rows.items():
             group = next(g for g in lattice.groups if g.level == s)
             xe = _row_abscissae(lattice.xs, group.node_ids)
-            q = np.concatenate([lattice.groups[gj].pos[:, :, :, m]
-                                for gj, m, _ in lattice.queries[s]], axis=2)
-            q = q.reshape(3, -1)
+            q = lattice.landed[s].reshape(3, -1)
             expected = _row_layout(xe, q, np.searchsorted(xe, q, side="right") - 1)
             for have, want in zip(layout, expected):
                 np.testing.assert_array_equal(have, want)

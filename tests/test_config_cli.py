@@ -587,17 +587,53 @@ class TestExpressions:
 
     @pytest.mark.parametrize("source, names", [("sin(pi*x)*exp(-t)", ("x", "t")),
                                                ("0.5 + 5*t**2", ("t",)),
-                                               ("cos(x) + x", ("x",)), ("0.0", ())])
+                                               ("cos(x) + x", ("x",)), ("0.0", ()),
+                                               ("(lambda: x)()", ("x",)),
+                                               ("(lambda y: exp(y))(x)", ("x",)),
+                                               ("(lambda: sin(t))() + 0*x", ("x", "t"))])
     def test_variables_are_the_ones_named(self, source, names):
-        # the characteristic solvers call an expression without t with x alone
+        # the characteristic solvers call an expression without t with x alone;
+        # a lambda's body looks x, t and the numpy names up as globals
         fn = compile_expression(source, ("x", "t"))
         assert fn.variables == names and fn.source == source
         if "t" not in names:
             xs = np.array([0.0, 0.5])
             np.testing.assert_array_equal(fn(xs), fn(xs, 0.3))
 
+    def test_unknown_names_in_nested_scopes_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="unknown name.* q "):
+            compile_expression("(lambda: q)()", ("x",))
+        path = write_cfg(tmp_path, TestCLI.TRANSPORT_A.format(a="(lambda: q)()"))
+        assert main(["transport", "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "unknown name(s) q in expression" in capsys.readouterr().err
+
+    def test_transport_speed_through_a_lambda(self, tmp_path):
+        speed = "(lambda: 0.5 + 0.2*sin(pi*x))()"
+        path = write_cfg(tmp_path, TestCLI.TRANSPORT_A.format(a=speed))
+        out = tmp_path / "o"
+        assert main(["transport", "--config", path, "--out-dir", str(out)]) == 0
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert "solution.csv" in listed
+
 
 class TestCLI:
+    # a small transport run whose speed is the expression {a}
+    TRANSPORT_A = """
+[meta]
+schema_version = 1
+[model]
+kind = transport
+[region]
+kappa = 1.0
+horizon = 0.4
+speed_bound = 1.0
+nx = 21
+nt = 21
+[transport]
+a = {a}
+u0 = sin(pi*x)
+"""
+
     def test_kl_table_values(self, tmp_path):
         out = str(tmp_path / "kt")
         assert main(["kl-table", "--ell", "1.0", "--terms", "3", "--out-dir", out]) == 0

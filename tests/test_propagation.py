@@ -646,14 +646,15 @@ class TestPDEPointModels:
     }
 
     @staticmethod
-    def _benchmark_values(kind, nodes=41, seeds=4):
-        """u(0, 0.3) at ell = 0.5 and 1.5 for sample 0 of each seed, (seeds, 2),
+    def _benchmark_values(kind, nodes=41, seeds=4, point=(0.0, 0.3), f=0.0, g=0.0):
+        """u(point) at ell = 0.5 and 1.5 for sample 0 of each seed, (seeds, 2),
         at the wave_point benchmark geometry, as in the test above, on a
-        ``nodes`` x ``nodes`` lattice."""
+        ``nodes`` x ``nodes`` lattice; transport has the reaction f and the
+        source g."""
         common = dict(region=domain_of_determinacy(1.0, 0.4, 1.0), nx=nodes, nt=nodes,
-                      m_pairs=10, sigma=0.3, point=(0.0, 0.3))
+                      m_pairs=10, sigma=0.3, point=point)
         if kind == "transport":
-            model = TransportPointModel(a_mean=0.5, a_lo=0.1, a_hi=1.0, f=0.0, g=0.0,
+            model = TransportPointModel(a_mean=0.5, a_lo=0.1, a_hi=1.0, f=f, g=g,
                                         u0=lambda x: np.sin(np.pi * x), **common)
         else:
             model = WavePointModel(e_mean=0.5, e_min=0.1, e_max=1.0,
@@ -666,6 +667,27 @@ class TestPDEPointModels:
         assert not failures
         return values[:, :, 0]
 
+    @staticmethod
+    def _per_node_values():
+        """u at two target nodes, one on each side of t = 0, of two stacked
+        transport problems whose speed reads t, so every node has a curve of
+        its own, on the benchmark geometry's 41x41 lattice: (2 lattices, 2)."""
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = characteristics.build_grids(region, 41, 41)
+
+        def phase(x):       # lattice l's phase, along the points' leading axis
+            return np.reshape([0.0, 1.5], (2,) + (1,) * (np.ndim(x) - 1))
+
+        coeffs = characteristics.TransportCoefficients(
+            a=lambda x, t: 0.5 + 0.3 * np.sin(3.0 * x + 4.0 * t + phase(x)),
+            f=lambda x, t: 0.8 * np.cos(x - phase(x)) * (1.0 + t),
+            g=lambda x, t: 0.5 + x * t, u0=lambda x: np.sin(np.pi * x), c=1.0)
+        targets = np.zeros((41, 41), dtype=bool)
+        targets[7, 24] = targets[33, 15] = True
+        solution = characteristics.solve_transport(coeffs, region, xs, ts, targets=targets,
+                                                   lattices=2)
+        return solution.values[:, targets]
+
     @pytest.mark.parametrize("kind", ["transport", "wave"])
     def test_values_stay_within_1e_12_of_the_cubic_tables(self, kind):
         np.testing.assert_allclose(self._benchmark_values(kind), self.CUBIC_TABLE_VALUES[kind],
@@ -674,7 +696,10 @@ class TestPDEPointModels:
     # the same values as float.hex, and the wave's for seeds 0-1 on the
     # shipped preset's 201x201 lattice, where far more feet per node sum in
     # the march; recorded with numpy 2.4.6 and scipy 1.17.1 before the march
-    # formed each group's trapezoid terms once for every component
+    # formed each group's trapezoid terms once for every component.  Below
+    # t = 0 with f = 1 and g = 0.5, and on per-node curves (_per_node_values),
+    # the march reads every foot's coupling value back; those were recorded
+    # with the same versions before the march kept them in one level-major store
     RECORDED_VERSIONS = ("2.4.6", "1.17.1")
     RECORDED_BITS = {
         "transport": [["-0x1.8177b7ffc17f0p-4", "-0x1.8177b7ffc17f0p-4"],
@@ -687,16 +712,29 @@ class TestPDEPointModels:
                  ["0x1.25c2bbd967e7ep-2", "0x1.01dd26e4150b1p-2"]],
         "wave_201": [["0x1.bb55da76e1836p-1", "0x1.bb55da76e1836p-1"],
                      ["0x1.20f91770cfebfp-1", "0x1.36ad03ad12571p-1"]],
+        "transport_below": [["0x1.9c3a4c3e290f6p-2", "0x1.9c3a4c3e290f6p-2"],
+                            ["0x1.9c3a763fa1fcfp-2", "0x1.b9dbfc717178ep-2"],
+                            ["0x1.1c74146407e4bp-1", "0x1.1f0e04d9d3654p-1"],
+                            ["0x1.4833d21fa3d38p-1", "0x1.4bfc89d78b93bp-1"]],
+        "transport_per_node": [["0x1.45a4dcfdb467fp-1", "-0x1.f6611e8b889c1p-1"],
+                               ["0x1.89b7d5aefdfafp-1", "-0x1.9c050c9fa6742p-1"]],
     }
 
-    @pytest.mark.parametrize("kind", ["transport", "wave", "wave_201"])
+    @pytest.mark.parametrize("kind", ["transport", "wave", "wave_201", "transport_below",
+                                      "transport_per_node"])
     def test_values_keep_their_recorded_bits(self, kind):
         # exact under the recorded versions; other numpy or scipy builds may
         # round differently, so there the values need only agree to 1e-13
         import scipy
 
-        values = self._benchmark_values("wave", 201, 2) if kind == "wave_201" \
-            else self._benchmark_values(kind)
+        if kind == "wave_201":
+            values = self._benchmark_values("wave", 201, 2)
+        elif kind == "transport_below":
+            values = self._benchmark_values("transport", point=(0.2, -0.24), f=1.0, g=0.5)
+        elif kind == "transport_per_node":
+            values = self._per_node_values()
+        else:
+            values = self._benchmark_values(kind)
         if (np.__version__, scipy.__version__) == self.RECORDED_VERSIONS:
             assert [[v.hex() for v in row] for row in values.tolist()] == \
                 self.RECORDED_BITS[kind]

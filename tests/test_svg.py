@@ -227,3 +227,61 @@ def test_one_pass_writer_matches_the_per_series_one():
     for series in cases:
         assert svg.line_plot(series, title="t", xlabel="x", ylabel="y") == \
             per_series_line_plot(series, title="t", xlabel="x", ylabel="y")
+
+
+def full_staircase(x, y):
+    """Every vertex of the right-continuous step curve through (x, y):
+    (x[0], y[0]), then (x[i], y[i-1]) and (x[i], y[i]) for each i >= 1."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    v = np.arange(2 * x.size - 1)
+    return x[(v + 1) // 2], y[v // 2]
+
+
+@st.composite
+def step_curves(draw):
+    """Sorted thresholds and step values: any, constant, one jump, or one
+    jump at the last threshold; NaN values split the curve."""
+    n = draw(st.integers(1, 40))
+    x = np.sort(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n, unique=True)))
+    levels = st.sampled_from([0.0, 0.25, 0.5, 1.0, float("nan")])
+    kind = draw(st.sampled_from(["any", "constant", "jump", "last"]))
+    if kind == "any" or n == 1:
+        y = draw(st.lists(levels, min_size=n, max_size=n))
+    else:
+        lo = draw(levels)
+        hi = draw(levels.filter(lambda v: v != lo))
+        at = {"constant": n, "last": n - 1}.get(kind) or draw(st.integers(1, n - 1))
+        y = np.where(np.arange(n) < at, lo, hi)
+    return x, np.asarray(y, dtype=float)
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_curves())
+def test_step_points_keep_the_corners_of_the_staircase(curve):
+    x, y = curve
+    cx, cy = svg.step_points(x, y)
+    fx, fy = full_staircase(x, y)
+    same = lambda a, b: a == b or (a != a and b != b)
+    # the corners are a subsequence of the staircase's vertices (matched
+    # from the end: where no jump, (x[i], y[i-1]) and (x[i], y[i]) coincide)
+    kept, v = [], fx.size - 1
+    for px, py in zip(cx.tolist()[::-1], cy.tolist()[::-1]):
+        while v >= 0 and not (fx[v] == px and same(fy[v], py)):
+            v -= 1
+        assert v >= 0, f"corner ({px}, {py}) is no vertex of the staircase, in order"
+        kept.insert(0, v)
+        v -= 1
+    assert kept[0] == 0 and kept[-1] == fx.size - 1
+    # every vertex left out lies on the level segment between the corners beside it
+    for a, b in zip(kept, kept[1:]):
+        for v in range(a + 1, b):
+            assert fy[a] == fy[v] == fy[b] and fx[a] <= fx[v] <= fx[b]
+    # two corners per jump and the two end points, one of which is the upper
+    # corner of a jump at the last threshold
+    jumps = [bool(j) for j in y[1:] != y[:-1]]
+    expected = 2 * sum(jumps) + 2 - (jumps[-1] if jumps else 1)
+    assert cx.size == cy.size == expected
+    # drawn, the corners give the staircase's plot but for the polylines' points
+    strip = lambda text: re.sub(r'points="[^"]*"', "", text)
+    plot = lambda px, py: svg.line_plot([{"x": px, "y": py}], title="p", xlabel="b")
+    assert strip(plot(cx, cy)) == strip(plot(fx, fy))
