@@ -553,6 +553,42 @@ class TestCurveValues:
             np.testing.assert_array_equal(group.G, expected)
             np.testing.assert_array_equal(group.F, f(pos))
 
+    @pytest.mark.parametrize("speed_reads_t", [False, True])
+    def test_f_and_g_are_called_once_per_group_or_curve_side(self, speed_reads_t):
+        # a 201x201 whole cone: the 2x2 system's shared curves hold tens of
+        # thousands of points per side, and with a speed that reads t each
+        # level is one group of transport feet, on curves of their own and
+        # with its own taus
+        a, f, g = _phase_coefficients(0.0)
+        signs = (1.0, -1.0)
+        if speed_reads_t:
+            a, g, signs = with_t(a), lambda x, t: np.cos(x) * (1.0 + t), (1.0,)
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, 201, 201)
+        lattice = _lattice(a, signs, 1.0, region, xs, ts, None)
+        sides = len(lattice.curve_sides)
+        assert lattice.shared != speed_reads_t and sides == (0 if speed_reads_t else 2)
+        calls = {"f": 0, "g": 0}
+
+        def counted(name, fn):
+            def wrapper(x, *t):
+                calls[name] += 1
+                return fn(x, *t)
+            wrapper.variables = getattr(fn, "variables", ("x", "t"))
+            return wrapper
+
+        lattice.precompute(counted("f", f), counted("g", g), (bump,) * len(signs))
+        # shared curves: one call per side, and one for the t = 0 group
+        per_foot = len(lattice.groups) if speed_reads_t else 1
+        assert calls == {"f": sides + per_foot, "g": sides + per_foot}
+        for group in lattice.groups:
+            pos = lattice.positions(group)
+            for fn, values in ((f, group.F), (g, group.G)):
+                reads_t = getattr(fn, "variables", ("x", "t")) != ("x",)
+                expected = fn(pos, group.taus) if reads_t else fn(pos)
+                assert values.shape == group.shape
+                np.testing.assert_array_equal(values, expected)
+
     def test_non_finite_curve_values_are_named(self):
         a, _, g = _phase_coefficients(0.0)
         lattice = self.lattices(a, None, None)[0]
