@@ -33,10 +33,8 @@ from .fields import (  # noqa: E402
     GaussianDraw,
     FieldEvaluator,
     CutoffField,
-    OUPath,
     solve_characteristic_roots,
     kl_eigenpairs,
-    sample_ou_path,
     sample_ou_paths,
     coefficient_field_2d,
 )

@@ -109,13 +109,11 @@ class StructuredMesh:
         k_unit = np.einsum("eid,ejd->eij", grads, grads) * area[:, None, None]
         rows = np.repeat(self.triangles, 3, axis=1).ravel()
         cols = np.tile(self.triangles, (1, 3)).ravel()
-        centroids = pts.mean(axis=1)
         return {
             "area": area,
             "k_unit": k_unit,
             "rows": rows,
             "cols": cols,
-            "centroids": centroids,
         }
 
     @cached_property
@@ -277,12 +275,11 @@ def assemble(mesh: StructuredMesh, coeffs: CoefficientSpec, load) -> AssembledSy
     return AssembledSystem(matrix=matrix, rhs=b[free], free=free, mesh=mesh, full_matrix=full)
 
 
-def load_vector(mesh: StructuredMesh, load) -> np.ndarray:
-    """Centroid-rule load vector over all nodes."""
+def load_vector(mesh: StructuredMesh, load: float) -> np.ndarray:
+    """Load vector over all nodes of a constant load: a third of each
+    triangle's load to each of its vertices."""
     geo = mesh.geometry
-    cx, cy = geo["centroids"][:, 0], geo["centroids"][:, 1]
-    f_vals = load(cx, cy) if callable(load) else load
-    f_elem = np.broadcast_to(np.asarray(f_vals, dtype=float), cx.shape) * geo["area"] / 3.0
+    f_elem = load * geo["area"] / 3.0
     b = np.zeros(mesh.n_nodes)
     for v in range(3):
         np.add.at(b, mesh.triangles[:, v], f_elem)

@@ -12,7 +12,7 @@ which couples the fields on a common probability space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -27,14 +27,11 @@ __all__ = [
     "FieldEvaluator",
     "FieldTable",
     "CutoffField",
-    "OUPath",
     "solve_characteristic_roots",
     "kl_eigenpairs",
     "kl_bases",
     "field_values",
-    "field_table",
     "field_tables",
-    "sample_ou_path",
     "sample_ou_paths",
     "coefficient_field_2d",
 ]
@@ -525,22 +522,15 @@ def field_values(fields, x) -> list:
     return [(cos @ f._w + sin @ f._w_star).reshape(xhat.shape) for f in fields]
 
 
-def field_table(basis: KLBasis, params: ExpCovarianceParams, x) -> np.ndarray:
-    """(len(x), 2*m_pairs) table T of the scaled eigenfunctions at points x.
-
-    Columns are interleaved like a draw, so for every draw ``T @ xi`` is the
-    realized field ``FieldEvaluator(basis, GaussianDraw(xi), params).value(x)``
-    up to rounding: the table only regroups the products of each term.
-    """
-    return field_tables([basis], [params], x)[0]
-
-
 def field_tables(bases, params, x) -> np.ndarray:
-    """(M, len(x), 2*m_pairs) tables of M bases of one size at points x.
+    """(M, len(x), 2*m_pairs) tables T of the scaled eigenfunctions of M
+    bases of one size at points x.
 
-    ``params[r]`` belongs to ``bases[r]``, and all share one domain; each
-    table is computed with one stacked cos and sin, and table r equals
-    ``field_table(bases[r], params[r], x)`` bit for bit.
+    ``params[r]`` belongs to ``bases[r]``, and all share one domain.  Columns
+    are interleaved like a draw, so ``T[r] @ xi`` is the realized field
+    ``FieldEvaluator(bases[r], GaussianDraw(xi), params[r]).value(x)`` up to
+    rounding.  All tables come from one stacked cos and sin, and table r is
+    the same bit for bit whatever bases are stacked with it.
     """
     domain = params[0].domain
     if any(p.domain != domain for p in params) or len(params) != len(bases):
@@ -566,7 +556,7 @@ class CutoffField:
     """
 
     base: Union[FieldEvaluator, FieldTable]
-    shift: Union[float, Callable]
+    shift: float
     lo: float
     hi: float
 
@@ -574,11 +564,8 @@ class CutoffField:
         if self.lo > self.hi:
             raise DomainError("cutoff bounds out of order")
 
-    def _shift_at(self, x):
-        return self.shift(x) if callable(self.shift) else self.shift
-
     def value(self, x):
-        raw = self._shift_at(x) + self.base.value(x)
+        raw = self.shift + self.base.value(x)
         if np.ndim(x) == 0:
             return float(np.minimum(np.maximum(raw, self.lo), self.hi))
         # raw is a new array: clip it in place
@@ -586,27 +573,9 @@ class CutoffField:
         return np.minimum(raw, self.hi, out=raw)
 
     def derivative(self, x):
-        raw = self._shift_at(x) + self.base.value(x)
+        raw = self.shift + self.base.value(x)
         der = np.where((raw < self.lo) | (raw > self.hi), 0.0, self.base.derivative(x))
         return float(der) if np.ndim(x) == 0 else der
-
-
-@dataclass(frozen=True)
-class OUPath:
-    """Ornstein-Uhlenbeck realization on a grid, with its driving noise."""
-
-    xs: np.ndarray
-    values: np.ndarray
-    params: ExpCovarianceParams
-    increments: np.ndarray
-
-    def __post_init__(self):
-        for name in ("xs", "values", "increments"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (self.xs.shape == self.values.shape == self.increments.shape):
-            raise DomainError("grid/value/noise length mismatch")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("path values must be finite")
 
 
 def sample_ou_paths(params: ExpCovarianceParams, xs, noise, scheme: str = "euler") -> np.ndarray:
@@ -650,27 +619,17 @@ def sample_ou_paths(params: ExpCovarianceParams, xs, noise, scheme: str = "euler
     return q[0] if squeeze else q
 
 
-def sample_ou_path(params: ExpCovarianceParams, xs, noise, scheme: str = "euler") -> OUPath:
-    """Single-path convenience wrapper around :func:`sample_ou_paths`."""
-    noise = np.asarray(noise, dtype=float)
-    if noise.ndim != 1:
-        raise DomainError("sample_ou_path expects a single 1-d noise sequence")
-    values = sample_ou_paths(params, xs, noise, scheme=scheme)
-    return OUPath(np.asarray(xs, dtype=float), values, params, noise)
-
-
 def coefficient_field_2d(mu, q1, q2, a_min: float, x1, x2):
     """2-d coefficient a(x1,x2) = max(mu + q1(x1)*q2(x2), a_min).
 
-    ``mu`` may be a constant or a callable mu(x1, x2); ``q1``/``q2`` are 1-d
-    field evaluators.  The lower cutoff keeps realizations positive, which
-    is all the elliptic problem requires.
+    ``mu`` is a number; ``q1``/``q2`` are 1-d field evaluators.  The lower
+    cutoff keeps realizations positive, which is all the elliptic problem
+    requires.
     """
     if not a_min > 0.0:
         raise DomainError("a_min must be positive")
-    mean = mu(x1, x2) if callable(mu) else mu
     prod = np.asarray(q1.value(x1)) * np.asarray(q2.value(x2))
-    out = np.maximum(mean + prod, a_min)
+    out = np.maximum(mu + prod, a_min)
     if np.ndim(x1) == 0 and np.ndim(x2) == 0:
         return float(out)
     return out

@@ -168,8 +168,8 @@ class EllipticModel(_KLFieldModel):
     m_pairs: int
     sigma: float = 1.0
     a_min: float = 0.1
-    mean: Union[float, Callable] = 1.0
-    load: Union[float, Callable] = 1.0
+    mean: float = 1.0
+    load: float = 1.0
     slice_x2: Optional[float] = None
     node: Optional[tuple] = None
     pbox_x1: Optional[float] = None
@@ -272,8 +272,7 @@ class EllipticModel(_KLFieldModel):
             q = (table.reshape(-1, width) @ xi[:, axis].T).reshape(n_m, -1, n_b)
             nodal = nodal * q.transpose(2, 0, 1)[:, :, inverse]     # (B, M, nodes)
         mesh = self.mesh
-        mean = self.mean(mesh.nodes[:, 0], mesh.nodes[:, 1]) if callable(self.mean) else self.mean
-        nodal = np.maximum(mean + nodal, self.a_min)
+        nodal = np.maximum(self.mean + nodal, self.a_min)
         cells = nodal[:, :, mesh.quads].mean(axis=3).reshape(n_b * n_m, -1)
 
         # CoefficientSpec's positivity check, on every system's cells at once

@@ -6,9 +6,10 @@ sample), evaluate the model at every grid point with the SAME draw, and
 collect per-sample min/max hulls.  The hull samples yield the empirical
 lower/upper distribution functions and the Aumann expectation.
 
-Parametric algorithm: per grid point, estimate the ordinary empirical CDF
-and envelope the family pointwise.  With shared draws the two results obey
-the exact ordering chain  f_lower <= f_low <= f_upp <= f_upper.
+Parametric algorithm: per grid point, the ordinary empirical CDF of the
+same samples, enveloped pointwise.  Since every grid point sees the same
+draws, the two results obey the exact ordering chain
+f_lower <= f_low <= f_upp <= f_upper.
 
 Every model speaks one protocol: ``prepare(grid)`` before the first block;
 ``draws(seed, indices)``, the block's draws, one row per sample;
@@ -16,7 +17,8 @@ Every model speaks one protocol: ``prepare(grid)`` before the first block;
 every given grid point together with a dict ``{row: (grid index, message)}``
 of the samples that failed; and the attributes ``output_labels`` and
 ``pbox_component``.  One sample loop, :func:`_run_samples`, serves both
-double loops.  A model that evaluates one draw at one grid point subclasses
+double loops: the parametric envelopes are read off the random-set run.  A
+model that evaluates one draw at one grid point subclasses
 :class:`PointwiseBlocks`, which builds the protocol from its ``draw`` and
 ``evaluate``.
 """
@@ -72,7 +74,6 @@ BLOCK_SIZE = 16
 # kernel pass draws them all, and draw memory stays bounded independently
 # of the run's sample count.  Outputs do not depend on it either.
 DRAW_BLOCK = 64 * BLOCK_SIZE
-_INDEPENDENT_STRIDE = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -168,7 +169,6 @@ class ParametricResult:
     per_lambda_ecdfs: np.ndarray   # (M, B)
     f_low: np.ndarray
     f_upp: np.ndarray
-    shared_draws: bool
     failures: tuple = ()
 
 
@@ -303,30 +303,24 @@ def _check_budget(failures, n_samples) -> None:
         )
 
 
-def _run_samples(model, grid, n_samples, seed, point=None):
+def _run_samples(model, grid, n_samples, seed):
     """Evaluate all (sample, lambda) pairs a block at a time.
 
     Draws come from one ``model.draws`` call per :data:`DRAW_BLOCK` samples,
-    and are evaluated in slices of :data:`BLOCK_SIZE`.  With ``point`` = i
-    only grid point i is evaluated, and sample k draws from its own
-    substream ``(i + 1) * 2**32 + k``.  Returns (values of the surviving
-    samples, their sample indices, failures); everything is determined by
-    the sample indices alone.
+    sample k from substream (seed, k), and are evaluated in slices of
+    :data:`BLOCK_SIZE`.  Returns (values of the surviving samples, their
+    sample indices, failures); everything is determined by the sample
+    indices alone.
     """
     if n_samples < 1:
         raise DomainError("need at least one sample")
-    points, first = grid.points, 0
-    if point is not None:
-        points, first = grid.points[point:point + 1], point
     values, kept, failures = [], [], []
     for draw_start in range(0, n_samples, DRAW_BLOCK):
         drawn = np.arange(draw_start, min(draw_start + DRAW_BLOCK, n_samples))
-        keys = drawn if point is None else \
-            drawn.astype(np.uint64) + np.uint64((point + 1) * _INDEPENDENT_STRIDE)
-        draws = model.draws(seed, keys)
+        draws = model.draws(seed, drawn)
         for start in range(0, drawn.size, BLOCK_SIZE):
             samples = drawn[start:start + BLOCK_SIZE]
-            block, failed = model.evaluate_block(draws[start:start + BLOCK_SIZE], points)
+            block, failed = model.evaluate_block(draws[start:start + BLOCK_SIZE], grid.points)
             block = np.asarray(block, dtype=float)
             if not failed and np.isfinite(block).all():
                 values.append(block)            # a clean block: every sample survives
@@ -334,7 +328,7 @@ def _run_samples(model, grid, n_samples, seed, point=None):
                 continue
             ok = np.ones(samples.size, dtype=bool)
             for b, (i, message) in sorted(_first_failures(block, failed).items()):
-                failures.append(SampleFailure(int(samples[b]), first + int(i), message))
+                failures.append(SampleFailure(int(samples[b]), int(i), message))
                 ok[b] = False
             if ok.any():
                 values.append(block[ok])
@@ -395,75 +389,44 @@ def propagate_random_set(qoi, grid: ParameterGrid, n_samples: int, seed: int,
     )
 
 
-def _envelopes(grid, seed, n_samples, ecdfs, thresholds, shared_draws, failures):
-    """The (M, B) per-parameter ECDFs and their pointwise envelopes."""
-    return ParametricResult(
-        grid=grid,
-        seed=seed,
-        n_samples=n_samples,
-        thresholds=thresholds,
-        per_lambda_ecdfs=ecdfs,
-        f_low=ecdfs.min(axis=0),
-        f_upp=ecdfs.max(axis=0),
-        shared_draws=shared_draws,
-        failures=failures,
-    )
-
-
 def propagate_parametric(qoi, grid: ParameterGrid, n_samples: int, seed: int,
-                         thresholds=None, shared_draws: bool = True) -> ParametricResult:
+                         thresholds=None) -> ParametricResult:
     """Parametric double loop: per-parameter empirical CDFs and envelopes.
 
-    With ``shared_draws`` every grid point sees the same (seed, k)
-    substreams, which makes :func:`compare_bounds` exact; the envelopes are
-    then read off the random-set run.  Otherwise each grid point gets its
-    own independent substream family, and its ECDF is taken over the
-    samples that survived at that point.  The failure budget then holds per
-    grid point, not per run: each point's ECDF uses only its own N samples,
-    so a run-wide count would let one point lose most of them.
+    Every grid point sees the same (seed, k) substreams, so the envelopes
+    are read off the random-set run and :func:`compare_bounds` is exact.
     """
-    if shared_draws:
-        return parametric_from_random_set(
-            propagate_random_set(qoi, grid, n_samples, seed, thresholds=thresholds))
-    model = _resolve_model(qoi)
-    model.prepare(grid)
-    if grid.m >= _INDEPENDENT_STRIDE or n_samples >= _INDEPENDENT_STRIDE:
-        raise DomainError("independent-draw indexing supports < 2^32 points/samples")
-    columns, failures = [], []
-    for i in range(grid.m):
-        vals, _, fails = _run_samples(model, grid, n_samples, seed, point=i)
-        columns.append(vals[:, 0, model.pbox_component])
-        failures.extend(fails)
-    if thresholds is None:
-        thresholds = default_thresholds(min(float(col.min()) for col in columns),
-                                        max(float(col.max()) for col in columns))
-    thresholds = np.asarray(thresholds, dtype=float)
-    # columns hold independent samples, possibly of different sizes
-    ecdfs = np.concatenate([empirical_cdfs(col[:, None], thresholds) for col in columns])
-    return _envelopes(grid, seed, n_samples, ecdfs, thresholds, False, tuple(failures))
+    return parametric_from_random_set(
+        propagate_random_set(qoi, grid, n_samples, seed, thresholds=thresholds))
 
 
 def parametric_from_random_set(rs: RandomSetResult) -> ParametricResult:
-    """Shared-draw parametric envelopes from an existing random-set matrix.
+    """Parametric envelopes from an existing random-set matrix.
 
-    With shared draws both algorithms consume identical model evaluations,
-    so the per-parameter ecdfs can be read off the stored (N, M) values
-    without re-running the model.
+    Both algorithms consume identical model evaluations, so the
+    per-parameter ecdfs are read off the stored (N, M) values without
+    re-running the model.
     """
-    scalar = rs.per_lambda_values[:, :, rs.pbox_component]
-    return _envelopes(rs.grid, rs.seed, rs.n_samples, empirical_cdfs(scalar, rs.thresholds),
-                      rs.thresholds, True, rs.failures)
+    ecdfs = empirical_cdfs(rs.per_lambda_values[:, :, rs.pbox_component], rs.thresholds)
+    return ParametricResult(
+        grid=rs.grid,
+        seed=rs.seed,
+        n_samples=rs.n_samples,
+        thresholds=rs.thresholds,
+        per_lambda_ecdfs=ecdfs,
+        f_low=ecdfs.min(axis=0),
+        f_upp=ecdfs.max(axis=0),
+        failures=rs.failures,
+    )
 
 
 def compare_bounds(rs: RandomSetResult, pm: ParametricResult) -> BoundComparison:
     """Verify the ordering chain at every threshold, exactly.
 
     Requires both results to come from the same seed, grid, and threshold
-    grid with shared draws; then ecdf(upper hulls) <= every per-parameter
-    ecdf <= ecdf(lower hulls) holds by per-sample enumeration.
+    grid; then ecdf(upper hulls) <= every per-parameter ecdf <= ecdf(lower
+    hulls) holds by per-sample enumeration.
     """
-    if not pm.shared_draws:
-        raise ComparisonError("parametric result must use shared draws")
     if rs.seed != pm.seed or rs.n_samples != pm.n_samples:
         raise ComparisonError("results come from different sampling configurations")
     if not np.array_equal(rs.grid.points, pm.grid.points):

@@ -121,10 +121,6 @@ class RandomIntervalSample:
             np.array([iv.hi for iv in intervals], dtype=float),
         )
 
-    @property
-    def n(self) -> int:
-        return int(self.lowers.size)
-
 
 @dataclass(frozen=True)
 class PBox:

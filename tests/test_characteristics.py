@@ -596,6 +596,18 @@ class TestCurveValues:
         with pytest.raises(NumericalError, match="coefficient f is not finite"):
             lattice.precompute(f, g, (bump, bump))
 
+    def test_constant_f_and_g_are_checked_once_and_broadcast(self):
+        a, _, _ = _phase_coefficients(0.0)
+        lattice, nan_lattice = self.lattices(a, None, None)
+        g = lambda x: -1.0
+        g.variables = ()          # a callable that reads neither x nor t
+        lattice.precompute(0.3, g, (bump, bump))
+        for group in lattice.groups:
+            assert group.F.shape == group.G.shape == group.shape
+            assert np.all(group.F == 0.3) and np.all(group.G == -1.0)
+        with pytest.raises(NumericalError, match="coefficient f is not finite"):
+            nan_lattice.precompute(np.nan, 0.0, (bump, bump))
+
 
 class TestCoefficientRule:
     """A coefficient's form says whether it reads t: a number, a field object

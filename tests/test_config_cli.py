@@ -1,6 +1,7 @@
 """Configuration parsing and the command-line front end."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,7 +26,7 @@ from randset_pde.fields import (
     ExpCovarianceParams,
     FieldEvaluator,
     GaussianDraw,
-    field_table,
+    field_tables,
     kl_eigenpairs,
 )
 from randset_pde.models import EllipticModel
@@ -181,7 +182,7 @@ class TestParseConfig:
         ells = grid.points[:, 0]
         pairs = [model._basis(ell) for ell in ells]     # (params, basis) per ell
         for table, (xs, _) in zip(model._field_tables(ells), model._abscissae):
-            per_ell = np.stack([field_table(basis, params, xs) for params, basis in pairs])
+            per_ell = np.stack([field_tables([basis], [params], xs)[0] for params, basis in pairs])
             np.testing.assert_array_equal(table, per_ell)
 
     @pytest.mark.parametrize("shape, nx, ny", [("l_shape", 18, 18), ("rectangle", 6, 4)])
@@ -194,7 +195,7 @@ class TestParseConfig:
         assert (tables[0] is tables[1]) == (nx == ny)
         pairs = [model._basis(ell) for ell in ells]
         for table, xs in zip(tables, (np.linspace(0, 1, nx + 1), np.linspace(0, 1, ny + 1))):
-            per_ell = np.stack([field_table(basis, params, xs) for params, basis in pairs])
+            per_ell = np.stack([field_tables([basis], [params], xs)[0] for params, basis in pairs])
             np.testing.assert_array_equal(table, per_ell)
 
     @pytest.mark.parametrize("name, ell", [("membrane", 1.0), ("membrane", 0.77),
@@ -814,6 +815,32 @@ u0 = cos(x)
         table = np.loadtxt(lines[1:], delimiter=",")
         assert np.all(table[:, 5] == 1.0)
         assert "chain holds" in capsys.readouterr().out
+
+    def test_compare_exits_3_when_the_chain_is_violated(self, tmp_path, capsys, monkeypatch):
+        real_compare_bounds = cli.compare_bounds
+
+        def violated(rs, pm):
+            return dataclasses.replace(real_compare_bounds(rs, pm), violations=5)
+
+        monkeypatch.setattr(cli, "compare_bounds", violated)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", write_cfg(tmp_path, GAUSS_SMALL),
+                     "--out-dir", str(out)]) == 3
+        assert "ordering chain violated at 5 thresholds" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["violations"], manifest["exit_code"]) == (5, 3)
+        assert manifest["outputs"] == ["compare.csv"] and (out / "compare.csv").is_file()
+
+    def test_manifest_that_cannot_be_written_is_a_warning(self, tmp_path, capsys):
+        # a directory where the manifest's temporary file goes
+        out = tmp_path / "mo"
+        (out / "manifest.json.tmp").mkdir(parents=True)
+        path = write_cfg(tmp_path, GAUSS_SMALL)
+        assert main(["propagate", "--config", path, "--out-dir", str(out)]) == 0
+        assert "warning: could not write manifest: " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        for name in ("pbox.csv", "intervals.csv", "mean_field.csv"):
+            assert (out / name).is_file()
 
     def test_compare_manifest_counts_failed_samples(self, tmp_path, monkeypatch):
         class FailingQoI(QoISpec):

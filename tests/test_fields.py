@@ -18,12 +18,10 @@ from randset_pde.fields import (
     GaussianDraw,
     KLBasis,
     coefficient_field_2d,
-    field_table,
     field_tables,
     field_values,
     kl_bases,
     kl_eigenpairs,
-    sample_ou_path,
     sample_ou_paths,
     solve_characteristic_roots,
 )
@@ -281,7 +279,7 @@ class TestFieldEvaluator:
         params = unit_params(ell=0.7, sigma=1.3, domain=Interval(0.0, 1.0))
         basis = kl_eigenpairs(params, 40)
         xs = np.linspace(0.0, 1.0, 19)
-        table = field_table(basis, params, xs)
+        table = field_tables([basis], [params], xs)[0]
         assert table.shape == (19, 80)
         for index in range(4):
             draw = GaussianDraw.sample(40, 3, index)
@@ -289,7 +287,7 @@ class TestFieldEvaluator:
                                        FieldEvaluator(basis, draw, params).value(xs),
                                        rtol=0.0, atol=1e-13)
         with pytest.raises(DomainError):
-            field_table(basis, params, [1.5])
+            field_tables([basis], [params], [1.5])
 
     def test_stacked_evaluation_needs_one_basis_and_domain(self):
         params, other = unit_params(), unit_params(domain=Interval(0.0, 1.0))
@@ -350,16 +348,16 @@ class TestOUPaths:
     def test_zero_sigma_gives_zero_path(self):
         xs = np.linspace(0, 1, 51)
         noise = standard_normals(0, 0, xs.size)
-        path = sample_ou_path(ExpCovarianceParams(0.0, 1.0, Interval(0, 1)), xs, noise)
-        assert np.all(path.values == 0.0)
+        path = sample_ou_paths(ExpCovarianceParams(0.0, 1.0, Interval(0, 1)), xs, noise)
+        assert np.all(path == 0.0)
 
     def test_replay_determinism_and_coupling(self):
         xs = np.linspace(0, 2, 201)
         noise = standard_normals(4, 0, xs.size)
         params = unit_params(domain=Interval(0, 2))
-        a = sample_ou_path(params, xs, noise)
-        b = sample_ou_path(params, xs, noise)
-        assert np.array_equal(a.values, b.values)
+        a = sample_ou_paths(params, xs, noise)
+        b = sample_ou_paths(params, xs, noise)
+        assert np.array_equal(a, b)
         # same noise, nearby correlation lengths: paths stay close (coupling)
         deltas = {}
         base = sample_ou_paths(params, xs, noise)
@@ -394,11 +392,11 @@ class TestOUPaths:
     def test_step_size_guard(self):
         xs = np.linspace(0, 1, 3)  # dx = 0.5 >= ell/2
         with pytest.raises(StepSizeError):
-            sample_ou_path(unit_params(), xs, np.zeros(3))
+            sample_ou_paths(unit_params(), xs, np.zeros(3))
 
     def test_noise_length_mismatch(self):
         with pytest.raises(DomainError):
-            sample_ou_path(unit_params(), np.linspace(0, 1, 11), np.zeros(10))
+            sample_ou_paths(unit_params(), np.linspace(0, 1, 11), np.zeros(10))
 
 
 class TestCoefficientField2D:

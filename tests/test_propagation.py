@@ -189,6 +189,53 @@ class TestRandomSetLoop:
             propagate_random_set(FailingModel(set(range(200))), grid, 200, seed=0)
         assert len(err.value.failures) == 200
 
+    def test_block_model_failures_carry_the_true_grid_point(self):
+        class BlockKeyModel:
+            """Block-native: u = sample index; the chosen samples fail at grid point 2."""
+
+            output_labels = None
+            pbox_component = 0
+
+            def __init__(self, bad_samples):
+                self.bad_samples = set(bad_samples)
+
+            def prepare(self, grid):
+                pass
+
+            def draws(self, seed, indices):
+                return np.array(indices, dtype=np.int64)
+
+            def evaluate_block(self, draws, points):
+                values = np.repeat(draws.astype(float)[:, None, None], points.shape[0], axis=1)
+                failures = {b: (2, "NumericalError: synthetic block failure")
+                            for b, k in enumerate(draws) if int(k) in self.bad_samples}
+                values[list(failures), 2:] = np.nan
+                return values, failures
+
+        grid = ParameterGrid.regular([Interval(0, 1)], [3])
+        rs = propagate_random_set(BlockKeyModel({9}), grid, 200, seed=0)
+        assert [(f.sample_index, f.grid_index, f.message) for f in rs.failures] == \
+            [(9, 2, "NumericalError: synthetic block failure")]
+        np.testing.assert_array_equal(rs.sample_indices, np.delete(np.arange(200), 9))
+        with pytest.raises(PropagationRunError,
+                           match="5 of 200 samples failed .* first: sample 0, grid point 2: "
+                                 "NumericalError: synthetic block failure") as info:
+            propagate_random_set(BlockKeyModel(range(5)), grid, 200, seed=0)
+        assert [(f.sample_index, f.grid_index) for f in info.value.failures] == \
+            [(k, 2) for k in range(5)]
+
+    def test_budget_errors_name_the_true_grid_point(self):
+        class FailingAtPointOne(FailingModel):
+            def evaluate(self, draw, lam):
+                return super().evaluate(draw, lam) if lam == (0.5,) else np.array([1.0])
+
+        grid = ParameterGrid.regular([Interval(0, 1)], [3])
+        # samples 0-4 fail at grid point 1 only: 5 > 1% of 200
+        with pytest.raises(PropagationRunError, match="first: sample 0, grid point 1:") as info:
+            propagate_random_set(FailingAtPointOne(range(5)), grid, 200, seed=0)
+        assert [(f.sample_index, f.grid_index) for f in info.value.failures] == \
+            [(k, 1) for k in range(5)]
+
 
 class TestBlocks:
     N = 200
@@ -197,11 +244,6 @@ class TestBlocks:
     def _run(model, grid, seed):
         rs = propagate_random_set(model, grid, TestBlocks.N, seed=seed)
         return rs.per_lambda_values, rs.sample_indices, rs.failures, rs.pbox
-
-    @staticmethod
-    def _run_independent(model, grid, seed):
-        pm = propagate_parametric(model, grid, TestBlocks.N, seed=seed, shared_draws=False)
-        return pm.per_lambda_ecdfs, pm.failures
 
     @settings(max_examples=25, deadline=None)
     # draw blocks at or below sampling.PER_KEY_MAX draw key by key, above it by the kernel
@@ -213,21 +255,12 @@ class TestBlocks:
             (ConstantModel(3.0), ParameterGrid.regular([Interval(0, 1)], [3]), 7),
             (FailingModel({13, 150}), ParameterGrid.regular([Interval(0, 1)], [3]), 7),
         ]
-        # independent draws: grid point 1 draws its sample k from key 2 * stride + k
-        stride = propagation._INDEPENDENT_STRIDE
-        independent = (FailingModel({2 * stride + 13, 2 * stride + 150}),
-                       ParameterGrid.regular([Interval(0, 1)], [3]), 7)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(propagation, "BLOCK_SIZE", self.N)
             mp.setattr(propagation, "DRAW_BLOCK", self.N)
             reference = [self._run(*case) for case in cases]
-            ref_ecdfs, ref_failures = self._run_independent(*independent)
-            assert [(f.sample_index, f.grid_index) for f in ref_failures] == [(13, 1), (150, 1)]
             mp.setattr(propagation, "BLOCK_SIZE", block_size)
             mp.setattr(propagation, "DRAW_BLOCK", draw_block)
-            ecdfs, failures = self._run_independent(*independent)
-            np.testing.assert_array_equal(ecdfs, ref_ecdfs)
-            assert failures == ref_failures
             for case, (values, samples, failures, pbox) in zip(cases, reference):
                 got_values, got_samples, got_failures, got_pbox = self._run(*case)
                 np.testing.assert_array_equal(got_values, values)
@@ -391,106 +424,19 @@ class TestParametricLoop:
             assert abs(pm.f_low[0] - q) <= tol
 
     @pytest.mark.parametrize("case", ["gauss", "membrane"])
-    def test_shared_draws_is_the_random_set_reduction(self, case):
+    def test_parametric_is_the_random_set_reduction(self, case):
         if case == "gauss":
             model, grid = GaussianFamilyModel(), ParameterGrid.regular(FIG1_DIMS, [5, 5])
         else:
             model = EllipticModel(mesh=build_mesh("l_shape", 6, 6), m_pairs=8,
                                   slice_x2=0.3333, pbox_x1=0.3333)
             grid = ParameterGrid.regular([Interval(0.5, 1.5)], [3])
-        pm = propagate_parametric(model, grid, 20, seed=11, shared_draws=True)
+        pm = propagate_parametric(model, grid, 20, seed=11)
         ref = parametric_from_random_set(propagate_random_set(model, grid, 20, seed=11))
-        assert pm.shared_draws
         np.testing.assert_array_equal(pm.thresholds, ref.thresholds)
         np.testing.assert_array_equal(pm.per_lambda_ecdfs, ref.per_lambda_ecdfs)
         np.testing.assert_array_equal(pm.f_low, ref.f_low)
         np.testing.assert_array_equal(pm.f_upp, ref.f_upp)
-
-    def test_independent_draws_mode(self):
-        grid = ParameterGrid.regular(FIG1_DIMS, [3, 3])
-        thresholds = np.linspace(-6, 6, 41)
-        pm_shared = propagate_parametric(GaussianFamilyModel(), grid, 400, seed=1,
-                                         thresholds=thresholds, shared_draws=True)
-        pm_indep = propagate_parametric(GaussianFamilyModel(), grid, 400, seed=1,
-                                        thresholds=thresholds, shared_draws=False)
-        assert not pm_indep.shared_draws
-        # different sampling, same law: envelopes agree loosely but not exactly
-        assert np.max(np.abs(pm_shared.f_upp - pm_indep.f_upp)) < 0.15
-        assert not np.array_equal(pm_shared.per_lambda_ecdfs, pm_indep.per_lambda_ecdfs)
-
-    def test_independent_draws_survive_a_failure_at_one_point(self):
-        stride = propagation._INDEPENDENT_STRIDE
-
-        class IndexModel(FailingModel):
-            """u = sample index; fails for the chosen draw keys."""
-
-            def evaluate(self, draw, lam):
-                super().evaluate(draw, lam)
-                return np.array([float(draw % stride)])
-
-        grid = ParameterGrid.regular([Interval(0, 1)], [3])
-        thresholds = np.arange(-0.5, 200.0)
-        # grid point 1 draws its sample k from key 2 * stride + k
-        pm = propagate_parametric(IndexModel({2 * stride + 5}), grid, 200, seed=0,
-                                  thresholds=thresholds, shared_draws=False)
-        assert [(f.sample_index, f.grid_index) for f in pm.failures] == [(5, 1)]
-        everyone = np.arange(200)
-        survivors = np.delete(everyone, 5)
-        expected = [np.array([np.count_nonzero(s <= b) for b in thresholds]) / s.size
-                    for s in (everyone, survivors, everyone)]
-        np.testing.assert_array_equal(pm.per_lambda_ecdfs, np.stack(expected))
-        np.testing.assert_array_equal(pm.f_low, np.min(expected, axis=0))
-        np.testing.assert_array_equal(pm.f_upp, np.max(expected, axis=0))
-
-    def test_block_model_failures_carry_the_true_grid_point(self):
-        stride = propagation._INDEPENDENT_STRIDE
-
-        class BlockKeyModel:
-            """Block-native: u = sample index; fails for the chosen draw keys."""
-
-            output_labels = None
-            pbox_component = 0
-
-            def __init__(self, bad_keys):
-                self.bad_keys = set(bad_keys)
-
-            def prepare(self, grid):
-                pass
-
-            def draws(self, seed, indices):
-                return np.array(indices, dtype=np.int64)
-
-            def evaluate_block(self, draws, points):
-                values = np.repeat((draws % stride).astype(float)[:, None, None],
-                                   points.shape[0], axis=1)
-                failures = {b: (0, "NumericalError: synthetic block failure")
-                            for b, key in enumerate(draws) if int(key) in self.bad_keys}
-                values[list(failures)] = np.nan
-                return values, failures
-
-        grid = ParameterGrid.regular([Interval(0, 1)], [3])
-        # grid point 2 draws its sample k from key 3 * stride + k
-        pm = propagate_parametric(BlockKeyModel({3 * stride + 9}), grid, 200, seed=0,
-                                  shared_draws=False)
-        assert [(f.sample_index, f.grid_index, f.message) for f in pm.failures] == \
-            [(9, 2, "NumericalError: synthetic block failure")]
-        model = BlockKeyModel({3 * stride + k for k in range(5)})
-        with pytest.raises(PropagationRunError,
-                           match="5 of 200 samples failed .* first: sample 0, grid point 2: "
-                                 "NumericalError: synthetic block failure") as info:
-            propagate_parametric(model, grid, 200, seed=0, shared_draws=False)
-        assert [(f.sample_index, f.grid_index) for f in info.value.failures] == \
-            [(k, 2) for k in range(5)]
-
-    def test_independent_draws_errors_name_the_true_grid_point(self):
-        stride = propagation._INDEPENDENT_STRIDE
-        grid = ParameterGrid.regular([Interval(0, 1)], [3])
-        # samples 0-4 of grid point 1 (draw keys 2 * stride + k): 5 > 1% of 200
-        model = FailingModel({2 * stride + k for k in range(5)})
-        with pytest.raises(PropagationRunError, match="first: sample 0, grid point 1:") as info:
-            propagate_parametric(model, grid, 200, seed=0, shared_draws=False)
-        assert [(f.sample_index, f.grid_index) for f in info.value.failures] == \
-            [(k, 1) for k in range(5)]
 
 
 class TestCompareBounds:
@@ -540,8 +486,8 @@ class TestCompareBounds:
         with pytest.raises(ComparisonError):
             compare_bounds(rs, other)
         pm = parametric_from_random_set(rs)
-        object.__setattr__(pm, "shared_draws", False)
-        with pytest.raises(ComparisonError):
+        object.__setattr__(pm, "thresholds", rs.thresholds + 1.0)
+        with pytest.raises(ComparisonError, match="different threshold grids"):
             compare_bounds(rs, pm)
 
 
