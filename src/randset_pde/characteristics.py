@@ -317,12 +317,12 @@ class _Lattice:
     coefficient at x[l], so each RK4 stage makes one lookup of a for every
     lattice and family.  Each side of t = 0 is traced from |t| = T inwards.
     A level's nodes are its targets plus, for every foot already traced onto
-    it in any lattice, the two cone nodes that np.interp reads there
-    (xs[j] <= x < xs[j+1], clipped to the row's first or last pair, from
-    which the ghost node extrapolates).  The t = 0 level takes the feet of
-    both sides.  So the lattices share one node set, the union of their
-    domains of numerical dependence closed under every lattice's feet, and
-    each node is computed in each lattice as on the whole cone.
+    it in any lattice, the two cone nodes of its interval (xs[j] <= x <
+    xs[j+1], clipped to the row's first or last pair, from which the ghost
+    node extrapolates).  The t = 0 level takes the feet of both sides.  So
+    the lattices share one node set, the union of their domains of numerical
+    dependence closed under every lattice's feet, and each node is computed
+    in each lattice as on the whole cone.
 
     With ``shared`` curves (a speed that ignores t, on levels whose steps
     agree to rounding) the characteristic through (x_i, t) is the same curve
@@ -343,8 +343,9 @@ class _Lattice:
     (:meth:`positions`).  Laid out level after level, the feet on level s
     are the ``n_feet`` columns' block from ``first[s]`` on, and
     :meth:`feet_index` gives a group's columns there.  ``rows[s]`` is the
-    :class:`_RowLayout` of the feet on level s's interpolation row, its
-    nodes with one ghost node per side.
+    :class:`_RowLayout` of the feet on level s: its interpolation row, the
+    level's nodes with one ghost node per side, and each foot's interval
+    index on it.
     """
 
     def __init__(self, a, signs, xs, ts, cone, i0, targets, n_lattices, shared):
@@ -421,12 +422,13 @@ class _Lattice:
                     pos = np.concatenate([pos, own], axis=2)
 
     def _dependence(self, s, feet, cone, targets):
-        """Level s's targets plus the cone nodes np.interp reads at the feet.
+        """Level s's targets plus the two cone nodes of each foot's interval.
 
-        The same search places each foot in the level's interpolation row
-        (``rows[s]``): the interval ``np.searchsorted(xe, feet, side="right")
-        - 1`` of its abscissae xe follows from the foot's interval among the
-        cone nodes, whose ends are nodes of the row.
+        The same search gives the foot's interval j on the level's
+        interpolation row xe (``rows[s]``): between cone nodes their
+        interval, beside the row's first node [ghost, first node] and beside
+        its last [last node, ghost], so a foot on the last node reads its
+        value exactly.
         """
         take = targets[s].copy()
         row = np.nonzero(cone[s])[0]
@@ -439,13 +441,12 @@ class _Lattice:
         take[row[jc]] = True
         take[row[np.minimum(jc + 1, row.size - 1)]] = True
         ids = np.nonzero(take)[0]
-        xe = _row_abscissae(self.xs, ids)
         # xe[k] is node ids[k - 1], and cumsum(take) counts the nodes up to each
         interval = np.cumsum(take)[row[jc]]
-        below, above = j < 0, j == row.size - 1     # beside the row's first or last node
-        interval[below] = np.where(q[below] < xe[0], -1, 0)
-        interval[above] = np.where(q[above] < xe[-1], ids.size, ids.size + 1)
-        self.rows[s] = _row_layout(xe, q, interval)
+        interval[j < 0] = 0
+        interval[j == row.size - 1] = ids.size
+        self.rows[s] = _RowLayout(_row_abscissae(self.xs, ids),
+                                  interval.astype(np.min_scalar_type(ids.size)))
         return ids
 
     def _start(self, s, ids, start):
@@ -607,63 +608,34 @@ def _row_values(vrows):
 
 
 class _RowLayout(NamedTuple):
-    """Where S rows of queries fall on one interpolation row ``xe`` (P,).
-
-    ``jl`` (S, Q) is the interval j of each query, clipped to [0, P - 2],
-    in the smallest unsigned type that holds P.  ``ends`` lists the flat
-    (S, Q) indices of the queries np.interp gives a node's value (below
-    xe[0], at or beyond xe[-1], on a node, or NaN), and ``nodes`` that node.
-    """
+    """Where S rows of queries fall on one interpolation row ``xe`` (P,):
+    ``jl`` (S, Q) is each query's interval j, in [0, P - 2], in the smallest
+    unsigned type that holds P - 2."""
 
     xe: np.ndarray
     jl: np.ndarray
-    ends: np.ndarray
-    nodes: np.ndarray
-
-
-def _row_layout(xe, q, j) -> _RowLayout:
-    """The layout of queries ``q`` (S, Q) on ``xe``, given
-    ``j = np.searchsorted(xe, q, side="right") - 1``."""
-    jl = np.minimum(np.maximum(j, 0), xe.size - 2)     # np.clip, without its iinfo
-    ends = np.flatnonzero((j < 0) | (j == xe.size - 1) | (xe[jl] == q))
-    return _RowLayout(xe, jl.astype(np.min_scalar_type(xe.size)), ends,
-                      np.maximum(j.reshape(-1)[ends], 0))
 
 
 def _interp_rows(layout, ve, q):
-    """``np.interp(q[l], xe, ve[c, l])`` for every c and l, in one pass.
+    """Linear interpolation of every component c and lattice l at once:
+    ``s * (q - xe[j]) + ve[c, l, j]`` on each query's interval j, with
+    ``s = (ve[c, l, j+1] - ve[c, l, j]) / (xe[j+1] - xe[j])``.
 
     ``layout`` is the queries' :class:`_RowLayout` on ``xe``, ``ve`` (C, S,
-    P) and ``q`` (S, Q); the result is (C, S, Q).  It follows np.interp's
-    own arithmetic, so it equals it bit for bit: below xe[0] the first
-    value, at or beyond xe[-1] the last, on a node that node's value, a NaN
-    query NaN, and otherwise slope * (x - xe[j]) + ve[j] with
-    slope = (ve[j+1] - ve[j]) / (xe[j+1] - xe[j]), which np.interp retries
-    from the right end, then takes as ve[j], where it gives NaN.  That can
-    only happen with a non-finite value in ``ve``, so only then is the
-    retry looked for.
+    P) and ``q`` (S, Q); the result is (C, S, Q).  On [xe[0], xe[-1]) with
+    finite values this is np.interp's value bit for bit (on a node, s * 0 +
+    ve[j] is ve[j]); a query beyond a ghost is extrapolated, and a NaN query
+    or a non-finite value at an end of its interval gives a non-finite one.
     """
     n_comp, n_lat, size = ve.shape
     at = layout.jl + size * np.arange(n_lat)[:, None]     # into S stacked rows, as intp
     d = q - layout.xe.take(layout.jl)
-    dx = np.diff(layout.xe)
     slopes = np.empty_like(ve)
-    np.divide(ve[..., 1:] - ve[..., :-1], dx, out=slopes[..., :-1])
+    np.divide(ve[..., 1:] - ve[..., :-1], np.diff(layout.xe), out=slopes[..., :-1])
     out = np.empty((n_comp,) + q.shape)
     for vc, sc, oc in zip(ve, slopes, out):
         np.multiply(sc.reshape(-1).take(at), d, out=oc)
         oc += vc.reshape(-1).take(at)
-    if not np.isfinite(ve).all():
-        c, l, k = np.nonzero(np.isnan(out))
-        a = at[l, k]
-        flat = ve.reshape(n_comp, -1)
-        x1, y0, y1 = layout.xe[layout.jl[l, k] + 1], flat[c, a], flat[c, a + 1]
-        retry = slopes.reshape(n_comp, -1)[c, a] * (q[l, k] - x1) + y1
-        out[c, l, k] = np.where(np.isnan(retry) & (y0 == y1), y0, retry)
-    if layout.ends.size:
-        node = ve[:, layout.ends // q.shape[1], layout.nodes]
-        node[:, np.isnan(q.reshape(-1)[layout.ends])] = np.nan
-        out.reshape(n_comp, -1)[:, layout.ends] = node
     return out
 
 
@@ -803,8 +775,9 @@ def solve_transport(coeffs: TransportCoefficients, region: DeterminacyRegion,
     the union of their targets' dependence domains.
 
     Raises :class:`NumericalError` where a node's own trapezoid weight w and
-    reaction f have 1 - w*f <= 0: the time step is then too long for the
-    discrete problem to have a solution the Picard iteration would reach.
+    reaction f have 1 - w*f <= 0: its discrete equation (1 - w*f) u = A + w*g,
+    A its terms over the earlier feet, then has no unique solution (= 0) or
+    gives u the sign opposite to A + w*g, which the reaction should amplify.
     """
     lattice = _lattice(coeffs.a, (1.0,), coeffs.c, region, xs, ts, targets, lattices)
     lattice.precompute(coeffs.f, coeffs.g, (coeffs.u0,))

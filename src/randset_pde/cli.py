@@ -226,10 +226,15 @@ def _resolve_config_path(name: str):
     raise ConfigError([f"config file or preset {name!r} not found"])
 
 
-def _load_config(args) -> ScenarioConfig:
+def _load_config(args, kind=None) -> ScenarioConfig:
+    """The parsed --config; with ``kind``, which must be its model.kind."""
     if not args.config:
         raise ConfigError(["--config is required for this command"])
-    return parse_config(_resolve_config_path(args.config))
+    cfg = parse_config(_resolve_config_path(args.config))
+    if kind is not None and cfg.kind != kind:
+        raise ConfigError([f"model.kind: must be {kind!r} for the {args.command} command, "
+                           f"got {cfg.kind!r}"])
+    return cfg
 
 
 def _seed(args, cfg: ScenarioConfig, required=True, default=0):
@@ -435,7 +440,7 @@ def _cmd_sample_field(args, out_dir, stages, manifest):
 
 
 def _cmd_elliptic(args, out_dir, stages, manifest):
-    cfg = _load_config(args)
+    cfg = _load_config(args, "elliptic")
     require(cfg, "field.m_terms")
     ell = _single_ell(cfg)
     seed = _seed(args, cfg, required=False, default=0)
@@ -460,7 +465,7 @@ def _cmd_elliptic(args, out_dir, stages, manifest):
 
 
 def _cmd_transport(args, out_dir, stages, manifest):
-    cfg = _load_config(args)
+    cfg = _load_config(args, "transport")
     region = _region_from_config(cfg, "transport runs")
     require(cfg, "transport.a", "transport.u0")
     tc = cfg.transport
@@ -477,7 +482,7 @@ def _cmd_transport(args, out_dir, stages, manifest):
 
 
 def _cmd_wave(args, out_dir, stages, manifest):
-    cfg = _load_config(args)
+    cfg = _load_config(args, "wave")
     region = _region_from_config(cfg, "wave runs")
     require(cfg, "wave.e", "wave.e_prime", "wave.w", "wave.w_prime")
     wc = cfg.wave

@@ -2,7 +2,8 @@
 
 Each command runs ``randset_pde.cli.main`` in process.  Every data file it
 writes (all but ``manifest.json`` and the SVG plots) is recorded by its
-sha256 and, per column, the sum and the largest magnitude of its values as
+sha256 and, per column of its table (a CSV's rows below the header, a JSON
+file's ``rows``), the sum and the largest magnitude of its values as
 ``float.hex``.  ``tests/test_golden.py`` compares a fresh run with the record:
 the digests exactly under the recorded numpy and scipy versions, the column
 statistics within ``RTOL`` of each column's recorded scale under others.
@@ -47,6 +48,11 @@ def _commands() -> dict:
         "transport-transport_demo": ["transport", "--config", "transport_demo"],
         "wave-wave_dalembert": ["wave", "--config", "wave_dalembert"],
         "kl_table-membrane": ["kl-table", "--config", "membrane", "--ell", "1.0"],
+        # the table writer's JSON path
+        "kl_table-membrane-json": ["kl-table", "--config", "membrane", "--ell", "1.0",
+                                   "--format", "json"],
+        "propagate-gauss_family-json": ["propagate", "--config", "gauss_family",
+                                        "--format", "json"],
         "sample_field-wave_point": ["sample-field", "--config", "wave_point"],
         # f = g = 0: the solver calls them at placeholder points
         "propagate-transport_point_small": [
@@ -65,9 +71,12 @@ def _hex(values) -> list:
 
 
 def file_digest(path) -> dict:
-    """sha256 of a CSV data file, and per column its sum and max |value|."""
+    """sha256 of a CSV or JSON data file, and per column its sum and max |value|."""
     data = pathlib.Path(path).read_bytes()
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if str(path).endswith(".json"):
+        table = np.array(json.loads(data)["rows"], dtype=float, ndmin=2)
+    else:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return {"sha256": hashlib.sha256(data).hexdigest(),
             "sum": _hex(table.sum(axis=0)),
             "max_abs": _hex(np.abs(table).max(axis=0))}

@@ -7,14 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
+from randset_pde import characteristics
 from randset_pde.config import compile_expression
 from randset_pde.characteristics import (
     TransportCoefficients,
     _Lattice,
+    _RowLayout,
     _interp_rows,
     _lattice,
     _row_abscissae,
-    _row_layout,
     _row_values,
     _max_step,
     _uniform_levels,
@@ -685,12 +686,14 @@ class TestCoefficientRule:
 
 
 class TestBatchedInterpolation:
-    """One searchsorted and np.interp's arithmetic for every lattice and component."""
+    """Every lattice and component interpolated on each foot's interval at once."""
 
     @staticmethod
     def check(xs, ids, vrows, q):
+        # queries on [xe[0], xe[-1]) take their searchsorted interval, NaN the last
         xe, ve = _row_abscissae(xs, ids), _row_values(vrows)
-        out = _interp_rows(_row_layout(xe, q, np.searchsorted(xe, q, side="right") - 1), ve, q)
+        j = np.minimum(np.searchsorted(xe, q, side="right") - 1, xe.size - 2)
+        out = _interp_rows(_RowLayout(xe, j), ve, q)
         assert out.shape == vrows.shape[1:2] + q.shape
         for l in range(vrows.shape[0]):
             for c in range(vrows.shape[1]):
@@ -704,8 +707,7 @@ class TestBatchedInterpolation:
         ids = np.arange(7, 30)
         vrows = rng.normal(size=(3, 2, ids.size))
         lo, hi = 2 * xs[7] - xs[8], 2 * xs[29] - xs[28]       # the ghost nodes
-        q = np.concatenate([xs[ids], [lo, hi, lo - 0.3, hi + 0.3, np.nextafter(lo, -2)],
-                            rng.uniform(lo - 0.1, hi + 0.1, 200)])
+        q = np.concatenate([xs[ids], [lo, np.nextafter(hi, lo)], rng.uniform(lo, hi, 200)])
         q = np.stack([rng.permutation(q) for _ in range(3)])
         q[1, :4] = np.nan
         xe, _ = self.check(xs, ids, vrows, q)
@@ -714,25 +716,11 @@ class TestBatchedInterpolation:
     def test_single_node_rows(self):
         xs = np.linspace(-1.0, 1.0, 11)
         vrows = np.array([[[1.5], [-2.0]], [[0.25], [7.0]]])
-        q = np.array([[0.0, 0.2, -0.2, 0.3, 0.19], [0.2, 0.21, 5.0, -5.0, 0.2]])
-        xe, ve = self.check(xs, np.array([6]), vrows, q)
         dx = np.mean(np.diff(xs))
+        q = xs[6] + dx * np.array([[0.0, 0.5, -1.0, 0.95, -0.25], [-0.95, 0.0, 0.75, np.nan, 0.25]])
+        xe, ve = self.check(xs, np.array([6]), vrows, q)
         np.testing.assert_array_equal(xe, [xs[6] - dx, xs[6], xs[6] + dx])
         np.testing.assert_array_equal(ve, np.repeat(vrows, 3, axis=2).transpose(1, 0, 2))
-
-    def test_non_finite_values_follow_np_interp(self):
-        # two lattices and two components, each row with its own gaps, so the
-        # retry reads every stacked row's own intervals
-        xs = np.linspace(-1.0, 1.0, 11)
-        ids = np.arange(2, 9)
-        vrows = np.array([[[0.0, 1.0, np.inf, 3.0, np.nan, 5.0, 1e308],
-                           [2.0, 2.0, 2.0, 1.0, 0.0, -1.0, -2.0]],
-                          [[1.0, -np.inf, -np.inf, 3.0, 4.0, np.nan, 6.0],
-                           [np.nan, 0.5, 1e308, -1e308, 0.0, np.inf, 1.0]]])
-        q = np.array([np.linspace(-1.0, 1.0, 57), np.linspace(1.0, -1.0, 57)])
-        with np.errstate(invalid="ignore", over="ignore"):
-            self.check(xs, ids, vrows, q)
-
 
     @pytest.mark.parametrize("partial", [False, True])
     def test_lattice_places_every_foot_as_searchsorted_does(self, partial):
@@ -747,13 +735,11 @@ class TestBatchedInterpolation:
             group = next(g for g in lattice.groups if g.level == s)
             xe = _row_abscissae(lattice.xs, group.node_ids)
             q = lattice.landed[s].reshape(3, -1)
-            expected = _row_layout(xe, q, np.searchsorted(xe, q, side="right") - 1)
-            for have, want in zip(layout, expected):
-                np.testing.assert_array_equal(have, want)
-
+            np.testing.assert_array_equal(layout.xe, xe)
+            np.testing.assert_array_equal(layout.jl, np.searchsorted(xe, q, side="right") - 1)
 
     @pytest.mark.parametrize("nodes", [[5], [3, 4, 5, 6, 7], [2, 8]])
-    def test_feet_beyond_the_ghosts_and_on_single_node_rows(self, nodes):
+    def test_feet_beside_the_end_nodes_and_on_single_node_rows(self, nodes):
         a, _, _ = _phase_coefficients(0.0)
         lattice = TestCurveValues.lattices(a, None, None, nx=11)[0]
         cone = np.zeros((11, 11), dtype=bool)
@@ -764,13 +750,83 @@ class TestBatchedInterpolation:
                                            0.5 * (xs[nodes[0]] + xs[nodes[-1]]) + 0.01]])
         ids = lattice._dependence(4, feet.reshape(1, 1, -1), cone, np.zeros_like(cone))
         np.testing.assert_array_equal(ids, nodes if len(nodes) < 3 else np.arange(3, 8))
-        xe = _row_abscissae(xs, ids)
+        xe, layout = _row_abscissae(xs, ids), lattice.rows[4]
+        np.testing.assert_array_equal(layout.xe, xe)
+        # beside the first node [ghost, first node], beside the last [last node, ghost]
         j = np.searchsorted(xe, feet, side="right") - 1
-        assert {-1, xe.size - 1} <= set(j)
-        for have, want in zip(lattice.rows[4], _row_layout(xe, feet[None], j[None])):
-            np.testing.assert_array_equal(have, want)
-        vrows = np.random.default_rng(1).normal(size=(1, 2, ids.size))
-        self.check(xs, ids, vrows, feet[None])
+        np.testing.assert_array_equal(layout.jl[0], np.clip(j, 0, xe.size - 2))
+        inside = (xe[0] <= feet) & (feet < xe[-1])
+        ve = _row_values(np.random.default_rng(1).normal(size=(1, 2, ids.size)))
+        out = _interp_rows(layout, ve, feet[None])
+        for c in range(2):
+            np.testing.assert_array_equal(out[c, 0, inside], np.interp(feet[inside], xe, ve[c, 0]))
+        # beyond the ghosts a row is extrapolated: a linear row reads its line
+        slope = 0.0 if ids.size == 1 else 1.5
+        line = np.stack([slope * xs[ids] - 0.5, 2.0 - slope * xs[ids]])
+        out = _interp_rows(layout, _row_values(line[None]), feet[None])
+        np.testing.assert_allclose(out[:, 0], [slope * feet - 0.5, 2.0 - slope * feet],
+                                   rtol=0.0, atol=1e-12)
+
+    # a*dt/dx up to 0.95 * (nx - 1) / (nt - 1) * 0.8 / 2, so the feet skip
+    # cells when nx is large against nt
+    @settings(max_examples=40, deadline=None)
+    @given(solver=st.sampled_from(["transport", "system"]), speed_reads_t=st.booleans(),
+           nx=st.integers(5, 41), half_nt=st.integers(1, 12),
+           lattices=st.sampled_from([None, 1, 2, 3]), phase=st.floats(0.0, 6.0),
+           picks=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=4))
+    @example(solver="system", speed_reads_t=False, nx=41, half_nt=2, lattices=3, phase=1.0,
+             picks=[])
+    @example(solver="transport", speed_reads_t=True, nx=41, half_nt=1, lattices=2, phase=4.0,
+             picks=[(1.0, 1.0), (0.0, 0.0)])
+    def test_every_landed_foot_lies_inside_its_row_and_reads_np_interp(
+            self, solver, speed_reads_t, nx, half_nt, lattices, phase, picks):
+        # on real lattices, shared or per-node curves, whole cone or targets:
+        # the march interpolates every foot on [xe[0], xe[-1]) of its row
+        region = domain_of_determinacy(1.0, 0.4, 1.0)
+        xs, ts = build_grids(region, nx, 2 * half_nt + 1)
+        cone = region.contains(xs[None, :], ts[:, None])
+        targets = np.zeros_like(cone)
+        for u, v in picks:
+            s = min(int(u * ts.size), ts.size - 1)
+            row = np.nonzero(cone[s])[0]
+            targets[s, row[min(int(v * row.size), row.size - 1)]] = True
+        phases = phase + 1.3 * np.arange(lattices or 1)
+
+        def shift(x):
+            # lattice l reads phases[l] at the points x[l]; one lattice its phase
+            p = phases if lattices else phase
+            return np.reshape(p, np.shape(p) + (1,) * (np.ndim(x) - np.ndim(p)))
+
+        if speed_reads_t:
+            a = lambda x, t: 0.55 + 0.4 * np.sin(3.0 * x + shift(x) + 5.0 * t)
+        else:
+            a = x_only(lambda x: 0.55 + 0.4 * np.sin(3.0 * x + shift(x)))
+        f = lambda x, t: 0.5 + 0.8 * np.sin(x - shift(x))
+        g = lambda x, t: 0.3 + x * t
+        calls = []
+
+        def recording(layout, ve, q):
+            out = _interp_rows(layout, ve, q)
+            calls.append((layout, ve.copy(), q.copy(), out))
+            return out
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(characteristics, "_interp_rows", recording)
+            kwargs = dict(targets=targets if targets.any() else None, lattices=lattices)
+            if solver == "transport":
+                coeffs = TransportCoefficients(a=a, f=f, g=g, u0=lambda x: np.sin(x + shift(x)),
+                                               c=1.0)
+                solve_transport(coeffs, region, xs, ts, **kwargs)
+            else:
+                solve_2x2_system(a, f, g, lambda x: -bump_prime(x - 0.1 * shift(x)),
+                                 bump_prime, region, xs, ts, **kwargs)
+        for layout, ve, q, out in calls:
+            xe = layout.xe
+            assert np.all((xe[0] <= q) & (q < xe[-1]))
+            np.testing.assert_array_equal(layout.jl, np.searchsorted(xe, q, side="right") - 1)
+            for c in range(ve.shape[0]):
+                for l in range(ve.shape[1]):
+                    np.testing.assert_array_equal(out[c, l], np.interp(q[l], xe, ve[c, l]))
 
 
 class TestWaveToSystem:

@@ -1178,6 +1178,17 @@ m_terms = 20
         assert main([command, "--config", path, "--out-dir", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, config", [
+        ("elliptic", "wave_point"), ("elliptic", "gauss_family"), ("transport", "membrane"),
+        ("transport", "wave_dalembert"), ("wave", "transport_point")])
+    def test_single_solve_commands_need_their_model_kind(self, tmp_path, capsys, command,
+                                                         config):
+        out = tmp_path / "o"
+        assert main([command, "--config", config, "--out-dir", str(out)]) == 2
+        assert f"model.kind: must be '{command}' for the {command} command" \
+            in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["manifest.json"]
+
     def test_elliptic_command_off_the_mesh_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, ELLIPTIC_SINGLE.replace("x2 = 0.4", "x2 = 0.45"))
         assert main(["elliptic", "--config", path, "--out-dir", str(tmp_path / "el")]) == 2
