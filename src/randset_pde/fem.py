@@ -230,7 +230,8 @@ class CoefficientSpec:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if np.any(values <= 0.0):
+        # not all(> 0) rather than any(<= 0): a NaN value fails the check
+        if not np.all(values > 0.0):
             raise CoefficientBoundError(NONPOSITIVE_COEFFICIENTS)
         if self.alpha_lo is not None:
             if self.alpha_lo <= 0.0:

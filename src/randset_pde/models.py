@@ -275,8 +275,9 @@ class EllipticModel(_KLFieldModel):
         nodal = np.maximum(self.mean + nodal, self.a_min)
         cells = nodal[:, :, mesh.quads].mean(axis=3).reshape(n_b * n_m, -1)
 
-        # CoefficientSpec's positivity check, on every system's cells at once
-        live = ~(cells <= 0.0).any(axis=1)
+        # CoefficientSpec's positivity check, on every system's cells at once;
+        # a NaN cell fails it too, so its system leaves the CG batch
+        live = (cells > 0.0).all(axis=1)
         nonpositive = failure_message(CoefficientBoundError(NONPOSITIVE_COEFFICIENTS))
         messages = dict.fromkeys(np.flatnonzero(~live).tolist(), nonpositive)
         rhs = load_vector(mesh, self.load)[mesh.interior]

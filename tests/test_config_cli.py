@@ -957,6 +957,16 @@ m_terms = 20
             data_files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
             assert sorted(manifest["outputs"]) == data_files
 
+    def test_python_dash_m_runs_the_command_line(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "randset_pde", "kl-table", "--ell", "1.0", "--terms", "3",
+             "--out-dir", str(tmp_path / "out")],
+            cwd=tmp_path, capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        rows = (tmp_path / "out" / "kl_table.csv").read_text().splitlines()
+        assert rows[0].startswith("k,") and len(rows) == 4
+
     def test_presets_load_from_a_zipped_package(self, tmp_path):
         # a preset inside a zip is no real file: it must be read through resources
         package = os.path.dirname(cli.__file__)

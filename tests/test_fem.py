@@ -155,6 +155,11 @@ class TestElementCoefficients:
         with pytest.raises(CoefficientBoundError):
             element_coefficients(m, lambda x, y: np.ones_like(x), alpha_lo=2.0)
 
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [np.nan, np.nan], [0.5, 0.0]])
+    def test_nan_or_nonpositive_values_rejected(self, values):
+        with pytest.raises(CoefficientBoundError, match="must be positive"):
+            CoefficientSpec(np.array(values))
+
 
 class TestAssembly:
     def test_zero_load_zero_solution(self):

@@ -346,6 +346,23 @@ class TestBlocks:
         mates = [b for b in range(len(draws)) if b not in failures]
         np.testing.assert_allclose(values[mates], ref_values[mates], rtol=0.0, atol=1e-12)
 
+    def test_a_nan_draw_fails_its_sample_before_the_solve(self):
+        # a NaN coefficient passes a `cells <= 0` test; it must fail the
+        # positivity check and leave the CG batch, not run it
+        model = EllipticModel(mesh=build_mesh("l_shape", 10, 10), m_pairs=30, sigma=1.0,
+                              a_min=0.1, slice_x2=0.4)
+        grid = ParameterGrid.regular([Interval(0.5, 1.5)], [3])
+        draws = model.draws(2, range(4))
+        spoilt = draws.copy()
+        spoilt[1, 0] = np.nan
+        values, failures = model.evaluate_block(spoilt, grid.points)
+        assert failures == {1: (0, "CoefficientBoundError: element coefficients must be positive")}
+        assert np.all(np.isnan(values[1]))
+        mates = [0, 2, 3]
+        clean, clean_failures = model.evaluate_block(draws[mates], grid.points)
+        assert clean_failures == {}
+        np.testing.assert_array_equal(values[mates], clean)
+
     def test_capped_solve_fails_its_sample_like_the_per_point_path(self, monkeypatch):
         # CG takes 29-32 iterations on these 18 systems; a cap of 31 stops
         # samples 0 and 3 at grid index 1 and no other system

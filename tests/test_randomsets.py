@@ -18,6 +18,7 @@ from randset_pde.randomsets import (
     PBox,
     RandomIntervalSample,
     aumann_expectation,
+    empirical_cdfs,
     empirical_pbox,
     imprecise_gaussian_focal,
     interval_hull,
@@ -276,6 +277,32 @@ class TestEmpiricalPBox:
             PBox(np.array([0.0, 1.0]), np.array([0.5, 0.4]), np.array([0.6, 0.7]))
         with pytest.raises(DomainError):
             PBox(np.array([0.0]), np.array([0.7]), np.array([0.4]))
+
+
+class TestEmpiricalCdfs:
+    # few distinct values, so samples tie and thresholds fall on sample values
+    POOL = np.array([-2.5, -1.0, -0.25, 0.0, 0.5, 1.0, 3.0])
+
+    @given(n=st.integers(1, 60),
+           # widths below, at and above the 16-column block, and not multiples of it
+           k=st.one_of(st.sampled_from([1, 15, 16, 17, 31, 32, 33, 47, 50]),
+                       st.integers(1, 50)),
+           depth=st.sampled_from([0, 2, 3]), seed=st.integers(0, 2**32 - 1),
+           extra=st.lists(finite_floats, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_column_formula(self, n, k, depth, seed, extra):
+        rng = np.random.default_rng(seed)
+        if depth:
+            # a[:, :, p] of a 3-d array: a strided (N, K) view
+            columns = rng.choice(self.POOL, (n, k, depth))[:, :, rng.integers(depth)]
+        else:
+            columns = rng.choice(self.POOL, (n, k))
+        thresholds = np.sort(np.concatenate([rng.choice(self.POOL, 5), extra]))
+        got = empirical_cdfs(columns, thresholds)
+        want = np.array([np.searchsorted(np.sort(col), thresholds, side="right") / n
+                         for col in columns.T])
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
 
 
 class TestAumannExpectation:
