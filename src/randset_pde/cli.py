@@ -693,7 +693,3 @@ def main(argv=None) -> int:
 # module's import.  A process pays it once, so every main() call in one
 # process reports the same value.
 IMPORT_SECONDS = round(time.perf_counter() - _IMPORT_STARTED, 6)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,6 +7,18 @@ stiffness matrix an M-matrix and the discrete maximum principle testable.
 The per-element coefficient is the average of the field at the cell's four
 corner nodes, shared by both triangles of the cell.
 
+The diagonal edge couples its two ends by exactly 0, so the reduced
+stiffness matrix is a 5-point matrix, and colouring the free dofs by the
+parity of their grid indices (red: i + j even) makes each colour's block
+diagonal.  Both CG solvers run one kernel, :func:`solve_cg_block`:
+Jacobi-preconditioned CG on the black unknowns' Schur complement
+S_b = D_b - A_br D_r^-1 A_rb, then one diagonal solve for the red ones.  It
+needs about half the iterations of CG on the whole system, each on half the
+unknowns.  A system stops once its relative residual ||r_b|| / ||f|| (f the
+full load; the red rows are solved exactly, so r_b is the whole residual) is
+at most ``CG_REL_TOL``.  A same-colour off-diagonal entry that is not
+exactly 0.0 is a DomainError.
+
 scipy.sparse is imported only by the functions that build sparse matrices
 (:attr:`StructuredMesh.reduced_pattern`, :func:`assemble` and
 :func:`assemble_block`), so importing this module, and the package, loads no
@@ -16,7 +28,7 @@ part of scipy.  The elliptic model builds the reduced pattern in its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -136,7 +148,7 @@ class StructuredMesh:
         keys = rows[kept] * free.size + cols[kept]
         order = np.argsort(keys, kind="stable")
         entries, keys = kept[order], keys[order]
-        first = np.concatenate(([True], np.diff(keys) > 0))
+        first = np.diff(keys, prepend=-1) > 0
         key_rows, indices = np.divmod(keys[first], free.size)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(key_rows, minlength=free.size))))
         scatter = sp.csr_matrix(
@@ -145,6 +157,15 @@ class StructuredMesh:
             shape=(indices.size, self.quads.shape[0]))
         return ReducedPattern(indptr=indptr, indices=indices, scatter=scatter,
                               position=position)
+
+    @cached_property
+    def red_black(self) -> "RedBlack":
+        """The grid-parity colouring of the free dofs (see :class:`RedBlack`)."""
+        i, j = np.nonzero(self.grid_index >= 0)
+        odd = np.empty(self.n_nodes, dtype=bool)
+        odd[self.grid_index[i, j]] = (i + j) % 2 == 1
+        odd = odd[self.interior]
+        return RedBlack(red=np.flatnonzero(~odd), black=np.flatnonzero(odd))
 
 
 @dataclass(frozen=True)
@@ -167,6 +188,93 @@ class ReducedPattern:
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
+
+
+@dataclass(frozen=True)
+class RedBlack:
+    """Grid-parity colouring of a mesh's free dofs, as free-dof positions: a
+    dof at grid node (i, j) is red when i + j is even and black when it is odd.
+
+    Grid neighbours differ in colour, so in a 5-point matrix, such as the
+    reduced stiffness matrix (each cell's diagonal edge couples its ends by
+    exactly 0), each colour's block is diagonal.  :meth:`split` takes the
+    blocks from a CSR matrix through slot maps built once per sparsity
+    pattern.
+    """
+
+    red: np.ndarray
+    black: np.ndarray
+    _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def split(self, matrix: sp.csr_matrix, s_count: int) -> tuple:
+        """(D_r, D_b, A_rb, A_br) of a block-diagonal matrix of S blocks of
+        size n: the (S, n_red) and (S, n_black) diagonals and the
+        block-diagonal CSR couplings of red rows to black columns and of
+        black rows to red columns, each row's entries in column order.
+
+        DomainError unless the S blocks share one sparsity pattern in which
+        every row stores its diagonal once and every same-colour
+        off-diagonal entry holds exactly 0.0.
+        """
+        import scipy.sparse as sp
+
+        n = self.red.size + self.black.size
+        indptr, indices = matrix.indptr, matrix.indices
+        nnz = int(indptr[n])
+        zero, diag_red, diag_black, rb, br = self._slot_maps(indptr[:n + 1], indices[:nnz])
+        blocks = np.arange(s_count, dtype=np.int32)[:, None]
+        if not (np.array_equal(indptr[:-1], (indptr[:n] + nnz * blocks).ravel())
+                and indptr[-1] == s_count * nnz
+                and np.array_equal(indices, (indices[:nnz] + n * blocks).ravel())):
+            raise DomainError("the blocks of the matrix must share one sparsity pattern")
+        data = matrix.data.reshape(s_count, nnz)
+        if (data[:, zero] != 0.0).any():
+            raise DomainError("a same-colour off-diagonal entry is nonzero: "
+                              "the red-black split needs a 5-point matrix")
+
+        def coupling(slots, columns, starts, n_rows, n_cols):
+            return sp.csr_matrix(
+                (data[:, slots].ravel(), (columns + n_cols * blocks).ravel(),
+                 np.append((starts[:-1] + slots.size * blocks).ravel(), s_count * slots.size)),
+                shape=(s_count * n_rows, s_count * n_cols))
+
+        n_red, n_black = self.red.size, self.black.size
+        return (data[:, diag_red], data[:, diag_black],
+                coupling(*rb, n_red, n_black), coupling(*br, n_black, n_red))
+
+    def _slot_maps(self, indptr: np.ndarray, indices: np.ndarray) -> tuple:
+        """Where one block's CSR slots go: (same-colour off-diagonal slots,
+        the diagonal slots of the red and of the black rows, and A_rb's and
+        A_br's (slots, colour-local columns, row starts) in column order)."""
+        key = (np.asarray(indptr, dtype=np.int64).tobytes(),
+               np.asarray(indices, dtype=np.int64).tobytes())
+        if key in self._maps:
+            return self._maps[key]
+        red, black = self.red, self.black
+        n = red.size + black.size
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        is_black = np.zeros(n, dtype=bool)
+        is_black[black] = True
+        local = np.empty(n, dtype=np.int32)
+        local[red] = np.arange(red.size)
+        local[black] = np.arange(black.size)
+        same = is_black[rows] == is_black[indices]
+        on_diagonal = rows == indices
+        if not np.array_equal(np.bincount(rows[on_diagonal], minlength=n), np.ones(n)):
+            raise DomainError("every row of the matrix must store its diagonal entry once")
+        diagonal = np.empty(n, dtype=int)
+        diagonal[rows[on_diagonal]] = np.flatnonzero(on_diagonal)
+
+        def coupling(row_black, n_rows):
+            slots = np.flatnonzero(~same & (is_black[rows] == row_black))
+            slots = slots[np.lexsort((indices[slots], rows[slots]))]
+            counts = np.bincount(local[rows[slots]], minlength=n_rows)
+            return slots, local[indices[slots]], np.append(0, np.cumsum(counts)).astype(np.int32)
+
+        maps = self._maps[key] = (np.flatnonzero(same & ~on_diagonal), diagonal[red],
+                                  diagonal[black], coupling(False, red.size),
+                                  coupling(True, black.size))
+        return maps
 
 
 def build_mesh(shape: str, nx: int, ny: int) -> StructuredMesh:
@@ -324,46 +432,20 @@ class NodalSolution:
 
 
 def solve_cg(system: AssembledSystem, max_iter: int | None = None) -> NodalSolution:
-    """Jacobi-preconditioned conjugate gradients on the reduced system, run
-    until the relative residual is at most ``CG_REL_TOL``."""
-    A = system.matrix
-    b = system.rhs
-    n = b.size
-    if max_iter is None:
-        max_iter = 10 * n
+    """:func:`solve_cg_block` on the one system, with the mesh's colouring;
+    NonConvergenceError when it reaches ``max_iter`` (default 10 n)
+    iterations unconverged."""
+    block = solve_cg_block(system.matrix, system.rhs[None], system.mesh.red_black, max_iter)
+    if not block.converged[0]:
+        raise NonConvergenceError(
+            f"CG did not reach {CG_REL_TOL:g} in {block.max_iter} iterations",
+            residual=float(block.residuals[0]),
+            iterations=int(block.iterations[0]),
+        )
     values = np.zeros(system.mesh.n_nodes)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return NodalSolution(values, system.mesh, 0, 0.0)
-
-    inv_diag = 1.0 / A.diagonal()
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    p = z.copy()
-    rz = float(r @ z)
-    res = float(np.linalg.norm(r)) / b_norm
-    iterations = 0
-    while res > CG_REL_TOL:
-        if iterations >= max_iter:
-            raise NonConvergenceError(
-                f"CG did not reach {CG_REL_TOL:g} in {max_iter} iterations",
-                residual=res,
-                iterations=iterations,
-            )
-        Ap = A @ p
-        alpha = rz / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        z = inv_diag * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-        iterations += 1
-        res = float(np.linalg.norm(r)) / b_norm
-
-    values[system.free] = x
-    return NodalSolution(values, system.mesh, iterations, res)
+    values[system.free] = block.values[0]
+    return NodalSolution(values, system.mesh, int(block.iterations[0]),
+                         float(block.residuals[0]))
 
 
 @dataclass(frozen=True)
@@ -371,7 +453,7 @@ class BlockSolution:
     """Free-dof solutions of S systems solved together, with per-system statistics."""
 
     values: np.ndarray       # (S, n)
-    iterations: np.ndarray   # (S,)
+    iterations: np.ndarray   # (S,) reduced-system CG iterations
     residuals: np.ndarray    # (S,)
     converged: np.ndarray    # (S,) False where a system hit its iteration cap
     max_iter: int            # the cap
@@ -383,20 +465,33 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
 
 
-def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray,
+def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray, colouring: RedBlack,
                    max_iter: int | None = None) -> BlockSolution:
-    """Jacobi-preconditioned CG on S independent systems at once.
+    """Reduced-system (red-black) Jacobi-preconditioned CG on S systems at once.
 
-    ``matrix`` is block diagonal with S blocks of size n and ``rhs`` is
-    (S, n).  Every system follows :func:`solve_cg` step for step and stops
-    at the iteration at which :func:`solve_cg` would: once its relative
-    residual is at most ``CG_REL_TOL``, or, unconverged, after ``max_iter``
-    (default 10 n) iterations.  The stop test runs only after a step at
-    which some residual is not above ``CG_REL_TOL`` or the cap is reached.
-    A stopped system leaves the batch: the matrix product still covers all
-    S blocks, but only the running systems' vectors are updated.  Until the
-    first system stops, the product reads the search directions directly,
-    with no scatter into the full vector.
+    ``matrix`` is block diagonal with S blocks of size n that share one
+    sparsity pattern, ``rhs`` is (S, n) and ``colouring`` is the blocks'
+    mesh's :attr:`StructuredMesh.red_black`.  Each block splits by colour
+    into the diagonals D_r and D_b and the couplings A_br (black rows) and
+    A_rb = A_br^T (red rows), taken from its CSR data by slot maps; DomainError
+    if a same-colour off-diagonal entry is not exactly 0.0, since then the
+    colour blocks are not diagonal.  CG with the preconditioner D_b runs on
+    the black unknowns' Schur complement S_b = D_b - A_br D_r^-1 A_rb,
+    applied as two half-size products and never formed, and then
+    x_r = D_r^-1 (f_r - A_rb x_b) gives the red unknowns (Hageman & Young,
+    *Applied Iterative Methods*, 1981, ch. 9).
+
+    The red rows are solved exactly, so the black residual r_b is the whole
+    system's residual: a system stops once ||r_b|| / ||f|| is at most
+    ``CG_REL_TOL``, f its full load, or, unconverged, after ``max_iter``
+    (default 10 n) iterations.  A zero load gives the zero solution at 0
+    iterations.  The stop test runs only after a step at which some
+    residual is not above ``CG_REL_TOL`` or the cap is reached.  A stopped
+    system leaves the batch: the products still cover all S blocks, but
+    only the running systems' vectors are updated.  Until the first system
+    stops, the products read the search directions directly, with no
+    scatter into the full vector.  Every step is row by row, so a system's
+    result does not depend on its batch mates.
     """
     rhs = np.asarray(rhs, dtype=float)
     s_count, n = rhs.shape
@@ -404,20 +499,31 @@ def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray,
         raise DomainError("matrix and right-hand sides disagree in size")
     if max_iter is None:
         max_iter = 10 * n
-    values = np.zeros((s_count, n))
+    d_red, d_black, a_rb, a_br = colouring.split(matrix, s_count)
+    red, black = colouring.red, colouring.black
+    n_red, n_black = red.size, black.size
     iterations = np.zeros(s_count, dtype=int)
     residuals = np.zeros(s_count)
     converged = np.ones(s_count, dtype=bool)
 
+    def coupled(product, v, width):
+        return (product @ v.ravel()).reshape(s_count, width)
+
+    inv_red = 1.0 / d_red
+    f_red = rhs[:, red]
+    # the Schur complement's load, f_b - A_br D_r^-1 f_r
+    g = rhs[:, black] - coupled(a_br, inv_red * f_red, n_black)
     b_norm = np.sqrt(_row_dots(rhs, rhs))
     live = np.nonzero(b_norm[:, 0] != 0.0)[0]    # a zero load has the zero solution
-    inv_diag = 1.0 / matrix.diagonal().reshape(s_count, n)[live]
+    inv_black = 1.0 / d_black[live]
+    d_black_live = d_black[live]
     b_norm = b_norm[live]
-    x = np.zeros((live.size, n))
-    r = rhs[live]
-    z = inv_diag * r
+    x_black = np.zeros((s_count, n_black))
+    x = np.zeros((live.size, n_black))
+    r = g[live]
+    z = inv_black * r
     p = z.copy()
-    p_all = np.zeros((s_count, n))
+    p_all = np.zeros((s_count, n_black))
     rz = _row_dots(r, z)
     res = np.sqrt(_row_dots(r, r)) / b_norm
     iteration, check = 0, True
@@ -427,24 +533,27 @@ def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray,
             stop = ~running | (iteration >= max_iter)
             if stop.any():
                 done = live[stop]
-                values[done] = x[stop]
+                x_black[done] = x[stop]
                 iterations[done] = iteration
                 residuals[done] = res[stop, 0]
                 converged[done] = ~running[stop]
                 keep = ~stop
-                live, b_norm, inv_diag = live[keep], b_norm[keep], inv_diag[keep]
+                live, b_norm = live[keep], b_norm[keep]
+                inv_black, d_black_live = inv_black[keep], d_black_live[keep]
                 x, r, z, p, rz = x[keep], r[keep], z[keep], p[keep], rz[keep]
                 if not live.size:
                     break
-        if live.size == s_count:
-            Ap = (matrix @ p.ravel()).reshape(s_count, n)
-        else:
+        whole = live.size == s_count
+        if not whole:
             p_all[live] = p
-            Ap = (matrix @ p_all.ravel()).reshape(s_count, n)[live]
-        alpha = rz / _row_dots(p, Ap)
+        t = coupled(a_rb, p if whole else p_all, n_red)
+        t *= inv_red
+        q = coupled(a_br, t, n_black)
+        Sp = d_black_live * p - (q if whole else q[live])
+        alpha = rz / _row_dots(p, Sp)
         x += alpha * p
-        r -= alpha * Ap
-        np.multiply(inv_diag, r, out=z)
+        r -= alpha * Sp
+        np.multiply(inv_black, r, out=z)
         rz_new = _row_dots(r, z)
         p *= rz_new / rz
         p += z
@@ -453,6 +562,10 @@ def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray,
         res = np.sqrt(_row_dots(r, r)) / b_norm
         # a NaN minimum, like a residual at or below the tolerance, stops its system
         check = iteration >= max_iter or not res.min() > CG_REL_TOL
+
+    values = np.empty((s_count, n))
+    values[:, black] = x_black
+    values[:, red] = inv_red * (f_red - coupled(a_rb, x_black, n_red))
     return BlockSolution(values, iterations, residuals, converged, max_iter)
 
 

@@ -282,7 +282,8 @@ class EllipticModel(_KLFieldModel):
         messages = dict.fromkeys(np.flatnonzero(~live).tolist(), nonpositive)
         rhs = load_vector(mesh, self.load)[mesh.interior]
         solution = solve_cg_block(assemble_block(mesh, cells[live]),
-                                  np.broadcast_to(rhs, (int(live.sum()), rhs.size)))
+                                  np.broadcast_to(rhs, (int(live.sum()), rhs.size)),
+                                  mesh.red_black)
         for s, ok in zip(np.nonzero(live)[0], solution.converged):
             if not ok:
                 messages[s] = failure_message(NonConvergenceError(

@@ -109,7 +109,40 @@ def compare_on_different_grids():
 
 
 def mismatched_cg_block():
-    return solve_cg_block(sp.identity(6, format="csr"), np.ones((2, 4)))
+    return solve_cg_block(sp.identity(6, format="csr"), np.ones((2, 4)),
+                          build_mesh("rectangle", 4, 4).red_black)
+
+
+def cg_block_of(edit):
+    """solve_cg_block on one 4x4 stiffness matrix after ``edit(matrix)``."""
+    mesh = build_mesh("rectangle", 4, 4)
+    system = assemble(mesh, CoefficientSpec(np.ones(mesh.quads.shape[0])), 1.0)
+    matrix = edit(system.matrix.copy())
+    return solve_cg_block(matrix, system.rhs[None], mesh.red_black)
+
+
+def couple_same_colours(matrix):
+    # the first stored diagonal-edge slot (it joins two dofs of one colour)
+    colour = np.zeros(matrix.shape[0], dtype=bool)
+    colour[build_mesh("rectangle", 4, 4).red_black.black] = True
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    same = (colour[rows] == colour[matrix.indices]) & (rows != matrix.indices)
+    matrix.data[np.flatnonzero(same)[0]] = -0.25
+    return matrix
+
+
+def drop_first_diagonal(matrix):
+    matrix = matrix.tolil()
+    matrix[0, 0] = 0.0
+    return matrix.tocsr()
+
+
+def two_pattern_block():
+    mesh = build_mesh("rectangle", 4, 4)
+    cells = np.ones(mesh.quads.shape[0])
+    full = assemble(mesh, CoefficientSpec(cells), 1.0)
+    matrix = sp.block_diag([assemble_block(mesh, cells[None]), full.matrix], format="csr")
+    return solve_cg_block(matrix, np.stack([full.rhs, full.rhs]), mesh.red_black)
 
 
 CASES = {
@@ -175,6 +208,11 @@ CASES = {
                                                           np.ones((2, 3))),
                                    DomainError, "must match cell count"),
     "solve_cg_block: size mismatch": (mismatched_cg_block, DomainError, "disagree in size"),
+    "solve_cg_block: same-colour coupling": (lambda: cg_block_of(couple_same_colours),
+                                             DomainError, "same-colour off-diagonal entry"),
+    "solve_cg_block: no diagonal": (lambda: cg_block_of(drop_first_diagonal), DomainError,
+                                    "store its diagonal entry once"),
+    "solve_cg_block: two patterns": (two_pattern_block, DomainError, "share one sparsity pattern"),
     # randomsets
     "random set: length mismatch": (lambda: FiniteRandomSet((UNIT,), (0.5, 0.5)), DomainError,
                                     "length mismatch"),
