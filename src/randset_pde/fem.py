@@ -19,18 +19,24 @@ full load; the red rows are solved exactly, so r_b is the whole residual) is
 at most ``CG_REL_TOL``.  A same-colour off-diagonal entry that is not
 exactly 0.0 is a DomainError.
 
+A batch of systems on one mesh takes its colour blocks straight from the
+cell values: :attr:`StructuredMesh.colour_scatter` maps the element entries
+to the slots of D_r, D_b, A_rb and A_br, so one product gives all four, and
+no whole matrix is formed.  :meth:`RedBlack.split` takes the same blocks
+from an assembled CSR matrix, for :func:`solve_cg`.
+
 scipy.sparse is imported only by the functions that build sparse matrices
-(:attr:`StructuredMesh.reduced_pattern`, :func:`assemble` and
-:func:`assemble_block`), so importing this module, and the package, loads no
-part of scipy.  The elliptic model builds the reduced pattern in its
-``prepare``, which puts that import inside a run's set-up.
+(:attr:`StructuredMesh.colour_scatter`, :func:`assemble` and the colour
+blocks), so importing this module, and the package, loads no part of scipy.
+The elliptic model builds the colour scatter in its ``prepare``, which puts
+that import inside a run's set-up.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -53,10 +59,11 @@ __all__ = [
     "build_mesh",
     "element_coefficients",
     "assemble",
-    "assemble_block",
     "load_vector",
     "solve_cg",
     "BlockSolution",
+    "ColourBlocks",
+    "ColourScatter",
     "solve_cg_block",
     "extract_slice",
 ]
@@ -129,34 +136,12 @@ class StructuredMesh:
         }
 
     @cached_property
-    def reduced_pattern(self) -> "ReducedPattern":
-        """CSR pattern of the free x free stiffness matrix and its element scatter.
-
-        Only element entries with a nonzero unit value are kept, so a slot
-        into which every entry adds exactly 0 (the diagonal edge of each
-        right triangle couples its two ends by 0) is left out: it holds 0
-        for every coefficient, and :func:`assemble` stores it anyway.
-        """
-        import scipy.sparse as sp
-
-        geo = self.geometry
+    def position(self) -> np.ndarray:
+        """Free-dof position of each node; -1 on the Dirichlet boundary."""
         free = self.interior
         position = np.full(self.n_nodes, -1)
         position[free] = np.arange(free.size)
-        rows, cols = position[geo["rows"]], position[geo["cols"]]
-        kept = np.nonzero((rows >= 0) & (cols >= 0) & (geo["k_unit"].reshape(-1) != 0.0))[0]
-        keys = rows[kept] * free.size + cols[kept]
-        order = np.argsort(keys, kind="stable")
-        entries, keys = kept[order], keys[order]
-        first = np.diff(keys, prepend=-1) > 0
-        key_rows, indices = np.divmod(keys[first], free.size)
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(key_rows, minlength=free.size))))
-        scatter = sp.csr_matrix(
-            (geo["k_unit"].reshape(-1)[entries], self.tri_quad[entries // 9],
-             np.append(np.nonzero(first)[0], entries.size)),
-            shape=(indices.size, self.quads.shape[0]))
-        return ReducedPattern(indptr=indptr, indices=indices, scatter=scatter,
-                              position=position)
+        return position
 
     @cached_property
     def red_black(self) -> "RedBlack":
@@ -167,27 +152,23 @@ class StructuredMesh:
         odd = odd[self.interior]
         return RedBlack(red=np.flatnonzero(~odd), black=np.flatnonzero(odd))
 
+    @cached_property
+    def colour_scatter(self) -> "ColourScatter":
+        """The element scatter of the reduced stiffness matrix's colour blocks
+        under :attr:`red_black` (see :class:`ColourScatter`).
 
-@dataclass(frozen=True)
-class ReducedPattern:
-    """Sparsity of the Dirichlet-reduced stiffness matrix, shared by all
-    coefficients, without its structurally zero slots.
-
-    ``scatter`` is the element-entry to CSR-slot map as an (nnz, n_cells)
-    matrix: row k holds, in element order, the unit-coefficient element
-    entries that add into slot k, each in the column of its cell, so
-    ``scatter @ cell_values`` is the CSR data.  ``position`` maps node ids
-    to free-dof positions (-1 on the boundary).
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    scatter: sp.csr_matrix
-    position: np.ndarray
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
+        Only element entries that join two free dofs by a nonzero unit value
+        are kept, so a slot into which every entry adds exactly 0 (the
+        diagonal edge of each right triangle couples its two ends by 0) is
+        left out: it holds 0 for every coefficient, and :func:`assemble`
+        stores it anyway.
+        """
+        geo = self.geometry
+        k_unit = geo["k_unit"].reshape(-1)
+        rows, cols = self.position[geo["rows"]], self.position[geo["cols"]]
+        kept = np.nonzero((rows >= 0) & (cols >= 0) & (k_unit != 0.0))[0]
+        return ColourScatter.build(self.red_black, rows[kept], cols[kept], k_unit[kept],
+                                   self.tri_quad[kept // 9], self.quads.shape[0])
 
 
 @dataclass(frozen=True)
@@ -206,18 +187,13 @@ class RedBlack:
     black: np.ndarray
     _maps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def split(self, matrix: sp.csr_matrix, s_count: int) -> tuple:
-        """(D_r, D_b, A_rb, A_br) of a block-diagonal matrix of S blocks of
-        size n: the (S, n_red) and (S, n_black) diagonals and the
-        block-diagonal CSR couplings of red rows to black columns and of
-        black rows to red columns, each row's entries in column order.
+    def split(self, matrix: sp.csr_matrix, s_count: int) -> "ColourBlocks":
+        """The colour blocks of a block-diagonal matrix of S blocks of size n.
 
         DomainError unless the S blocks share one sparsity pattern in which
         every row stores its diagonal once and every same-colour
         off-diagonal entry holds exactly 0.0.
         """
-        import scipy.sparse as sp
-
         n = self.red.size + self.black.size
         indptr, indices = matrix.indptr, matrix.indices
         nnz = int(indptr[n])
@@ -229,18 +205,21 @@ class RedBlack:
             raise DomainError("the blocks of the matrix must share one sparsity pattern")
         data = matrix.data.reshape(s_count, nnz)
         if (data[:, zero] != 0.0).any():
-            raise DomainError("a same-colour off-diagonal entry is nonzero: "
-                              "the red-black split needs a 5-point matrix")
+            raise DomainError(SAME_COLOUR_COUPLING)
+        (rb_slots, *rb_pattern), (br_slots, *br_pattern) = rb, br
+        return ColourBlocks(self, data[:, diag_red], data[:, diag_black],
+                            _block_csr(data[:, rb_slots], *rb_pattern, self.black.size),
+                            _block_csr(data[:, br_slots], *br_pattern, self.red.size))
 
-        def coupling(slots, columns, starts, n_rows, n_cols):
-            return sp.csr_matrix(
-                (data[:, slots].ravel(), (columns + n_cols * blocks).ravel(),
-                 np.append((starts[:-1] + slots.size * blocks).ravel(), s_count * slots.size)),
-                shape=(s_count * n_rows, s_count * n_cols))
-
-        n_red, n_black = self.red.size, self.black.size
-        return (data[:, diag_red], data[:, diag_black],
-                coupling(*rb, n_red, n_black), coupling(*br, n_black, n_red))
+    def _colour_index(self) -> tuple:
+        """(whether black, position within its colour) of each free dof."""
+        n = self.red.size + self.black.size
+        is_black = np.zeros(n, dtype=bool)
+        is_black[self.black] = True
+        local = np.empty(n, dtype=np.int32)
+        local[self.red] = np.arange(self.red.size)
+        local[self.black] = np.arange(self.black.size)
+        return is_black, local
 
     def _slot_maps(self, indptr: np.ndarray, indices: np.ndarray) -> tuple:
         """Where one block's CSR slots go: (same-colour off-diagonal slots,
@@ -253,15 +232,11 @@ class RedBlack:
         red, black = self.red, self.black
         n = red.size + black.size
         rows = np.repeat(np.arange(n), np.diff(indptr))
-        is_black = np.zeros(n, dtype=bool)
-        is_black[black] = True
-        local = np.empty(n, dtype=np.int32)
-        local[red] = np.arange(red.size)
-        local[black] = np.arange(black.size)
+        is_black, local = self._colour_index()
         same = is_black[rows] == is_black[indices]
         on_diagonal = rows == indices
         if not np.array_equal(np.bincount(rows[on_diagonal], minlength=n), np.ones(n)):
-            raise DomainError("every row of the matrix must store its diagonal entry once")
+            raise DomainError(MISSING_DIAGONAL)
         diagonal = np.empty(n, dtype=int)
         diagonal[rows[on_diagonal]] = np.flatnonzero(on_diagonal)
 
@@ -275,6 +250,113 @@ class RedBlack:
                                   diagonal[black], coupling(False, red.size),
                                   coupling(True, black.size))
         return maps
+
+
+SAME_COLOUR_COUPLING = ("a same-colour off-diagonal entry is nonzero: "
+                        "the red-black split needs a 5-point matrix")
+MISSING_DIAGONAL = "every row of the matrix must store its diagonal entry once"
+
+
+def _block_csr(data: np.ndarray, columns: np.ndarray, starts: np.ndarray,
+               n_cols: int) -> sp.csr_matrix:
+    """Block-diagonal CSR of S blocks that share one pattern: ``data`` is
+    (S, k), ``columns`` and ``starts`` one block's column indices and row
+    starts, and ``n_cols`` a block's column count."""
+    import scipy.sparse as sp
+
+    s_count, k = data.shape
+    blocks = np.arange(s_count, dtype=np.int32)[:, None]
+    n_rows = starts.size - 1
+    return sp.csr_matrix(
+        (data.ravel(), (columns + n_cols * blocks).ravel(),
+         np.append((starts[:-1] + k * blocks).ravel(), s_count * k)),
+        shape=(s_count * n_rows, s_count * n_cols))
+
+
+class ColourBlocks(NamedTuple):
+    """S reduced stiffness matrices split by a :class:`RedBlack` colouring.
+
+    ``d_red`` and ``d_black`` are the (S, n_red) and (S, n_black) diagonals;
+    ``a_rb`` (red rows, black columns) and ``a_br`` (black rows, red columns)
+    are the block-diagonal CSR couplings, each row's entries in column order.
+    """
+
+    colouring: RedBlack
+    d_red: np.ndarray
+    d_black: np.ndarray
+    a_rb: sp.csr_matrix
+    a_br: sp.csr_matrix
+
+
+class ColourScatter(NamedTuple):
+    """The element-entry to colour-block map of a mesh's reduced stiffness matrix.
+
+    Row k of ``scatter`` (n_red + n_black + 2 n_coupled, n_cells) holds, in
+    element order, the unit-coefficient element entries that add into slot
+    k, each in the column of its cell.  The slots run through D_r, D_b, A_rb
+    and A_br, each by row and then column, so one product with a batch's
+    cell values gives all four blocks, each slot's entries summed in element
+    order.  ``rb`` and ``br`` are the couplings' (colour-local columns, row
+    starts).
+    """
+
+    colouring: RedBlack
+    scatter: sp.csr_matrix
+    rb: tuple
+    br: tuple
+
+    @classmethod
+    def build(cls, colouring: RedBlack, rows: np.ndarray, cols: np.ndarray,
+              values: np.ndarray, cells: np.ndarray, n_cells: int) -> "ColourScatter":
+        """The scatter of element entries (free-dof row, free-dof column, unit
+        value, cell), given in element order: one stable sort by colour
+        block, row and column.  DomainError if an entry couples two distinct
+        dofs of one colour, or a row has no diagonal entry."""
+        import scipy.sparse as sp
+
+        n_red, n_black = colouring.red.size, colouring.black.size
+        n = n_red + n_black
+        is_black, local = colouring._colour_index()
+        row_black = is_black[rows]
+        diagonal = rows == cols
+        if (~diagonal & (row_black == is_black[cols])).any():
+            raise DomainError(SAME_COLOUR_COUPLING)
+        # blocks D_r, D_b, A_rb, A_br: a key's offset and row stride by block
+        block = np.where(diagonal, 0, 2) + row_black
+        offset = np.array([0, n_red, n, n + n_red * n_black])[block]
+        stride = np.array([1, 1, n_black, n_red])[block]
+        keys = offset + local[rows] * stride + np.where(diagonal, 0, local[cols])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.diff(keys, prepend=-1) > 0
+        slots = keys[first]
+        if np.count_nonzero(slots < n) != n:
+            raise DomainError(MISSING_DIAGONAL)
+        scatter = sp.csr_matrix((values[order], cells[order],
+                                 np.append(np.nonzero(first)[0], keys.size)),
+                                shape=(slots.size, n_cells))
+
+        def coupling(keys, n_rows, n_cols):
+            key_rows, columns = np.divmod(keys, n_cols)
+            starts = np.append(0, np.cumsum(np.bincount(key_rows, minlength=n_rows)))
+            return columns.astype(np.int32), starts.astype(np.int32)
+
+        split = np.searchsorted(slots, n + n_red * n_black)
+        return cls(colouring, scatter, coupling(slots[n:split] - n, n_red, n_black),
+                   coupling(slots[split:] - (n + n_red * n_black), n_black, n_red))
+
+    def blocks(self, cell_values: np.ndarray) -> ColourBlocks:
+        """The colour blocks of the S reduced stiffness matrices of the
+        (S, n_cells) ``cell_values``."""
+        cell_values = np.asarray(cell_values, dtype=float)
+        if cell_values.ndim != 2 or cell_values.shape[1] != self.scatter.shape[1]:
+            raise DomainError("coefficient count must match cell count")
+        n_red, n_black = self.colouring.red.size, self.colouring.black.size
+        n, n_rb = n_red + n_black, self.rb[0].size
+        data = np.ascontiguousarray((self.scatter @ cell_values.T).T)
+        return ColourBlocks(self.colouring, data[:, :n_red], data[:, n_red:n],
+                            _block_csr(data[:, n:n + n_rb], *self.rb, n_black),
+                            _block_csr(data[:, n + n_rb:], *self.br, n_red))
 
 
 def build_mesh(shape: str, nx: int, ny: int) -> StructuredMesh:
@@ -395,32 +477,6 @@ def load_vector(mesh: StructuredMesh, load: float) -> np.ndarray:
     return b
 
 
-def assemble_block(mesh: StructuredMesh, cell_values: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal CSR of the reduced stiffness matrices of S coefficients.
-
-    ``cell_values`` is (S, n_cells); block s is the free x free matrix that
-    :func:`assemble` builds for row s, with the same entries up to the order
-    in which each slot's element terms are summed, but without the slots
-    that are 0 for every coefficient (see
-    :attr:`StructuredMesh.reduced_pattern`).  All S matrices are filled by
-    one product with the precomputed element-entry to CSR-slot map.
-    """
-    import scipy.sparse as sp
-
-    cell_values = np.asarray(cell_values, dtype=float)
-    if cell_values.ndim != 2 or cell_values.shape[1] != mesh.quads.shape[0]:
-        raise DomainError("coefficient count must match cell count")
-    pattern = mesh.reduced_pattern
-    s_count, nnz, n = cell_values.shape[0], pattern.nnz, pattern.indptr.size - 1
-    data = (pattern.scatter @ cell_values.T).T.ravel()
-    # int32, the index type scipy would convert to anyway
-    blocks = np.arange(s_count, dtype=np.int32)[:, None]
-    indices = (pattern.indices.astype(np.int32) + n * blocks).ravel()
-    indptr = np.append((pattern.indptr[:-1].astype(np.int32) + nnz * blocks).ravel(),
-                       np.int32(s_count * nnz))
-    return sp.csr_matrix((data, indices, indptr), shape=(s_count * n, s_count * n))
-
-
 @dataclass(frozen=True)
 class NodalSolution:
     """Nodal values over the whole mesh (zeros on the Dirichlet boundary)."""
@@ -432,10 +488,11 @@ class NodalSolution:
 
 
 def solve_cg(system: AssembledSystem, max_iter: int | None = None) -> NodalSolution:
-    """:func:`solve_cg_block` on the one system, with the mesh's colouring;
+    """:func:`solve_cg_block` on the one system, split by the mesh's colouring;
     NonConvergenceError when it reaches ``max_iter`` (default 10 n)
     iterations unconverged."""
-    block = solve_cg_block(system.matrix, system.rhs[None], system.mesh.red_black, max_iter)
+    block = solve_cg_block(system.mesh.red_black.split(system.matrix, 1), system.rhs[None],
+                           max_iter)
     if not block.converged[0]:
         raise NonConvergenceError(
             f"CG did not reach {CG_REL_TOL:g} in {block.max_iter} iterations",
@@ -465,21 +522,17 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
 
 
-def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray, colouring: RedBlack,
+def solve_cg_block(blocks: ColourBlocks, rhs: np.ndarray,
                    max_iter: int | None = None) -> BlockSolution:
     """Reduced-system (red-black) Jacobi-preconditioned CG on S systems at once.
 
-    ``matrix`` is block diagonal with S blocks of size n that share one
-    sparsity pattern, ``rhs`` is (S, n) and ``colouring`` is the blocks'
-    mesh's :attr:`StructuredMesh.red_black`.  Each block splits by colour
-    into the diagonals D_r and D_b and the couplings A_br (black rows) and
-    A_rb = A_br^T (red rows), taken from its CSR data by slot maps; DomainError
-    if a same-colour off-diagonal entry is not exactly 0.0, since then the
-    colour blocks are not diagonal.  CG with the preconditioner D_b runs on
-    the black unknowns' Schur complement S_b = D_b - A_br D_r^-1 A_rb,
-    applied as two half-size products and never formed, and then
-    x_r = D_r^-1 (f_r - A_rb x_b) gives the red unknowns (Hageman & Young,
-    *Applied Iterative Methods*, 1981, ch. 9).
+    ``blocks`` holds the S matrices' colour blocks (from
+    :meth:`ColourScatter.blocks` or :meth:`RedBlack.split`) and ``rhs`` is
+    (S, n).  CG with the preconditioner D_b runs on the black unknowns'
+    Schur complement S_b = D_b - A_br D_r^-1 A_rb, applied as two half-size
+    products and never formed, and then x_r = D_r^-1 (f_r - A_rb x_b) gives
+    the red unknowns (Hageman & Young, *Applied Iterative Methods*, 1981,
+    ch. 9).
 
     The red rows are solved exactly, so the black residual r_b is the whole
     system's residual: a system stops once ||r_b|| / ||f|| is at most
@@ -495,13 +548,13 @@ def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray, colouring: RedBlack,
     """
     rhs = np.asarray(rhs, dtype=float)
     s_count, n = rhs.shape
-    if matrix.shape != (s_count * n, s_count * n):
-        raise DomainError("matrix and right-hand sides disagree in size")
+    red, black = blocks.colouring.red, blocks.colouring.black
+    n_red, n_black = red.size, black.size
+    if blocks.d_red.shape != (s_count, n_red) or n != n_red + n_black:
+        raise DomainError("colour blocks and right-hand sides disagree in size")
     if max_iter is None:
         max_iter = 10 * n
-    d_red, d_black, a_rb, a_br = colouring.split(matrix, s_count)
-    red, black = colouring.red, colouring.black
-    n_red, n_black = red.size, black.size
+    d_black, a_rb, a_br = blocks.d_black, blocks.a_rb, blocks.a_br
     iterations = np.zeros(s_count, dtype=int)
     residuals = np.zeros(s_count)
     converged = np.ones(s_count, dtype=bool)
@@ -509,7 +562,7 @@ def solve_cg_block(matrix: sp.csr_matrix, rhs: np.ndarray, colouring: RedBlack,
     def coupled(product, v, width):
         return (product @ v.ravel()).reshape(s_count, width)
 
-    inv_red = 1.0 / d_red
+    inv_red = 1.0 / blocks.d_red
     f_red = rhs[:, red]
     # the Schur complement's load, f_b - A_br D_r^-1 f_r
     g = rhs[:, black] - coupled(a_br, inv_red * f_red, n_black)

@@ -60,11 +60,12 @@ class ExpCovarianceParams:
             raise DomainError("spatial domain must have positive length")
 
 
-def _bracketed_newton(g, dg, lo, hi, c, increasing):
+def _bracketed_newton(g_dg, lo, hi, c, increasing):
     """Roots of g(x, c), one per bracket (lo, hi) with a single sign change, vectorised.
 
-    ``lo`` and ``hi`` are (R, m) brackets and ``c`` an (R, 1) constant of each
-    row, passed to g and dg with the row's points.  A few bisection steps
+    ``g_dg(x, c)`` returns g and its derivative at x.  ``lo`` and ``hi`` are
+    (R, m) brackets and ``c`` an (R, 1) constant of each row, passed to
+    ``g_dg`` with the row's points.  A few bisection steps
     shrink the brackets; then Newton steps run, each one replaced by a
     bisection step when it would leave the bracket.  An entry is done once
     its last step moved it by at most ROOT_RTOL * max(1, x).  A row stops,
@@ -76,16 +77,16 @@ def _bracketed_newton(g, dg, lo, hi, c, increasing):
     direction = 1.0 if increasing else -1.0
     for _ in range(ROOT_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        right = direction * g(mid, c) < 0.0      # the root lies right of mid
+        right = direction * g_dg(mid, c)[0] < 0.0   # the root lies right of mid
         lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
     x = 0.5 * (lo + hi)
     roots = np.empty_like(x)
     rows = np.arange(x.shape[0])
     for _ in range(ROOT_MAX_ITER):
-        gx = g(x, c)
+        gx, dgx = g_dg(x, c)
         right = direction * gx < 0.0
         lo, hi = np.where(right, x, lo), np.where(right, hi, x)
-        newton = x - gx / dg(x, c)
+        newton = x - gx / dgx
         x_new = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
         done = np.abs(x_new - x) <= ROOT_RTOL * np.maximum(1.0, x_new)
         x = x_new
@@ -131,15 +132,21 @@ def solve_characteristic_roots(ell_effective, m_pairs: int):
     sign = np.where(k % 2 == 0, 1.0, -1.0)
 
     # cosine family: g1 = 1/ell - a*tan(a), decreasing from +1/ell to -inf
+    def cosine_family(a, c):
+        cos, sin = np.cos(a), np.sin(a)
+        return sign * (cos * c - a * sin), -sign * ((1.0 + c) * sin + a * cos)
+
+    # sine family: g2 = a + tan(a)/ell, increasing from -inf to k*pi
+    def sine_family(a, c):
+        cos, sin = np.cos(a), np.sin(a)
+        return -sign * (a * cos + sin * c), -sign * ((1.0 + c) * cos - a * sin)
+
     alphas = _bracketed_newton(
-        lambda a, c: sign * (np.cos(a) * c - a * np.sin(a)),
-        lambda a, c: -sign * ((1.0 + c) * np.sin(a) + a * np.cos(a)),
+        cosine_family,
         np.broadcast_to(k * np.pi, shape), np.broadcast_to(k * np.pi + 0.5 * np.pi, shape),
         inv_ell, increasing=False)
-    # sine family: g2 = a + tan(a)/ell, increasing from -inf to k*pi
     alphas_star = _bracketed_newton(
-        lambda a, c: -sign * (a * np.cos(a) + np.sin(a) * c),
-        lambda a, c: -sign * ((1.0 + c) * np.cos(a) - a * np.sin(a)),
+        sine_family,
         np.broadcast_to((k + 0.5) * np.pi, shape), np.broadcast_to((k + 1.0) * np.pi, shape),
         inv_ell, increasing=True)
 

@@ -47,7 +47,6 @@ from .fem import (
     NONPOSITIVE_COEFFICIENTS,
     StructuredMesh,
     assemble,
-    assemble_block,
     build_mesh,
     element_coefficients,
     load_vector,
@@ -231,11 +230,11 @@ class EllipticModel(_KLFieldModel):
 
     def prepare(self, grid: ParameterGrid, extra_ells=()) -> None:
         """KL eigenpairs for every correlation length and ``extra_ells``, field
-        tables for the grid's, and the mesh's reduced CSR pattern (the first
+        tables for the grid's, and the mesh's colour scatter (the first
         import of scipy.sparse)."""
         super().prepare(grid, extra_ells)
         self._field_tables(grid.points[:, 0])
-        self.mesh.reduced_pattern
+        self.mesh.colour_scatter
 
     def _field_tables(self, ells) -> tuple:
         """(M, n_x, 2m) KL tables of q1 and of q2 at the correlation lengths ells.
@@ -259,9 +258,8 @@ class EllipticModel(_KLFieldModel):
         Each (draw, ell) system follows :meth:`evaluate` (same fields up to
         rounding, same cell averages and coefficient check, same CG steps
         and stopping rule), but the fields of the block come from two table
-        products, all matrices from one product with the mesh's
-        element-to-slot map and all solves from one batched CG.  Failed
-        systems hold NaN.
+        products, all colour blocks from one product with the mesh's colour
+        scatter and all solves from one batched CG.  Failed systems hold NaN.
         """
         draws = np.asarray(draws, dtype=float)
         n_b, n_m, width = draws.shape[0], points.shape[0], 2 * self.m_pairs
@@ -281,15 +279,14 @@ class EllipticModel(_KLFieldModel):
         nonpositive = failure_message(CoefficientBoundError(NONPOSITIVE_COEFFICIENTS))
         messages = dict.fromkeys(np.flatnonzero(~live).tolist(), nonpositive)
         rhs = load_vector(mesh, self.load)[mesh.interior]
-        solution = solve_cg_block(assemble_block(mesh, cells[live]),
-                                  np.broadcast_to(rhs, (int(live.sum()), rhs.size)),
-                                  mesh.red_black)
+        solution = solve_cg_block(mesh.colour_scatter.blocks(cells[live]),
+                                  np.broadcast_to(rhs, (int(live.sum()), rhs.size)))
         for s, ok in zip(np.nonzero(live)[0], solution.converged):
             if not ok:
                 messages[s] = failure_message(NonConvergenceError(
                     f"CG did not reach {CG_REL_TOL:g} in {solution.max_iter} iterations"))
 
-        position = mesh.reduced_pattern.position[self._output_ids]
+        position = mesh.position[self._output_ids]
         free_values = np.full((cells.shape[0], rhs.size), np.nan)
         free_values[live] = solution.values
         values = np.where(position >= 0, free_values[:, position], 0.0)

@@ -366,9 +366,11 @@ def propagate_random_set(qoi, grid: ParameterGrid, n_samples: int, seed: int,
                                         count=threshold_count)
     thresholds = np.asarray(thresholds, dtype=float)
     pbox = empirical_pbox(intervals, thresholds)
+    # each node's samples made contiguous, so that a row mean sums them in the
+    # pairwise order of the node's 1-d mean
     aumann = tuple(
-        Interval(float(lowers[:, p].mean()), float(uppers[:, p].mean()))
-        for p in range(values.shape[2])
+        Interval(float(lo), float(hi)) for lo, hi in
+        zip(*(np.ascontiguousarray(ends.T).mean(axis=1) for ends in (lowers, uppers)))
     )
     labels = model.output_labels
     return RandomSetResult(

@@ -5,6 +5,11 @@ for transcendental roots and normal quantiles, a double Fourier series for
 the Poisson benchmark, exact integer arithmetic for random-set functionals,
 and closed-form PDE solutions.  Frozen constants below were produced by the
 same routines at 40-digit precision.
+
+The bit-for-bit references at the end are the plain forms of fast paths in
+the package: the KL root solve with separate g and g' functions, the
+block matrix assembled through the CSR pattern of the reduced stiffness
+matrix, and per-column means.  The package must match them exactly, not to a tolerance.
 """
 
 from __future__ import annotations
@@ -13,6 +18,9 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+import scipy.sparse as sp
+
+from randset_pde.fields import ROOT_BISECTIONS, ROOT_MAX_ITER, ROOT_RTOL
 
 # frozen high-precision reference values (40-digit mpmath, see generators below)
 ALPHA1_ELL1 = 0.86033358901937976248
@@ -129,3 +137,94 @@ def exact_upper_lower(lo, hi, weights, ev_lo, ev_hi):
 def dalembert(w, x, t):
     """Wave solution with initial displacement w and zero initial velocity."""
     return 0.5 * (w(x - t) + w(x + t))
+
+
+# --- bit-for-bit references of fast paths ---------------------------------------
+
+
+def _bracketed_newton(g, dg, lo, hi, c, increasing):
+    """Safeguarded Newton with g and g' evaluated by separate calls."""
+    direction = 1.0 if increasing else -1.0
+    for _ in range(ROOT_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        right = direction * g(mid, c) < 0.0
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    x = 0.5 * (lo + hi)
+    roots = np.empty_like(x)
+    rows = np.arange(x.shape[0])
+    for _ in range(ROOT_MAX_ITER):
+        gx = g(x, c)
+        right = direction * gx < 0.0
+        lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+        newton = x - gx / dg(x, c)
+        x_new = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        done = np.abs(x_new - x) <= ROOT_RTOL * np.maximum(1.0, x_new)
+        x = x_new
+        finished = done.all(axis=1)
+        if finished.any():
+            roots[rows[finished]] = x[finished]
+            keep = ~finished
+            rows, x, lo, hi, c = rows[keep], x[keep], lo[keep], hi[keep], c[keep]
+            if not rows.size:
+                return roots
+    roots[rows] = x
+    return roots
+
+
+def characteristic_roots_two_calls(ells, m_pairs: int):
+    """(alphas, alphas_star), each (R, m_pairs), of the 1-d array ``ells``:
+    the KL root solve with a cos and a sin for g and another pair for g'."""
+    k = np.arange(m_pairs, dtype=float)
+    shape = (len(ells), m_pairs)
+    inv_ell = 1.0 / np.asarray(ells, dtype=float).reshape(-1, 1)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    alphas = _bracketed_newton(
+        lambda a, c: sign * (np.cos(a) * c - a * np.sin(a)),
+        lambda a, c: -sign * ((1.0 + c) * np.sin(a) + a * np.cos(a)),
+        np.broadcast_to(k * np.pi, shape), np.broadcast_to(k * np.pi + 0.5 * np.pi, shape),
+        inv_ell, increasing=False)
+    alphas_star = _bracketed_newton(
+        lambda a, c: -sign * (a * np.cos(a) + np.sin(a) * c),
+        lambda a, c: -sign * ((1.0 + c) * np.cos(a) - a * np.sin(a)),
+        np.broadcast_to((k + 0.5) * np.pi, shape), np.broadcast_to((k + 1.0) * np.pi, shape),
+        inv_ell, increasing=True)
+    return alphas, alphas_star
+
+
+def reduced_pattern(mesh):
+    """(indptr, indices, scatter) of the free x free stiffness matrix without
+    its always-zero slots: row k of the (nnz, n_cells) ``scatter`` holds, in
+    element order, the unit-coefficient element entries that add into CSR
+    slot k, each in the column of its cell."""
+    geo = mesh.geometry
+    k_unit = geo["k_unit"].reshape(-1)
+    n = mesh.interior.size
+    rows, cols = mesh.position[geo["rows"]], mesh.position[geo["cols"]]
+    kept = np.nonzero((rows >= 0) & (cols >= 0) & (k_unit != 0.0))[0]
+    keys = rows[kept] * n + cols[kept]
+    order = np.argsort(keys, kind="stable")
+    entries, keys = kept[order], keys[order]
+    first = np.diff(keys, prepend=-1) > 0
+    key_rows, indices = np.divmod(keys[first], n)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(key_rows, minlength=n))))
+    scatter = sp.csr_matrix((k_unit[entries], mesh.tri_quad[entries // 9],
+                             np.append(np.nonzero(first)[0], entries.size)),
+                            shape=(indices.size, mesh.quads.shape[0]))
+    return indptr, indices, scatter
+
+
+def reduced_block(mesh, cells):
+    """Block-diagonal CSR of the reduced stiffness matrices of the (S, n_cells)
+    ``cells``, each filled by one product with the mesh's reduced pattern."""
+    indptr, indices, scatter = reduced_pattern(mesh)
+    s_count, nnz, n = cells.shape[0], indices.size, indptr.size - 1
+    data = (scatter @ cells.T).T.ravel()
+    blocks = np.arange(s_count)[:, None]
+    return sp.csr_matrix((data, (indices + n * blocks).ravel(),
+                          np.append((indptr[:-1] + nnz * blocks).ravel(), s_count * nnz)),
+                         shape=(s_count * n, s_count * n))
+
+
+def column_means(a):
+    """The 1-d mean of each column of a 2-d array."""
+    return np.array([a[:, j].mean() for j in range(a.shape[1])])

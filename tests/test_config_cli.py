@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import zipfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import pytest
 import _oracles as oracle
 from randset_pde import cli, models
 from randset_pde.cli import main
-from randset_pde.config import compile_expression, parse_config, require
+from randset_pde.config import QOI_KINDS, compile_expression, parse_config, require
 from randset_pde.errors import ConfigError
 from randset_pde.fem import build_mesh
 from randset_pde.fields import (
@@ -373,6 +374,57 @@ formats = csv
                 cfg.region.nx, cfg.region.nt) == (1.0, 0.4, 1.0, 41, 41)
         family = parse_config(write_cfg(tmp_path, GAUSS_SMALL)).family
         assert (family.mu, family.sigma) == (Interval(-1.0, 1.0), Interval(1.0, 2.0))
+
+
+# the smallest scenario of each QoI kind: its sections, and its [qoi] keys
+# besides the kind
+HYPERBOLIC = ("[field]\nell_min = 0.5\nell_max = 1.5\nm_terms = 3\n"
+              "[region]\nkappa = 1.0\nhorizon = 0.4\nspeed_bound = 1.0\nnx = 11\nnt = 9\n")
+MINIMAL_QOI = {
+    "gauss_identity": ("[model]\nkind = gauss\n[family]\nmu_min = -1.0\nmu_max = 1.0\n"
+                       "sigma_min = 1.0\nsigma_max = 2.0\n", ""),
+    "elliptic_node": ("[model]\nkind = elliptic\n[field]\nell_min = 0.5\nell_max = 1.5\n"
+                      "m_terms = 3\n[mesh]\nshape = rectangle\nnx = 4\nny = 4\n",
+                      "x1 = 0.5\nx2 = 0.5\n"),
+    "elliptic_slice": ("[model]\nkind = elliptic\n[field]\nell_min = 0.5\nell_max = 1.5\n"
+                       "m_terms = 3\n[mesh]\nshape = rectangle\nnx = 4\nny = 4\n",
+                       "x2 = 0.5\n"),
+    "transport_point": ("[model]\nkind = transport\n" + HYPERBOLIC
+                        + "[transport]\na_mean = 0.5\na_lo = 0.1\na_hi = 1.0\n",
+                        "x = 0.0\nt = 0.2\n"),
+    "wave_point": ("[model]\nkind = wave\n" + HYPERBOLIC
+                   + "[wave]\ne_mean = 0.5\ne_min = 0.1\ne_max = 1.0\nw = exp(-16*x**2)\n"
+                   "w_prime = -32*x*exp(-16*x**2)\n", "x = 0.0\nt = 0.2\n"),
+}
+
+
+def minimal_qoi_config(tmp_path, kind):
+    sections, qoi = MINIMAL_QOI[kind]
+    return parse_config(write_cfg(tmp_path, f"[meta]\nschema_version = 1\n{sections}"
+                                            f"[qoi]\nkind = {kind}\n{qoi}"))
+
+
+class TestQoIKinds:
+    def test_the_minimal_scenarios_cover_exactly_the_schema_kinds(self):
+        assert sorted(MINIMAL_QOI) == sorted(QOI_KINDS)
+
+    @pytest.mark.parametrize("kind", QOI_KINDS)
+    def test_every_schema_kind_builds_its_model(self, tmp_path, kind):
+        spec, grid = cli._build_qoi(minimal_qoi_config(tmp_path, kind))
+        assert spec.model == kind
+        model = spec.build()
+        model.prepare(grid)
+        values, failures = model.evaluate_block(model.draws(0, range(2)), grid.points)
+        assert failures == {} and np.all(np.isfinite(values))
+
+    def test_a_kind_outside_the_schema_is_a_configuration_error(self, tmp_path):
+        # the schema admits no such kind, so only a forged config reaches the check
+        cfg = minimal_qoi_config(tmp_path, "wave_point")
+        forged = dataclasses.replace(cfg, qoi=SimpleNamespace(**{**vars(cfg.qoi),
+                                                                "kind": "membrane_flux"}))
+        with pytest.raises(ConfigError) as err:
+            cli._build_qoi(forged)
+        assert err.value.problems == ["qoi.kind: cannot propagate 'membrane_flux'"]
 
 
 class TestUnknownNames:

@@ -19,7 +19,6 @@ from randset_pde.fem import (
     CG_REL_TOL,
     CoefficientSpec,
     assemble,
-    assemble_block,
     build_mesh,
     element_coefficients,
     extract_slice,
@@ -260,43 +259,58 @@ def random_systems(mesh, count, seed):
     return cells, [assemble(mesh, CoefficientSpec(c), 1.0) for c in cells]
 
 
+def block_split(mesh, matrices):
+    """The colour blocks of the block-diagonal matrix of ``matrices``."""
+    return mesh.red_black.split(sp.block_diag(matrices, format="csr"), len(matrices))
+
+
+def assert_blocks_equal(a, b):
+    """Two ColourBlocks hold the same arrays bit for bit (NaN equal to NaN)."""
+    assert a.colouring is b.colouring
+    np.testing.assert_array_equal(a.d_red, b.d_red)
+    np.testing.assert_array_equal(a.d_black, b.d_black)
+    for x, y in ((a.a_rb, b.a_rb), (a.a_br, b.a_br)):
+        assert x.shape == y.shape
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(x, name), getattr(y, name), err_msg=name)
+
+
 class TestBlockSolve:
-    def test_block_assembly_matches_assemble(self):
-        # the block leaves out the slots that are 0 for every coefficient,
-        # which assemble stores; every other slot is one of assemble's
+    def test_colour_blocks_match_assemble(self):
+        # assemble sums each slot's element terms in its own order, so the
+        # blocks agree with its matrices' to rounding, in the same pattern
         mesh = build_mesh("l_shape", 10, 10)
         cells, systems = random_systems(mesh, 4, seed=3)
-        block = assemble_block(mesh, cells).tocoo()
-        reference = sp.block_diag([s.matrix for s in systems], format="coo")
-        assert block.shape == reference.shape
-        in_block = np.zeros(block.shape, dtype=bool)
-        in_block[block.row, block.col] = True
-        in_reference = np.zeros(block.shape, dtype=bool)
-        in_reference[reference.row, reference.col] = True
-        assert not (in_block & ~in_reference).any()
-        left_out = in_reference & ~in_block
-        assert left_out.any()
-        dense = reference.toarray()
-        assert np.all(dense[left_out] == 0.0)
-        np.testing.assert_allclose(block.data, dense[block.row, block.col], rtol=1e-14, atol=0.0)
+        blocks = mesh.colour_scatter.blocks(cells)
+        reference = block_split(mesh, [s.matrix for s in systems])
+        for got, expected in ((blocks.d_red, reference.d_red),
+                              (blocks.d_black, reference.d_black),
+                              (blocks.a_rb.data, reference.a_rb.data),
+                              (blocks.a_br.data, reference.a_br.data)):
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+        for got, expected in ((blocks.a_rb, reference.a_rb), (blocks.a_br, reference.a_br)):
+            np.testing.assert_array_equal(got.indices, expected.indices)
+            np.testing.assert_array_equal(got.indptr, expected.indptr)
+        # the couplings are each other's transposes, block by block
+        np.testing.assert_array_equal(blocks.a_rb.T.toarray(), blocks.a_br.toarray())
 
-    def test_pruned_block_solves_bitwise_like_the_full_pattern(self):
-        # the same block with its always-zero slots stored as explicit zeros
+    def test_colour_blocks_equal_the_split_of_the_full_pattern(self):
+        # the reduced-pattern block with its always-zero slots stored as
+        # explicit zeros, as assemble stores them
         mesh = build_mesh("l_shape", 18, 18)
         cells, systems = random_systems(mesh, 12, seed=11)
-        pruned = assemble_block(mesh, cells)
+        pruned = oracle.reduced_block(mesh, cells)
         pattern = sp.block_diag([s.matrix for s in systems], format="csr")
         pattern.sort_indices()
         rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
         full = sp.csr_matrix((pruned.toarray()[rows, pattern.indices], pattern.indices,
                               pattern.indptr), shape=pattern.shape)
         assert full.nnz == pattern.nnz > pruned.nnz
+        blocks = mesh.colour_scatter.blocks(cells)
+        assert_blocks_equal(mesh.red_black.split(full, 12), blocks)
         rhs = np.stack([s.rhs for s in systems])
         rhs[3] *= np.linspace(0.5, 2.0, rhs.shape[1])
-        a, b = (solve_cg_block(m, rhs, mesh.red_black) for m in (pruned, full))
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.iterations, b.iterations)
-        np.testing.assert_array_equal(a.residuals, b.residuals)
+        a = solve_cg_block(blocks, rhs)
         assert a.converged.all() and len(set(a.iterations)) > 1
 
     def test_batched_pcg_matches_solve_cg(self):
@@ -306,8 +320,7 @@ class TestBlockSolve:
         rhs = np.stack([s.rhs for s in systems])
         rhs[4] = 0.0                                  # zero load: zero solution
         rhs[7] *= np.linspace(0.5, 2.0, rhs.shape[1])  # a different load
-        block = solve_cg_block(sp.block_diag([s.matrix for s in systems], format="csr"), rhs,
-                               mesh.red_black)
+        block = solve_cg_block(block_split(mesh, [s.matrix for s in systems]), rhs)
         for s, (system, b) in enumerate(zip(systems, rhs)):
             ref = solve_cg(replace(system, rhs=b))
             assert block.iterations[s] == ref.iterations
@@ -325,8 +338,7 @@ class TestBlockSolve:
         counts = [solve_cg(s).iterations for s in systems]
         cap = sorted(counts)[-2]   # only the slowest system(s) exceed it
         matrices = [s.matrix for s in systems]
-        block = solve_cg_block(sp.block_diag(matrices, format="csr"),
-                               np.stack([s.rhs for s in systems]), mesh.red_black,
+        block = solve_cg_block(block_split(mesh, matrices), np.stack([s.rhs for s in systems]),
                                max_iter=cap)
         for s, system in enumerate(systems):
             if counts[s] > cap:
@@ -335,8 +347,8 @@ class TestBlockSolve:
                 assert not block.converged[s] and block.iterations[s] == cap
                 assert err.value.iterations == cap and block.residuals[s] == err.value.residual
                 # the capped system's iterate is the one it reaches alone
-                alone = solve_cg_block(sp.csr_matrix(matrices[s]), system.rhs[None],
-                                       mesh.red_black, max_iter=cap)
+                alone = solve_cg_block(block_split(mesh, [matrices[s]]), system.rhs[None],
+                                       max_iter=cap)
                 assert not alone.converged[0] and alone.residuals[0] == block.residuals[s]
                 np.testing.assert_array_equal(alone.values[0], block.values[s])
             else:
@@ -346,6 +358,27 @@ class TestBlockSolve:
                 np.testing.assert_array_equal(block.values[s], ref.values[system.free])
         assert not block.converged.all() and block.converged.any()
         assert len(set(block.iterations[block.converged].tolist())) > 1
+
+
+@settings(max_examples=40, deadline=None)
+# one free node, which is red: no black unknown and no coupling
+@example(shape="rectangle", nx=2, ny=2, seed=0, count=2, nan_share=0.0)
+# no free dof at all
+@example(shape="l_shape", nx=2, ny=2, seed=0, count=1, nan_share=0.0)
+@given(shape=st.sampled_from(["rectangle", "l_shape"]),
+       nx=st.integers(1, 12).map(lambda k: 2 * k), ny=st.integers(1, 12).map(lambda k: 2 * k),
+       seed=st.integers(0, 2**32 - 1), count=st.integers(1, 4),
+       nan_share=st.sampled_from([0.0, 0.0, 0.05, 1.0]))
+def test_colour_scatter_equals_the_split_of_the_reduced_block(shape, nx, ny, seed, count,
+                                                              nan_share):
+    """The colour scatter's blocks are, bit for bit, RedBlack.split of the
+    same cells assembled through the reduced pattern."""
+    mesh = build_mesh(shape, nx, ny)
+    rng = np.random.default_rng(seed)
+    cells = np.exp(rng.standard_normal((count, mesh.quads.shape[0])))
+    cells[rng.random(cells.shape) < nan_share] = np.nan
+    assert_blocks_equal(mesh.colour_scatter.blocks(cells),
+                        mesh.red_black.split(oracle.reduced_block(mesh, cells), count))
 
 
 class TestRedBlack:
@@ -376,8 +409,8 @@ class TestRedBlack:
         # black Schur complements take 36-39
         mesh = build_mesh("l_shape", 18, 18)
         cells, systems = random_systems(mesh, 6, seed=8)
-        counts = solve_cg_block(assemble_block(mesh, cells),
-                                np.stack([s.rhs for s in systems]), mesh.red_black).iterations
+        counts = solve_cg_block(mesh.colour_scatter.blocks(cells),
+                                np.stack([s.rhs for s in systems])).iterations
         assert counts.max() <= 40
 
 
@@ -405,10 +438,9 @@ def test_red_black_solves_match_the_full_system(shape, nx, ny, seed, log_contras
     cells = rng.uniform(0.5, 2.0) * 10.0 ** (log_contrast * rng.random((len(scales),
                                                                          mesh.quads.shape[0])))
     rhs = np.array(scales)[:, None] * load_vector(mesh, 1.0)[mesh.interior]
-    matrix = assemble_block(mesh, cells)
-    block = solve_cg_block(matrix, rhs, mesh.red_black)
+    block = solve_cg_block(mesh.colour_scatter.blocks(cells), rhs)
     n, eps = rhs.shape[1], np.finfo(float).eps
-    dense = matrix.toarray()
+    dense = oracle.reduced_block(mesh, cells).toarray()
     for s, f in enumerate(rhs):
         x = block.values[s]
         if not f.any():
@@ -424,8 +456,7 @@ def test_red_black_solves_match_the_full_system(shape, nx, ny, seed, log_contras
     # alone, and beside its mates in reverse order, each system repeats bit for bit
     for order in ([[s] for s in range(len(scales))], [list(range(len(scales)))[::-1]]):
         for subset in order:
-            again = solve_cg_block(assemble_block(mesh, cells[subset]), rhs[subset],
-                                   mesh.red_black)
+            again = solve_cg_block(mesh.colour_scatter.blocks(cells[subset]), rhs[subset])
             np.testing.assert_array_equal(again.values, block.values[subset])
             np.testing.assert_array_equal(again.iterations, block.iterations[subset])
             np.testing.assert_array_equal(again.residuals, block.residuals[subset])

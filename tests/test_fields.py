@@ -103,6 +103,17 @@ class TestCharacteristicRoots:
             np.testing.assert_array_equal(alphas[row], ref)
             np.testing.assert_array_equal(alphas_star[row], ref_star)
 
+    @settings(max_examples=40, deadline=None)
+    @given(ells=st.lists(st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e), min_size=1, max_size=8),
+           m=st.integers(1, 200))
+    def test_one_cos_and_sin_per_step_equals_two_calls(self, ells, m):
+        # g and g' from one cos and one sin give the roots of separate g and
+        # g' calls bit for bit
+        alphas, alphas_star = solve_characteristic_roots(np.array(ells), m)
+        ref, ref_star = oracle.characteristic_roots_two_calls(ells, m)
+        np.testing.assert_array_equal(alphas, ref)
+        np.testing.assert_array_equal(alphas_star, ref_star)
+
     def test_stacked_bad_inputs(self):
         for ells in ([1.0, 0.0], [1.0, np.nan], [[1.0, 2.0]], []):
             with pytest.raises(DomainError):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import _oracles as oracle
 from randset_pde import cli
 from randset_pde.characteristics import (
     DeterminacyRegion,
@@ -32,8 +33,8 @@ from randset_pde.errors import (
 )
 from randset_pde.fem import (
     CoefficientSpec,
+    ColourScatter,
     assemble,
-    assemble_block,
     build_mesh,
     solve_cg_block,
 )
@@ -109,16 +110,16 @@ def compare_on_different_grids():
 
 
 def mismatched_cg_block():
-    return solve_cg_block(sp.identity(6, format="csr"), np.ones((2, 4)),
-                          build_mesh("rectangle", 4, 4).red_black)
+    mesh = build_mesh("rectangle", 4, 4)
+    blocks = mesh.colour_scatter.blocks(np.ones((1, mesh.quads.shape[0])))
+    return solve_cg_block(blocks, np.ones((2, mesh.interior.size)))
 
 
-def cg_block_of(edit):
-    """solve_cg_block on one 4x4 stiffness matrix after ``edit(matrix)``."""
+def split_of(edit):
+    """RedBlack.split of one 4x4 stiffness matrix after ``edit(matrix)``."""
     mesh = build_mesh("rectangle", 4, 4)
     system = assemble(mesh, CoefficientSpec(np.ones(mesh.quads.shape[0])), 1.0)
-    matrix = edit(system.matrix.copy())
-    return solve_cg_block(matrix, system.rhs[None], mesh.red_black)
+    return mesh.red_black.split(edit(system.matrix.copy()), 1)
 
 
 def couple_same_colours(matrix):
@@ -137,12 +138,33 @@ def drop_first_diagonal(matrix):
     return matrix.tocsr()
 
 
+def scatter_of(edit):
+    """ColourScatter.build on the 4x4 mesh's reduced-pattern entries, as
+    (rows, columns), after ``edit(colouring, rows, columns)``."""
+    mesh = build_mesh("rectangle", 4, 4)
+    indptr, indices, _ = oracle.reduced_pattern(mesh)
+    rows, cols = edit(mesh.red_black, np.repeat(np.arange(indptr.size - 1), np.diff(indptr)),
+                      indices)
+    return ColourScatter.build(mesh.red_black, rows, cols, np.ones(rows.size),
+                               np.zeros(rows.size, dtype=int), mesh.quads.shape[0])
+
+
+def add_red_pair(colouring, rows, cols):
+    # an entry joining two red dofs, as a diagonal edge that coupled them would
+    return np.append(rows, colouring.red[0]), np.append(cols, colouring.red[1])
+
+
+def drop_first_diagonal_entry(colouring, rows, cols):
+    keep = (rows != 0) | (cols != 0)
+    return rows[keep], cols[keep]
+
+
 def two_pattern_block():
     mesh = build_mesh("rectangle", 4, 4)
     cells = np.ones(mesh.quads.shape[0])
     full = assemble(mesh, CoefficientSpec(cells), 1.0)
-    matrix = sp.block_diag([assemble_block(mesh, cells[None]), full.matrix], format="csr")
-    return solve_cg_block(matrix, np.stack([full.rhs, full.rhs]), mesh.red_black)
+    matrix = sp.block_diag([oracle.reduced_block(mesh, cells[None]), full.matrix], format="csr")
+    return mesh.red_black.split(matrix, 2)
 
 
 CASES = {
@@ -204,15 +226,19 @@ CASES = {
     "assemble: cell count": (lambda: assemble(build_mesh("rectangle", 2, 2),
                                               CoefficientSpec(np.ones(3)), 1.0),
                              DomainError, "must match cell count"),
-    "assemble_block: cell count": (lambda: assemble_block(build_mesh("rectangle", 2, 2),
-                                                          np.ones((2, 3))),
-                                   DomainError, "must match cell count"),
+    "colour blocks: cell count": (
+        lambda: build_mesh("rectangle", 2, 2).colour_scatter.blocks(np.ones((2, 3))),
+        DomainError, "must match cell count"),
     "solve_cg_block: size mismatch": (mismatched_cg_block, DomainError, "disagree in size"),
-    "solve_cg_block: same-colour coupling": (lambda: cg_block_of(couple_same_colours),
-                                             DomainError, "same-colour off-diagonal entry"),
-    "solve_cg_block: no diagonal": (lambda: cg_block_of(drop_first_diagonal), DomainError,
+    "split: same-colour coupling": (lambda: split_of(couple_same_colours), DomainError,
+                                    "same-colour off-diagonal entry"),
+    "split: no diagonal": (lambda: split_of(drop_first_diagonal), DomainError,
+                           "store its diagonal entry once"),
+    "split: two patterns": (two_pattern_block, DomainError, "share one sparsity pattern"),
+    "colour scatter: same-colour coupling": (lambda: scatter_of(add_red_pair), DomainError,
+                                             "same-colour off-diagonal entry"),
+    "colour scatter: no diagonal": (lambda: scatter_of(drop_first_diagonal_entry), DomainError,
                                     "store its diagonal entry once"),
-    "solve_cg_block: two patterns": (two_pattern_block, DomainError, "share one sparsity pattern"),
     # randomsets
     "random set: length mismatch": (lambda: FiniteRandomSet((UNIT,), (0.5, 0.5)), DomainError,
                                     "length mismatch"),

@@ -73,6 +73,25 @@ class FailingModel(ConstantModel):
         return super().evaluate(draw, lam)
 
 
+class TableModel:
+    """Values read by sample index from a fixed (N, M, P) table."""
+
+    output_labels = None
+    pbox_component = 0
+
+    def __init__(self, table):
+        self.table = table
+
+    def prepare(self, grid):
+        pass
+
+    def draws(self, seed, indices):
+        return np.asarray(indices)
+
+    def evaluate_block(self, draws, points):
+        return self.table[draws], {}
+
+
 class TestParameterGrid:
     def test_regular_grid(self):
         grid = ParameterGrid.regular(FIG1_DIMS, [11, 11])
@@ -537,6 +556,18 @@ class TestIntervalMeanField:
         mf = interval_mean_field(rs)
         assert mf.aumann[0] == Interval(0.0, 0.0)     # x1 = 0 boundary node
         assert mf.aumann[-1] == Interval(0.0, 0.0)    # x1 = 1 boundary node
+
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 127, 128, 129, 500, 4097])
+    def test_aumann_endpoints_are_the_per_node_means(self, n):
+        # each endpoint equals the 1-d mean of its node's column bit for bit
+        table = np.random.default_rng(n).standard_normal((n, 2, 19)) * 10.0 ** np.arange(-9, 10)
+        grid = ParameterGrid.regular([Interval(0, 1)], [2])
+        rs = propagate_random_set(TableModel(table), grid, n, seed=0)
+        np.testing.assert_array_equal([iv.lo for iv in rs.aumann],
+                                      oracle.column_means(table.min(axis=1)))
+        np.testing.assert_array_equal([iv.hi for iv in rs.aumann],
+                                      oracle.column_means(table.max(axis=1)))
 
 
 class TestPDEPointModels:
